@@ -9,7 +9,6 @@ errors.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -26,7 +25,7 @@ from .oracle import (
     scd_scan,
 )
 from .poly import parse_poly
-from .reports import ScanReport
+from .reports import ScanReport, to_dict
 from .theorems import (
     cauchy_davenport,
     cct_coefficient,
@@ -36,20 +35,6 @@ from .theorems import (
     interpolate,
     plane_scan,
 )
-
-
-def _normalize(value):
-    """Tuples of scalars stay tuples (points, monomials); tuples holding
-    containers become lists (collections of such)."""
-    if isinstance(value, dict):
-        return {k: _normalize(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_normalize(v) for v in value]
-    if isinstance(value, tuple):
-        if not value or any(isinstance(x, (tuple, list, dict)) for x in value):
-            return [_normalize(x) for x in value]
-        return value
-    return value
 
 
 def _fmt(value) -> str:
@@ -76,10 +61,9 @@ def _text_lines(data: dict, prefix: str = ""):
 
 def emit_report(report, json_mode: bool = False) -> str:
     """Render a report dataclass or plain dict as text or JSON."""
-    data = dataclasses.asdict(report) if dataclasses.is_dataclass(report) else report
-    data = _normalize(data)
+    data = to_dict(report)
     if json_mode:
-        return json.dumps({"schema_version": "1", **data}, indent=2, default=str)
+        return json.dumps({"schema_version": "1", **data}, indent=2)
     return "\n".join(_text_lines(data))
 
 
@@ -163,7 +147,7 @@ def _cmd_cn_check(args) -> int:
     f = _poly_of(args, ctx, grid.n)
     report = gcn_check(f, grid)
     verdict = (not report.hypothesis_ok) or report.witness is not None
-    data = dataclasses.asdict(report)
+    data = to_dict(report)
     data["verdict"] = verdict
     _emit(args, data)
     return 0 if verdict else 1
@@ -192,7 +176,7 @@ def _cmd_coeff(args) -> int:
     verdict = (not report.degree_bound_ok) or (
         report.weighted_sum == report.direct_coefficient
     )
-    data = dataclasses.asdict(report)
+    data = to_dict(report)
     data["verdict"] = verdict
     _emit(args, data)
     return 0 if verdict else 1
@@ -274,7 +258,7 @@ def _cmd_oracle_suite(args) -> int:
                 {"generators": [str(x) for x in g]} for g in bad
             ),
         )
-    data = dataclasses.asdict(report)
+    data = to_dict(report)
     data["seed"] = seed
     data["elapsed_seconds"] = round(time.monotonic() - start, 3)
     _emit(args, data)

@@ -149,40 +149,9 @@ def _px_invmod(a: Sequence[int], m: Sequence[int], p: int) -> list[int]:
     return _px_mod([(c * inv_c) % p for c in s0], m, p)
 
 
-def _px_eval(c: Sequence[int], x: int, p: int) -> int:
-    acc = 0
-    for coeff in reversed(c):
-        acc = (acc * x + coeff) % p
-    return acc
-
-
-def _px_has_root(m: Sequence[int], p: int) -> bool:
-    return any(_px_eval(m, a, p) == 0 for a in range(p))
-
-
-def _px_is_irreducible_small(m: Sequence[int], p: int) -> bool:
-    """Exhaustive root / low-degree factor test for degrees up to four."""
-    e = len(m) - 1
-    if e == 1:
-        return True
-    if _px_has_root(m, p):
-        return False
-    if e <= 3:
-        return True
-    # degree four: a nontrivial factorization without roots needs an
-    # irreducible quadratic divisor, so try them all
-    for c1 in range(p):
-        for c0 in range(p):
-            quad = [c0, c1, 1]
-            if _px_has_root(quad, p):
-                continue
-            if not _px_mod(m, quad, p):
-                return False
-    return True
-
-
-def _px_is_irreducible_gcd(m: Sequence[int], p: int) -> bool:
-    """Irreducibility via gcds with X^(p^k) - X; used for degrees above four."""
+def _px_is_irreducible(m: Sequence[int], p: int) -> bool:
+    """Rabin's test for a monic m of degree e >= 2: m divides X^(p^e) - X
+    and shares no factor with X^(p^(e/l)) - X for any prime l dividing e."""
     e = len(m) - 1
     x = [0, 1]
     for ell in _prime_factors(e):
@@ -201,7 +170,7 @@ def _default_modulus(p: int, e: int) -> tuple[int, ...]:
     for k in range(p**e):
         tail = [(k // p**j) % p for j in range(e)]
         m = tail + [1]
-        if _px_is_irreducible_small(m, p):
+        if _px_is_irreducible(m, p):
             return tuple(m)
     raise GridNullError(f"no irreducible polynomial of degree {e} over F_{p}")
 
@@ -517,24 +486,20 @@ class ExtensionField(FieldCtx):
             raise NonPrimeModulus(f"{p} is not prime")
         if not isinstance(e, int) or e < 2:
             raise UnsupportedDegree("extension degree must be an integer >= 2")
+        default = _default_modulus(p, e) if e <= 4 else None
         if modulus is None:
-            if e > 4:
+            if default is None:
                 raise UnsupportedDegree(
                     "degrees above 4 require an explicit modulus"
                 )
-            modulus = _default_modulus(p, e)
+            modulus = default
         else:
             modulus = tuple(int(c) % p for c in modulus)
             if len(modulus) != e + 1 or modulus[-1] != 1:
                 raise GridNullError(
                     f"modulus must be monic of degree {e} (got {list(modulus)})"
                 )
-            irreducible = (
-                _px_is_irreducible_small(list(modulus), p)
-                if e <= 4
-                else _px_is_irreducible_gcd(list(modulus), p)
-            )
-            if not irreducible:
+            if not _px_is_irreducible(list(modulus), p):
                 raise ReducibleModulus(
                     f"modulus {list(modulus)} factors over F_{p}"
                 )
@@ -543,6 +508,9 @@ class ExtensionField(FieldCtx):
         self.modulus = tuple(modulus)
         self.characteristic = p
         self.cardinality = p**e
+        self._spec = f"F{p}^{e}"
+        if self.modulus != default:
+            self._spec += "/" + ",".join(str(c) for c in self.modulus)
 
     def _canon(self, v):
         if isinstance(v, FieldElement):
@@ -615,9 +583,7 @@ class ExtensionField(FieldCtx):
         return "+".join(parts) if parts else "0"
 
     def spec_string(self) -> str:
-        if self.e <= 4 and self.modulus == _default_modulus(self.p, self.e):
-            return f"F{self.p}^{self.e}"
-        return f"F{self.p}^{self.e}/" + ",".join(str(c) for c in self.modulus)
+        return self._spec
 
     def _key(self):
         return ("extension", self.p, self.e, self.modulus)

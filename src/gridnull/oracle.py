@@ -23,7 +23,7 @@ from .errors import (
     SizeBoundExceeded,
 )
 from .field import ExtensionField, FieldCtx, FieldElement, PrimeField, _is_prime
-from .grids import additive_coset
+from .grids import Grid, additive_coset
 from .nullity import FiniteSet, MomentTable
 from .poly import MultiPoly, Monomial
 from .reports import ScanReport
@@ -330,3 +330,22 @@ def coefficient_oracle(f: MultiPoly, k: Monomial) -> FieldElement:
         if m == k:
             return c
     return f.ctx.zero
+
+
+def grid_values_bruteforce(f: MultiPoly, grid: Grid) -> list:
+    """f at each point of the grid, one evaluation per point."""
+    return [f.evaluate(a) for a in grid.points()]
+
+
+def plane_count_bruteforce(c, grid: Grid) -> int:
+    """Grid points on the plane c.x = 0, by a dot product at every point."""
+    ctx = grid.ctx
+    cv = tuple(x if isinstance(x, FieldElement) else ctx.element(x) for x in c)
+    count = 0
+    for a in grid.points():
+        dot = ctx.zero
+        for ci, xi in zip(cv, a):
+            dot = dot + ci * xi
+        if dot.is_zero:
+            count += 1
+    return count

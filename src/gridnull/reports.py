@@ -7,11 +7,11 @@ broken bound is still a complete, serializable answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Optional
 
 from .field import FieldElement
-from .poly import MINUS_INFINITY, Monomial
+from .poly import Monomial
 
 
 @dataclass(frozen=True)
@@ -58,55 +58,28 @@ class ScanReport:
     counterexamples: tuple = ()
 
 
-def _display(value):
-    if value is None:
-        return None
-    if value is MINUS_INFINITY:
-        return "-inf"
-    if isinstance(value, FieldElement):
-        return str(value)
-    if isinstance(value, bool) or isinstance(value, int):
-        return value
-    if isinstance(value, str):
-        return value
+def _normalize(value):
+    """Tuples of scalars stay tuples (points, monomials); tuples holding
+    containers become lists (collections of such).  Leaves that JSON cannot
+    hold, such as field elements and MINUS_INFINITY, become display strings."""
     if isinstance(value, dict):
-        return {str(k): _display(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_display(v) for v in value]
+        return {k: _normalize(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_normalize(v) for v in value]
+    if isinstance(value, tuple):
+        if not value or any(isinstance(x, (tuple, list, dict)) for x in value):
+            return [_normalize(x) for x in value]
+        return tuple(_normalize(x) for x in value)
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
     return str(value)
 
 
 def to_dict(report) -> dict:
-    """JSON-ready dict: field elements and exotic values as display strings."""
-    if isinstance(report, WitnessReport):
-        return {
-            "hypothesis_ok": report.hypothesis_ok,
-            "qualifying_monomials": [list(m) for m in report.qualifying_monomials],
-            "witness": _display(report.witness),
-            "zero_count": report.zero_count,
-            "nonzero_count": report.nonzero_count,
-            "total_degree": _display(report.total_degree),
-            "joint_nullity": report.joint_nullity,
-            "grid_sizes": list(report.grid_sizes),
-            "singleton_warning": report.singleton_warning,
-        }
-    if isinstance(report, CoefficientReport):
-        return {
-            "target": list(report.target),
-            "weighted_sum": _display(report.weighted_sum),
-            "direct_coefficient": _display(report.direct_coefficient),
-            "degree_bound_ok": report.degree_bound_ok,
-            "total_degree": _display(report.total_degree),
-            "degree_bound": report.degree_bound,
-            "joint_nullity": report.joint_nullity,
-            "singleton_warning": report.singleton_warning,
-        }
-    if isinstance(report, ScanReport):
-        return {
-            "name": report.name,
-            "instances": report.instances,
-            "verdict": report.verdict,
-            "details": _display(report.details),
-            "counterexamples": _display(list(report.counterexamples)),
-        }
-    raise TypeError(f"not a report: {report!r}")
+    """JSON-ready dict of a report dataclass or a plain dict.
+
+    Fields are read directly rather than through ``asdict``, which would
+    deep-copy every field element together with its field context."""
+    if is_dataclass(report):
+        report = {f.name: getattr(report, f.name) for f in fields(report)}
+    return _normalize(report)

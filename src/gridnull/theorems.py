@@ -56,6 +56,69 @@ def _check_shape(f: MultiPoly, grid: Grid) -> None:
         )
 
 
+def _powers(A: FiniteSet, d: int) -> list:
+    """Rows [1, a, a^2, ..., a^d], one per element of A in its order.
+
+    Every row starts [1, a], so degrees up to one cost no multiplication.
+    """
+    rows = []
+    for a in A:
+        row = [A.ctx.one, a]
+        for _ in range(d - 1):
+            row.append(row[-1] * a)
+        rows.append(row)
+    return rows
+
+
+def _grid_values(f: MultiPoly, grid: Grid):
+    """Yield f at each point of the grid, in ``grid.points()`` order.
+
+    Each term becomes one column per variable it uses, read from the power
+    rows of that factor, with the coefficient folded into the first column;
+    a point's value is then a sum of products of column entries.  Rows run
+    as far as the number of distinct exponents on their axis, so they never
+    cost more than the columns they feed; higher exponents use square and
+    multiply.
+    """
+    tables = [
+        _powers(A, len({m[j] for m in f.terms} - {0}))
+        for j, A in enumerate(grid.factors)
+    ]
+    const = grid.ctx.zero
+    terms = []
+    for m, c in f.terms.items():
+        cols = [
+            (j, [row[k] if k < len(row) else row[1] ** k for row in tables[j]])
+            for j, k in enumerate(m)
+            if k
+        ]
+        if not cols:
+            const = c
+            continue
+        j, col = cols[0]
+        terms.append((j, [c * x for x in col], cols[1:]))
+    for idx in itertools.product(*(range(s) for s in grid.sizes)):
+        v = const
+        for j, col, rest in terms:
+            t = col[idx[j]]
+            for j, col in rest:
+                t = t * col[idx[j]]
+            v = v + t
+        yield v
+
+
+def _zero_scan(f: MultiPoly, grid: Grid):
+    """(number of grid zeros of f, first non-vanishing point or None)."""
+    zeros = 0
+    first = None
+    for a, v in zip(grid.points(), _grid_values(f, grid)):
+        if v.is_zero:
+            zeros += 1
+        elif first is None:
+            first = a
+    return zeros, first
+
+
 def gcn_check(f: MultiPoly, grid: Grid) -> WitnessReport:
     """Witness search: a qualifying monomial forces a non-vanishing point.
 
@@ -80,13 +143,7 @@ def gcn_check(f: MultiPoly, grid: Grid) -> WitnessReport:
             key=lambda m: (sum(m), m),
         )
     )
-    witness = None
-    zero_count = 0
-    for a in grid.points():
-        if f.evaluate(a).is_zero:
-            zero_count += 1
-        elif witness is None:
-            witness = a
+    zero_count, witness = _zero_scan(f, grid)
     return WitnessReport(
         hypothesis_ok=bool(qualifying),
         qualifying_monomials=qualifying,
@@ -106,14 +163,9 @@ def cct_coefficient(f: MultiPoly, grid: Grid) -> CoefficientReport:
     lam = grid.joint_nullity
     top = tuple(s - 1 for s in grid.sizes)
     bound = sum(top) + lam
-    acc = grid.ctx.zero
-    for a in grid.points():
-        v = f.evaluate(a)
-        if not v.is_zero:
-            acc = acc + grid.weight(a) * v
     return CoefficientReport(
         target=top,
-        weighted_sum=acc,
+        weighted_sum=grid_sum(f, grid, "weighted"),
         direct_coefficient=f.coefficient(top),
         degree_bound_ok=f.total_degree <= bound,
         total_degree=f.total_degree,
@@ -136,7 +188,7 @@ def extract_coefficient(f: MultiPoly, grid: Grid, k) -> FieldElement:
         raise DegreeBoundViolated(
             f"degree {f.total_degree} exceeds {sum(k)} + {grid.joint_nullity}"
         )
-    return cct_coefficient(raise_degree(f, grid, k), grid).weighted_sum
+    return grid_sum(raise_degree(f, grid, k), grid, "weighted")
 
 
 def interpolate(grid: Grid, values, lam: int) -> MultiPoly:
@@ -157,13 +209,7 @@ def interpolate(grid: Grid, values, lam: int) -> MultiPoly:
     pow_tables = []
     weight_tables = []
     for A in grid.factors:
-        rows = {}
-        for a in A:
-            row = [ctx.one]
-            for _ in range(len(A) - 1):
-                row.append(row[-1] * a)
-            rows[a] = row
-        pow_tables.append(rows)
+        pow_tables.append(dict(zip(A.elements, _powers(A, len(A) - 1))))
         weight_tables.append({a: A.weight_at(a) for a in A})
     ks = [
         k
@@ -197,14 +243,11 @@ def grid_sum(f: MultiPoly, grid: Grid, mode: str = "plain") -> FieldElement:
     _check_shape(f, grid)
     if mode not in ("plain", "weighted"):
         raise ValueError(f"mode must be 'plain' or 'weighted', got {mode!r}")
+    weighted = mode == "weighted"
     acc = grid.ctx.zero
-    for a in grid.points():
-        v = f.evaluate(a)
-        if v.is_zero:
-            continue
-        if mode == "weighted":
-            v = grid.weight(a) * v
-        acc = acc + v
+    for a, v in zip(grid.points(), _grid_values(f, grid)):
+        if not v.is_zero:
+            acc = acc + (grid.weight(a) * v if weighted else v)
     return acc
 
 
@@ -220,12 +263,8 @@ def punctured_check(f: MultiPoly, grid: Grid) -> ScanReport:
         )
     if not f.coefficient(top).is_zero:
         raise PreconditionViolated("top-monomial coefficient must be zero")
-    nonzero = 0
-    lone = None
-    for a in grid.points():
-        if not f.evaluate(a).is_zero:
-            nonzero += 1
-            lone = a
+    zeros, lone = _zero_scan(f, grid)
+    nonzero = grid.size - zeros
     verdict = nonzero != 1
     counterexamples = ()
     if not verdict:
@@ -236,7 +275,7 @@ def punctured_check(f: MultiPoly, grid: Grid) -> ScanReport:
         verdict=verdict,
         details={
             "nonzero_count": nonzero,
-            "zero_count": grid.size - nonzero,
+            "zero_count": zeros,
             "degree_bound": bound,
             "joint_nullity": grid.joint_nullity,
         },
@@ -299,6 +338,13 @@ def _plane_conditions(grid: Grid) -> dict:
     }
 
 
+def _plane_count(cv, grid: Grid) -> int:
+    """Grid points on the plane cv.x = 0: the zeros of the linear form."""
+    n = grid.n
+    form = {tuple(int(i == j) for i in range(n)): c for j, c in enumerate(cv)}
+    return _zero_scan(MultiPoly(grid.ctx, n, form), grid)[0]
+
+
 def plane_grid_count(c, grid: Grid) -> ScanReport:
     """Count grid points on the plane c.x = 0 and report both verdicts."""
     if grid.ctx.kind == "rationals":
@@ -309,13 +355,7 @@ def plane_grid_count(c, grid: Grid) -> ScanReport:
         raise DimensionMismatch("coefficient vector has wrong arity")
     if all(x.is_zero for x in cv):
         raise ZeroVector("plane needs a nonzero coefficient vector")
-    count = 0
-    for a in grid.points():
-        dot = ctx.zero
-        for ci, xi in zip(cv, a):
-            dot = dot + ci * xi
-        if dot.is_zero:
-            count += 1
+    count = _plane_count(cv, grid)
     details = _plane_conditions(grid)
     details["plane"] = [str(x) for x in cv]
     details["count"] = count
@@ -355,13 +395,7 @@ def plane_scan(grid: Grid, mode: str = "pp") -> ScanReport:
     bad = []
     for cv in _canonical_planes(ctx, grid.n):
         instances += 1
-        count = 0
-        for a in grid.points():
-            dot = ctx.zero
-            for ci, xi in zip(cv, a):
-                dot = dot + ci * xi
-            if dot.is_zero:
-                count += 1
+        count = _plane_count(cv, grid)
         ok = count != 1 if mode == "pp" else count % p == 0
         if not ok:
             bad.append({"plane": [str(x) for x in cv], "count": count})

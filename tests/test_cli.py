@@ -311,3 +311,21 @@ def test_parse_errors_exit_2(capsys):
 def test_normalize_empty_tuple_renders_as_list():
     report = g.ScanReport(name="demo", instances=1, verdict=True)
     assert "counterexamples: []" in cli.emit_report(report).splitlines()
+
+
+def test_to_dict_pins_report_json():
+    Q = g.Rationals()
+    grid = g.parse_grid("{-1,0,1} x {-1,0,1}", Q)
+    witness = g.gcn_check(g.parse_poly("x1*x2 - x1^3", 2, Q), grid)
+    assert json.dumps(g.to_dict(witness)) == (
+        '{"hypothesis_ok": true, "qualifying_monomials": [[1, 1]], '
+        '"witness": ["-1", "-1"], "zero_count": 5, "nonzero_count": 4, '
+        '"total_degree": 3, "joint_nullity": 1, "grid_sizes": [3, 3], '
+        '"singleton_warning": false}'
+    )
+    zero = g.gcn_check(g.MultiPoly.zero(Q, 2), grid)
+    assert json.dumps(g.to_dict(zero)) == (
+        '{"hypothesis_ok": false, "qualifying_monomials": [], "witness": null, '
+        '"zero_count": 9, "nonzero_count": 0, "total_degree": "-inf", '
+        '"joint_nullity": 1, "grid_sizes": [3, 3], "singleton_warning": false}'
+    )

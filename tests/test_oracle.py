@@ -3,9 +3,23 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gridnull as g
-from support import F7, F8, F9, Q, make_rng, random_rational_set, random_set
+from gridnull.oracle import grid_values_bruteforce, plane_count_bruteforce
+from gridnull.theorems import _canonical_planes, _grid_values
+from support import (
+    F7,
+    F8,
+    F9,
+    F27,
+    Q,
+    make_rng,
+    nonzero_element,
+    random_element,
+    random_rational_set,
+    random_set,
+)
 
 
 def test_moments_bruteforce_values():
@@ -154,3 +168,81 @@ def test_oracle_config_validation():
     cfg = g.OracleConfig()
     assert cfg.max_set_size == 8
     assert cfg.rng_seed == 0
+
+
+_KERNEL_FIELDS = [Q, F7, F9, F27]
+
+
+def _kernel_instance(rng, ctx):
+    """A grid of 1 to 3 factors of size 1 to 4 and a polynomial with 0 to 5
+    terms whose exponents reach past the factor sizes."""
+    grid = g.grid_make(
+        [random_set(rng, ctx, rng.randint(1, 4)) for _ in range(rng.randint(1, 3))]
+    )
+    terms = [
+        (
+            tuple(rng.choice([0, 0, rng.randint(1, s + 2), 2 * s + 3]) for s in grid.sizes),
+            random_element(rng, ctx),
+        )
+        for _ in range(rng.randint(0, 5))
+    ]
+    if rng.random() < 0.3:
+        terms.append(((0,) * grid.n, nonzero_element(rng, ctx)))
+    return g.MultiPoly(ctx, grid.n, terms), grid
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=10**9))
+def test_grid_engines_match_pointwise_evaluation(fidx, seed):
+    ctx = _KERNEL_FIELDS[fidx]
+    f, grid = _kernel_instance(make_rng(seed), ctx)
+    values = grid_values_bruteforce(f, grid)
+    assert list(_grid_values(f, grid)) == values
+    points = list(grid.points())
+    nonzero = [a for a, v in zip(points, values) if not v.is_zero]
+    report = g.gcn_check(f, grid)
+    assert report.zero_count == grid.size - len(nonzero)
+    assert report.witness == (nonzero[0] if nonzero else None)
+    plain = ctx.zero
+    weighted = ctx.zero
+    for a, v in zip(points, values):
+        plain = plain + v
+        weighted = weighted + grid.weight(a) * v
+    assert g.grid_sum(f, grid) == plain
+    assert g.grid_sum(f, grid, "weighted") == weighted
+    assert g.cct_coefficient(f, grid).weighted_sum == weighted
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=10**9))
+def test_punctured_count_matches_pointwise_evaluation(fidx, seed):
+    ctx = _KERNEL_FIELDS[fidx]
+    f, grid = _kernel_instance(make_rng(seed), ctx)
+    top = tuple(s - 1 for s in grid.sizes)
+    bound = sum(top) + grid.joint_nullity
+    h = g.MultiPoly(
+        ctx, grid.n, {m: c for m, c in f.terms.items() if m != top and sum(m) <= bound}
+    )
+    nonzero = sum(not v.is_zero for v in grid_values_bruteforce(h, grid))
+    details = g.punctured_check(h, grid).details
+    assert details["nonzero_count"] == nonzero
+    assert details["zero_count"] == grid.size - nonzero
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=10**9))
+def test_plane_counts_match_dot_products(fidx, seed):
+    ctx = _KERNEL_FIELDS[fidx]
+    rng = make_rng(seed)
+    _, grid = _kernel_instance(rng, ctx)
+    c = [random_element(rng, ctx) for _ in range(grid.n)]
+    c[rng.randrange(grid.n)] = nonzero_element(rng, ctx)
+    count = plane_count_bruteforce(c, grid)
+    assert g.plane_grid_count(c, grid).details["count"] == count
+    if ctx.cardinality ** (grid.n - 1) <= 81:
+        bad = []
+        for cv in _canonical_planes(ctx, grid.n):
+            k = plane_count_bruteforce(cv, grid)
+            if k % ctx.characteristic:
+                bad.append({"plane": [str(x) for x in cv], "count": k})
+        assert g.plane_scan(grid, "ppp").counterexamples == tuple(bad)
