@@ -247,7 +247,7 @@ def _cmd_oracle_suite(args) -> int:
         if args.field is None:
             raise ParseError("--scan ore needs --field")
         ctx = parse_field(args.field)
-        gens_list = enumerate_additive_subgroups(ctx)
+        gens_list = enumerate_additive_subgroups(ctx, cfg)
         bad = [g for g in gens_list if not ore_form_check(ctx, list(g), None, cfg)]
         report = ScanReport(
             name="ore",

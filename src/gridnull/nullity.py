@@ -176,8 +176,8 @@ class FiniteSet:
 
     def __contains__(self, v) -> bool:
         try:
-            x = v if isinstance(v, FieldElement) else self.ctx.element(v)
-        except Exception:
+            x = self.ctx.element(v)
+        except (MixedFields, TypeError):
             return False
         return x in self._set
 

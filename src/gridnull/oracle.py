@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .errors import (
     CharacteristicZero,
+    DivisionByZero,
     EvenQ,
     FieldNotRationals,
     NotPrimeField,
@@ -304,15 +305,24 @@ def ore_form_check(ctx: FieldCtx, generators, shift=None, config: OracleConfig =
     return True
 
 
-def enumerate_additive_subgroups(ctx: FieldCtx) -> list:
+def enumerate_additive_subgroups(ctx: FieldCtx, config: OracleConfig = None) -> list:
     """Generator tuples, one per distinct additive subgroup of the field.
 
     Scans generator subsets of size up to the extension degree and keeps the
-    first subset that spans each subgroup; the empty tuple spans {0}.
+    first subset that spans each subgroup; the empty tuple spans {0}.  The
+    subset count is checked against the redei budget of
+    2^max_subset_scan_q subsets before the scan starts.
     """
+    cfg = config or _DEFAULT
     if ctx.kind == "rationals":
         raise CharacteristicZero("additive subgroups need characteristic p > 0")
-    e = ctx.e if ctx.kind == "extension" else 1
+    e = ctx.e
+    subsets = sum(math.comb(ctx.cardinality - 1, k) for k in range(e + 1))
+    if subsets > 2**cfg.max_subset_scan_q:
+        raise ScanTooLarge(
+            f"{subsets} generator subsets of size <= {e} exceed the scan bound "
+            f"2^{cfg.max_subset_scan_q}"
+        )
     nonzero = [x for x in ctx.elements() if not x.is_zero]
     found = {}
     for size in range(e + 1):
@@ -321,6 +331,70 @@ def enumerate_additive_subgroups(ctx: FieldCtx) -> list:
             if span not in found:
                 found[span] = gens
     return list(found.values())
+
+
+def _ref_coeffs(x: FieldElement) -> list:
+    """c_0, ..., c_{e-1}: the base-p digits of the element's index."""
+    p, v = x.ctx.characteristic, x.value
+    return [v // p**j % p for j in range(x.ctx.e)]
+
+
+def field_element_bruteforce(ctx: FieldCtx, coeffs) -> FieldElement:
+    """The element c_0 + c_1 t + ..., reduced by long division modulo ctx.modulus."""
+    p, e = ctx.characteristic, ctx.e
+    c = [int(x) % p for x in coeffs] + [0] * e
+    for top in range(len(c) - 1, e - 1, -1):
+        k = c[top]
+        if k:  # subtract k X^(top-e) times the monic modulus
+            for j, mj in enumerate(ctx.modulus):
+                c[top - e + j] = (c[top - e + j] - k * mj) % p
+    return FieldElement(ctx, sum(cj * p**j for j, cj in enumerate(c[:e])))
+
+
+def _ref_mul(x: FieldElement, y: FieldElement) -> FieldElement:
+    a, b = _ref_coeffs(x), _ref_coeffs(y)
+    prod = [0] * (len(a) + len(b))
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] += ai * bj
+    return field_element_bruteforce(x.ctx, prod)
+
+
+def _ref_pow(x: FieldElement, k: int) -> FieldElement:
+    if k < 0:
+        return _ref_pow(field_op_bruteforce("inv", x), -k)
+    result, base = field_element_bruteforce(x.ctx, [1]), x
+    while k:
+        if k & 1:
+            result = _ref_mul(result, base)
+        base = _ref_mul(base, base)
+        k >>= 1
+    return result
+
+
+def field_op_bruteforce(op: str, x: FieldElement, y=None) -> FieldElement:
+    """One finite-field operation by polynomial arithmetic on coefficients.
+
+    op is "add", "sub", "mul", "neg", "inv" or "pow" (y an int exponent).
+    Coefficients are the base-p digits of the element index; products are
+    schoolbook, reduced by long division modulo ctx.modulus; the inverse is
+    x^(q-2) by square and multiply.  No kernel or table of the field is used.
+    """
+    ctx = x.ctx
+    if op == "pow":
+        return _ref_pow(x, y)
+    if op == "mul":
+        return _ref_mul(x, y)
+    if op == "inv":
+        if not any(_ref_coeffs(x)):
+            raise DivisionByZero("cannot invert 0")
+        return _ref_pow(x, ctx.cardinality - 2)
+    if op == "neg":
+        return field_op_bruteforce("sub", field_element_bruteforce(ctx, []), x)
+    sign = {"add": 1, "sub": -1}[op]
+    return field_element_bruteforce(
+        ctx, [a + sign * b for a, b in zip(_ref_coeffs(x), _ref_coeffs(y))]
+    )
 
 
 def coefficient_oracle(f: MultiPoly, k: Monomial) -> FieldElement:
@@ -335,6 +409,15 @@ def coefficient_oracle(f: MultiPoly, k: Monomial) -> FieldElement:
 def grid_values_bruteforce(f: MultiPoly, grid: Grid) -> list:
     """f at each point of the grid, one evaluation per point."""
     return [f.evaluate(a) for a in grid.points()]
+
+
+def grid_sum_bruteforce(f: MultiPoly, grid: Grid, mode: str = "plain") -> FieldElement:
+    """Sum of f over the grid, plain or weighted, one evaluation per point."""
+    acc = grid.ctx.zero
+    for a in grid.points():
+        v = f.evaluate(a)
+        acc = acc + (grid.weight(a) * v if mode == "weighted" else v)
+    return acc
 
 
 def plane_count_bruteforce(c, grid: Grid) -> int:

@@ -103,7 +103,19 @@ def test_finite_set_dedup_and_equality():
     assert 9 in a
     assert F7.element(3) not in a
     assert "cow" not in a
+    assert F5.one not in a
     assert repr(g.FiniteSet(F7, [1, 2, 4])) == "{1, 2, 4}"
+
+
+def test_finite_set_membership_does_not_hide_faults(monkeypatch):
+    a = g.FiniteSet(F7, [1, 2, 4])
+
+    def broken(v):
+        raise ZeroDivisionError("fault in the field kernel")
+
+    monkeypatch.setattr(F7, "_canon", broken)
+    with pytest.raises(ZeroDivisionError):
+        2 in a
 
 
 def test_finite_set_rejects_empty_and_mixed():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gridnull as g
-from gridnull.oracle import grid_values_bruteforce, plane_count_bruteforce
+from gridnull.oracle import grid_sum_bruteforce, grid_values_bruteforce, plane_count_bruteforce
 from gridnull.theorems import _canonical_planes, _grid_values
 from support import (
     F7,
@@ -140,6 +140,16 @@ def test_enumerate_additive_subgroups():
         g.enumerate_additive_subgroups(Q)
 
 
+def test_enumerate_additive_subgroups_is_bounded_before_it_starts():
+    f32 = g.parse_field("F2^5/1,0,1,0,0,1")
+    with pytest.raises(g.ScanTooLarge, match="206368 generator subsets"):
+        g.enumerate_additive_subgroups(f32)
+    f16 = g.parse_field("F2^4")  # 1941 subsets: inside the default 2^13
+    assert len(g.enumerate_additive_subgroups(f16)) == 67
+    with pytest.raises(g.ScanTooLarge, match="1941 generator subsets"):
+        g.enumerate_additive_subgroups(f16, g.OracleConfig(max_subset_scan_q=10))
+
+
 def test_ore_form_holds_for_every_subgroup_of_f9():
     for gens in g.enumerate_additive_subgroups(F9):
         assert g.ore_form_check(F9, gens)
@@ -203,11 +213,9 @@ def test_grid_engines_match_pointwise_evaluation(fidx, seed):
     report = g.gcn_check(f, grid)
     assert report.zero_count == grid.size - len(nonzero)
     assert report.witness == (nonzero[0] if nonzero else None)
-    plain = ctx.zero
-    weighted = ctx.zero
-    for a, v in zip(points, values):
-        plain = plain + v
-        weighted = weighted + grid.weight(a) * v
+    plain = grid_sum_bruteforce(f, grid)
+    weighted = grid_sum_bruteforce(f, grid, "weighted")
+    assert plain == sum(values, ctx.zero)
     assert g.grid_sum(f, grid) == plain
     assert g.grid_sum(f, grid, "weighted") == weighted
     assert g.cct_coefficient(f, grid).weighted_sum == weighted
