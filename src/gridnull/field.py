@@ -207,8 +207,7 @@ def _exp_log(p: int, e: int, m: Sequence[int]) -> tuple[list[int], list[int]]:
     enumeration order (t itself need not be primitive).
 
     Each step multiplies by g with one shift, reduction by m and
-    multiply-add per digit of g: O(e) for g = a t + b, and a few integer
-    operations when p = 2.
+    multiply-add per digit of g: O(e) for g = a t + b.
     """
     q = p**e
     n = q - 1
@@ -219,21 +218,6 @@ def _exp_log(p: int, e: int, m: Sequence[int]) -> tuple[list[int], list[int]]:
     )
     g.reverse()  # Horner order: x * g = (...(g_d x) t + g_{d-1} x) t + ...
     exp, log = [0] * n, [0] * q
-    if p == 2:  # an index is the bit vector of its coefficients
-        mbits, top = _index(m, 2), 1 << e
-        x = 1
-        for k in range(n):
-            exp[k] = x
-            log[x] = k
-            y = 0
-            for gj in g:
-                y <<= 1
-                if y & top:
-                    y ^= mbits
-                if gj:
-                    y ^= x
-            x = y
-        return exp, log
     shifts = [[-h * c % p for c in m[:e]] for h in range(p)]  # h t^e as digits
     weights = [p**j for j in range(e)]
     x = [1] + [0] * (e - 1)
@@ -253,13 +237,15 @@ def _exp_log(p: int, e: int, m: Sequence[int]) -> tuple[list[int], list[int]]:
 # ---------------------------------------------------------------------------
 
 # Fields of at most this many elements get lookup tables and one object per
-# element, about 160 bytes per element.  The build is measured at 2-8 us per
-# element (1-2 for p = 2): 30-130 ms for F_{2^14}, 75-190 ms for F_{5^6} and
-# F_{127^2} on a 2-vCPU VM.  At 2^16 odd-p fields took 0.5-0.9 s.
-_TABLE_CAP = 2**14
+# element, about 160 bytes per element.  The build costs 2-4 us per element
+# on a 2-vCPU VM: at most about 8 ms at the cap (F_{2^11}, F_{7^4} is above
+# it), against about 100 ms for a whole gridnull process.  At 2^12-2^14 a
+# one-shot command on a few points spent more on the build (16-150 ms) than
+# the digit kernels would spend on its arithmetic.
+_TABLE_CAP = 2**11
 
 # Interned contexts by constructor arguments and by canonical parameters.
-# Every field built stays for the life of the process (at most about 2.6 MB
+# Every field built stays for the life of the process (at most about 0.3 MB
 # for a field at the table cap).
 _CONTEXTS: dict = {}
 
@@ -608,10 +594,6 @@ class FiniteField(FieldCtx):
         )
         self._inv = inv
         self._pow = lambda a, k: new(_index(_px_powmod(digits(a), k, m, p), p))
-        if p == 2:
-            self._add = self._sub = lambda a, b: new(a ^ b)
-            self._neg = new
-            return
         self._add = lambda a, b: new(
             _index([(x + y) % p for x, y in zip(digits(a), digits(b))], p)
         )
@@ -624,8 +606,11 @@ class FiniteField(FieldCtx):
         if isinstance(v, int):
             return v % self.p
         if self.e > 1 and isinstance(v, (tuple, list)):
-            c = _px_mod([int(x) % self.p for x in v], list(self.modulus), self.p)
-            return _index(c, self.p)
+            try:
+                c = [int(x) % self.p for x in v]
+            except ValueError:
+                raise TypeError(f"cannot build an extension element from {v!r}") from None
+            return _index(_px_mod(c, list(self.modulus), self.p), self.p)
         what = "a residue" if self.e == 1 else "an extension element"
         raise TypeError(f"cannot build {what} from {v!r}")
 

@@ -243,26 +243,19 @@ def grid_sum(f: MultiPoly, grid: Grid, mode: str = "plain") -> FieldElement:
 
     Both sums separate over the axes, so no point is enumerated: the sum is
     sum_m c_m prod_i S_i(m_i), where S_i(k) adds a^k over the factor A_i,
-    times w_i(a) = 1/P_i'(a) when weighted.  Each S_i reads the power rows
-    of its factor; an exponent beyond its row is one power.
+    times w_i(a) = 1/P_i'(a) when weighted (the Sylvester sum of A_i).
     """
     _check_shape(f, grid)
     if mode not in ("plain", "weighted"):
         raise ValueError(f"mode must be 'plain' or 'weighted', got {mode!r}")
-    ctx = grid.ctx
-    zero = ctx.zero
+    zero = grid.ctx.zero
     axis_sums = []
     for j, A in enumerate(grid.factors):
         ks = {m[j] for m in f.terms}
-        rows = _powers(A, len(ks - {0}))
-        ws = [A.weight_at(a) if mode == "weighted" else ctx.one for a in A]
-        sums = {}
-        for k in ks:
-            acc = zero
-            for w, row in zip(ws, rows):
-                acc = acc + w * (row[k] if k < len(row) else row[1] ** k)
-            sums[k] = acc
-        axis_sums.append(sums)
+        if mode == "weighted":
+            axis_sums.append({k: A.sylvester_sum(k) for k in ks})
+        else:
+            axis_sums.append({k: sum((a**k for a in A), zero) for k in ks})
     acc = zero
     for m, c in f.terms.items():
         for sums, k in zip(axis_sums, m):

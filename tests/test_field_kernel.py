@@ -13,8 +13,8 @@ from gridnull.oracle import field_element_bruteforce, field_op_bruteforce
 from support import F4, F7, F8, F9, F27
 
 # Table fields: F9's default modulus X^2 + 1 has t of order 4, so its tables
-# come from another primitive element.  Above the cap: products through
-# polynomial arithmetic, sums by XOR (p = 2) or digit by digit.
+# come from another primitive element.  Above the cap: polynomial
+# arithmetic on the digits.
 _TABLE_FIELDS = [
     F7,
     F4,
@@ -26,6 +26,7 @@ _TABLE_FIELDS = [
 ]
 _ABOVE_CAP = [
     g.parse_field("F2^17/1,0,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,1"),
+    g.parse_field("F2^12/1,0,0,1,0,0,0,0,0,0,0,0,1"),
     g.parse_field("F3^9/1,0,1,2,0,0,0,0,0,1"),
     g.PrimeField(65537),
 ]

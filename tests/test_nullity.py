@@ -118,6 +118,14 @@ def test_finite_set_membership_does_not_hide_faults(monkeypatch):
         2 in a
 
 
+def test_finite_set_membership_of_ill_formed_coefficients():
+    a = g.FiniteSet(F9, [[0, 1], [1, 1]])
+    assert [0, 1] in a
+    assert ["a"] not in a
+    assert [None] not in a
+    assert [1, 0] not in a
+
+
 def test_finite_set_rejects_empty_and_mixed():
     with pytest.raises(g.EmptySet):
         g.FiniteSet(F7, [])
