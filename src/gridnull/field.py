@@ -36,18 +36,37 @@ from .errors import (
 )
 
 
+# Strong-probable-prime tests to the first 13 prime bases decide primality
+# exactly below the smallest strong pseudoprime to all of them (Sorenson and
+# Webster, Math. Comp. 2017).  Twelve bases are not enough below this bound:
+# 318665857834031151167461 is a strong pseudoprime to 2, 3, ..., 37.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact for n below _PRIME_BOUND."""
+    if n >= _PRIME_BOUND:
+        raise GridNullError(f"primality is decided only below {_PRIME_BOUND}, got {n}")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _PRIME_BASES:
+        if n % b == 0:
+            return n == b
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -720,7 +739,7 @@ def enumerate_elements(ctx: FieldCtx) -> tuple[FieldElement, ...]:
 
 def trace(x: FieldElement, ctx: Optional[FieldCtx] = None) -> FieldElement:
     """Trace down to the prime subfield: x + x^p + ... + x^(p^(e-1))."""
-    if ctx is not None and ctx != x.ctx:
+    if ctx is not None and ctx is not x.ctx:
         raise MixedFields("trace context disagrees with the element")
     ctx = x.ctx
     if ctx.kind != "extension":

@@ -47,7 +47,7 @@ class Grid:
             raise EmptyFactorList("a grid needs at least one factor")
         ctx = factors[0].ctx
         for A in factors:
-            if A.ctx != ctx:
+            if A.ctx is not ctx:
                 raise MixedFields("grid factors must share one field")
         self.ctx = ctx
         self.factors = factors

@@ -55,7 +55,7 @@ class FiniteSet:
         seen = set()
         for v in elements:
             x = v if isinstance(v, FieldElement) else ctx.element(v)
-            if x.ctx != ctx:
+            if x.ctx is not ctx:
                 raise MixedFields("set elements must share one field")
             if x not in seen:
                 seen.add(x)
@@ -184,7 +184,7 @@ class FiniteSet:
     def __eq__(self, other):
         if not isinstance(other, FiniteSet):
             return NotImplemented
-        return self.ctx == other.ctx and self._set == other._set
+        return self.ctx is other.ctx and self._set == other._set
 
     def __hash__(self):
         return hash((self.ctx, self._set))

@@ -18,6 +18,7 @@ from .errors import (
     DivisionByZero,
     EvenQ,
     FieldNotRationals,
+    MissingValue,
     NotPrimeField,
     PreconditionViolated,
     ScanTooLarge,
@@ -432,3 +433,43 @@ def plane_count_bruteforce(c, grid: Grid) -> int:
         if dot.is_zero:
             count += 1
     return count
+
+
+def interpolate_bruteforce(grid: Grid, values, lam: int) -> MultiPoly:
+    """Coefficients of degree <= lam as weighted grid sums, point by point.
+
+    For each point a, v(a) prod_i w_i(a_i) a_i^(s_i-1-k_i) is added to the
+    coefficient of every monomial k with |k| <= lam and k_i < s_i.  The size
+    and lambda checks of the fast path are the caller's.
+    """
+    ctx = grid.ctx
+    pow_tables = []
+    weight_tables = []
+    for A in grid.factors:
+        pow_tables.append({a: [a**k for k in range(len(A))] for a in A})
+        weight_tables.append({a: A.weight_at(a) for a in A})
+    ks = [
+        k
+        for k in itertools.product(*(range(min(lam, s - 1) + 1) for s in grid.sizes))
+        if sum(k) <= lam
+    ]
+    acc = {k: ctx.zero for k in ks}
+    for a in grid.points():
+        try:
+            v = values[a]
+        except KeyError:
+            raise MissingValue(f"no value supplied for grid point {a}") from None
+        if not isinstance(v, FieldElement):
+            v = ctx.element(v)
+        w = ctx.one
+        for i, x in enumerate(a):
+            w = w * weight_tables[i][x]
+        v = v * w
+        if v.is_zero:
+            continue
+        for k in ks:
+            term = v
+            for i, (x, ki) in enumerate(zip(a, k)):
+                term = term * pow_tables[i][x][grid.sizes[i] - ki - 1]
+            acc[k] = acc[k] + term
+    return MultiPoly(ctx, grid.n, acc)

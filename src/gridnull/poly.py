@@ -67,7 +67,7 @@ class UniPoly:
     def __init__(self, ctx: FieldCtx, coeffs: Iterable = ()):
         cs = [c if isinstance(c, FieldElement) else ctx.element(c) for c in coeffs]
         for c in cs:
-            if c.ctx != ctx:
+            if c.ctx is not ctx:
                 raise MixedFields("coefficient from a different field")
         while cs and cs[-1].is_zero:
             cs.pop()
@@ -121,7 +121,7 @@ class UniPoly:
     def _binop(self, other, op):
         if not isinstance(other, UniPoly):
             return NotImplemented
-        if other.ctx != self.ctx:
+        if other.ctx is not self.ctx:
             raise MixedFields("polynomials over different fields")
         n = max(len(self.coeffs), len(other.coeffs))
         out = []
@@ -145,7 +145,7 @@ class UniPoly:
             return UniPoly(self.ctx, [c * other for c in self.coeffs])
         if not isinstance(other, UniPoly):
             return NotImplemented
-        if other.ctx != self.ctx:
+        if other.ctx is not self.ctx:
             raise MixedFields("polynomials over different fields")
         if self.is_zero or other.is_zero:
             return UniPoly(self.ctx, [])
@@ -160,7 +160,7 @@ class UniPoly:
     def __eq__(self, other):
         if not isinstance(other, UniPoly):
             return NotImplemented
-        return self.ctx == other.ctx and self.coeffs == other.coeffs
+        return self.ctx is other.ctx and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash((self.ctx, self.coeffs))
@@ -209,7 +209,7 @@ class MultiPoly:
                 raise ExponentOutOfRange("negative exponent")
             if not isinstance(c, FieldElement):
                 c = ctx.element(c)
-            elif c.ctx != ctx:
+            elif c.ctx is not ctx:
                 raise MixedFields("coefficient from a different field")
             if not c.is_zero:
                 clean[m] = clean[m] + c if m in clean else c
@@ -268,7 +268,7 @@ class MultiPoly:
                 f"point has {len(pt)} coordinates, expected {self.n}"
             )
         for x in pt:
-            if x.ctx != self.ctx:
+            if x.ctx is not self.ctx:
                 raise MixedFields("evaluation point from a different field")
         total = self.ctx.zero
         for m, c in self.terms.items():
@@ -280,7 +280,7 @@ class MultiPoly:
         return total
 
     def _compat(self, other):
-        if other.ctx != self.ctx:
+        if other.ctx is not self.ctx:
             raise MixedFields("polynomials over different fields")
         if other.n != self.n:
             raise DimensionMismatch("polynomials in different variable counts")
@@ -354,7 +354,7 @@ class MultiPoly:
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.ctx == other.ctx and self.n == other.n and self.terms == other.terms
+        return self.ctx is other.ctx and self.n == other.n and self.terms == other.terms
 
     def __str__(self):
         return format_poly(self)

@@ -10,6 +10,8 @@ joint nullity of the grid.
 from __future__ import annotations
 
 import itertools
+from functools import reduce
+from operator import add, mul
 
 from .errors import (
     DegreeBoundViolated,
@@ -48,7 +50,7 @@ __all__ = [
 
 
 def _check_shape(f: MultiPoly, grid: Grid) -> None:
-    if f.ctx != grid.ctx:
+    if f.ctx is not grid.ctx:
         raise MixedFields("polynomial and grid live over different fields")
     if f.n != grid.n:
         raise DimensionMismatch(
@@ -194,8 +196,10 @@ def extract_coefficient(f: MultiPoly, grid: Grid, k) -> FieldElement:
 def interpolate(grid: Grid, values, lam: int) -> MultiPoly:
     """Rebuild the polynomial of degree <= lam from its values on the grid.
 
-    The coefficient of each monomial k with |k| <= lam is the weighted grid
-    sum of the values against the degree-raising powers of the coordinates.
+    The coefficient of x^k, |k| <= lam, is sum_a v(a) prod_i w_i(a_i)
+    a_i^(s_i-1-k_i) with w_i = 1/P_i'.  The kernel separates, so the values
+    are contracted one axis at a time against the matrix w_i(a) a^(s_i-1-k),
+    dropping every prefix k_1..k_i whose degree passes lam.
     """
     if grid.has_singleton:
         raise SingletonFactor("interpolation needs every factor of size > 1")
@@ -206,17 +210,7 @@ def interpolate(grid: Grid, values, lam: int) -> MultiPoly:
             f"lambda {lam} exceeds the grid's joint nullity {grid.joint_nullity}"
         )
     ctx = grid.ctx
-    pow_tables = []
-    weight_tables = []
-    for A in grid.factors:
-        pow_tables.append(dict(zip(A.elements, _powers(A, len(A) - 1))))
-        weight_tables.append({a: A.weight_at(a) for a in A})
-    ks = [
-        k
-        for k in itertools.product(*(range(min(lam, s - 1) + 1) for s in grid.sizes))
-        if sum(k) <= lam
-    ]
-    acc = {k: ctx.zero for k in ks}
+    flat = []
     for a in grid.points():
         try:
             v = values[a]
@@ -224,18 +218,24 @@ def interpolate(grid: Grid, values, lam: int) -> MultiPoly:
             raise MissingValue(f"no value supplied for grid point {a}") from None
         if not isinstance(v, FieldElement):
             v = ctx.element(v)
-        w = ctx.one
-        for i, x in enumerate(a):
-            w = w * weight_tables[i][x]
-        v = v * w
-        if v.is_zero:
-            continue
-        for k in ks:
-            term = v
-            for i, (x, ki) in enumerate(zip(a, k)):
-                term = term * pow_tables[i][x][grid.sizes[i] - ki - 1]
-            acc[k] = acc[k] + term
-    return MultiPoly(ctx, grid.n, acc)
+        elif v.ctx is not ctx:
+            raise MixedFields(f"cannot combine elements of {v.ctx} and {ctx}")
+        flat.append(v)
+    layer = {(): flat}
+    rest = grid.size
+    for A, s in zip(grid.factors, grid.sizes):
+        rest //= s
+        matrix = list(zip(*(
+            [w * x for x in row[::-1][: lam + 1]]
+            for w, row in zip(map(A.weight_at, A), _powers(A, s - 1))
+        )))
+        nxt = {}
+        for prefix, t in layer.items():
+            lines = [t[r::rest] for r in range(rest)]
+            for k in range(min(lam - sum(prefix), s - 1) + 1):
+                nxt[prefix + (k,)] = [reduce(add, map(mul, v, matrix[k])) for v in lines]
+        layer = nxt
+    return MultiPoly(ctx, grid.n, {k: t[0] for k, t in layer.items()})
 
 
 def grid_sum(f: MultiPoly, grid: Grid, mode: str = "plain") -> FieldElement:
@@ -299,7 +299,7 @@ def punctured_check(f: MultiPoly, grid: Grid) -> ScanReport:
 def cauchy_davenport(A: FiniteSet, B: FiniteSet) -> ScanReport:
     """Sumset dichotomy over a prime field: the sumset is at least as
     structured as the summands, or not too small."""
-    if A.ctx != B.ctx:
+    if A.ctx is not B.ctx:
         raise MixedFields("summands live over different fields")
     ctx = A.ctx
     if ctx.kind != "prime":
@@ -351,11 +351,27 @@ def _plane_conditions(grid: Grid) -> dict:
     }
 
 
-def _plane_count(cv, grid: Grid) -> int:
-    """Grid points on the plane cv.x = 0: the zeros of the linear form."""
-    n = grid.n
-    form = {tuple(int(i == j) for i in range(n)): c for j, c in enumerate(cv)}
-    return _zero_scan(MultiPoly(grid.ctx, n, form), grid)[0]
+def _plane_counter(head, grid: Grid):
+    """Grid points on the plane c.x = 0 as a function of c_n, c = head + (c_n,).
+
+    A histogram H over (F_q, +) counts the values of c_1 x_1 + ... +
+    c_(n-1) x_(n-1) on the first n-1 factors; it is built one axis at a time
+    by convolving with c_i A_i, and an axis with c_i = 0 scales every count by
+    |A_i|.  The count is then sum_(a in A_n) H[-c_n a].
+    """
+    hist, scale = {grid.ctx.zero: 1}, 1
+    for c, A in zip(head, grid.factors):
+        if c.is_zero:
+            scale *= len(A)
+            continue
+        shifts = [c * a for a in A]
+        nxt = {}
+        for h, k in hist.items():
+            for d in shifts:
+                t = h + d
+                nxt[t] = nxt.get(t, 0) + k
+        hist = nxt
+    return lambda c: scale * sum(hist.get(-c * a, 0) for a in grid.factors[-1])
 
 
 def plane_grid_count(c, grid: Grid) -> ScanReport:
@@ -368,7 +384,7 @@ def plane_grid_count(c, grid: Grid) -> ScanReport:
         raise DimensionMismatch("coefficient vector has wrong arity")
     if all(x.is_zero for x in cv):
         raise ZeroVector("plane needs a nonzero coefficient vector")
-    count = _plane_count(cv, grid)
+    count = _plane_counter(cv[:-1], grid)(cv[-1])
     details = _plane_conditions(grid)
     details["plane"] = [str(x) for x in cv]
     details["count"] = count
@@ -406,12 +422,16 @@ def plane_scan(grid: Grid, mode: str = "pp") -> ScanReport:
     p = ctx.characteristic
     instances = 0
     bad = []
-    for cv in _canonical_planes(ctx, grid.n):
-        instances += 1
-        count = _plane_count(cv, grid)
-        ok = count != 1 if mode == "pp" else count % p == 0
-        if not ok:
-            bad.append({"plane": [str(x) for x in cv], "count": count})
+    # planes sharing all but the last coordinate come together and share H
+    planes = itertools.groupby(_canonical_planes(ctx, grid.n), lambda cv: cv[:-1])
+    for head, group in planes:
+        count_at = _plane_counter(head, grid)
+        for cv in group:
+            instances += 1
+            count = count_at(cv[-1])
+            ok = count != 1 if mode == "pp" else count % p == 0
+            if not ok:
+                bad.append({"plane": [str(x) for x in cv], "count": count})
     details = _plane_conditions(grid)
     details["mode"] = mode
     return ScanReport(

@@ -217,6 +217,69 @@ def test_plane_scan_pass_and_fail(capsys):
     assert "count: 1" in out
 
 
+def _plane_scan_json(q, p, lam, degree_sum, mode, instances, bad):
+    return {
+        "schema_version": "1",
+        "name": "plane-scan",
+        "instances": instances,
+        "verdict": not bad,
+        "details": {
+            "q": q,
+            "p": p,
+            "joint_nullity": lam,
+            "degree_sum": degree_sum,
+            "pp_large": False,
+            "pp_structured": False,
+            "ppp_applies": False,
+            "mode": mode,
+        },
+        "counterexamples": [{"plane": plane, "count": k} for plane, k in bad],
+    }
+
+
+def test_plane_scan_json_golden(capsys):
+    grid = ["--field", "F3^3", "--grid", "tracezero x mul(13)", "--json"]
+    code, out, _ = _run(capsys, ["plane-scan", *grid])
+    assert code == 0
+    assert json.loads(out) == _plane_scan_json(27, 3, 5, 20, "pp", 28, [])
+    code, out, _ = _run(capsys, ["plane-scan", *grid, "--mode", "ppp"])
+    assert code == 1
+    second = [
+        "0", "1", "2", "t", "t+1", "t+2", "2*t", "2*t+1", "2*t+2",
+        "t^2", "t^2+1", "t^2+2", "t^2+t", "t^2+t+1", "t^2+t+2",
+        "t^2+2*t", "t^2+2*t+1", "t^2+2*t+2", "2*t^2", "2*t^2+1", "2*t^2+2",
+        "2*t^2+t", "2*t^2+t+1", "2*t^2+t+2", "2*t^2+2*t", "2*t^2+2*t+1", "2*t^2+2*t+2",
+    ]
+    bad = [(["1", x], 13 if x == "0" else 4) for x in second]
+    assert json.loads(out) == _plane_scan_json(27, 3, 5, 20, "ppp", 28, bad)
+    code, out, _ = _run(
+        capsys,
+        ["plane-scan", "--field", "F7", "--grid", "{1,2} x {1,2}", "--mode", "ppp", "--json"],
+    )
+    assert code == 1
+    bad = [(["1", "3"], 1), (["1", "5"], 1), (["1", "6"], 2)]
+    assert json.loads(out) == _plane_scan_json(7, 7, 0, 2, "ppp", 8, bad)
+
+
+def test_interpolate_json_golden(capsys):
+    poly = "t*x1^2*x2 + x1*x2 + 2*x2^2 + t"
+    code, out, _ = _run(
+        capsys,
+        ["interpolate", "--field", "F3^2", "--grid", "mul(4) x mul(4)", "--poly", poly, "--json"],
+    )
+    assert code == 0
+    assert out == (
+        "{\n"
+        '  "schema_version": "1",\n'
+        '  "lambda": 3,\n'
+        '  "joint_nullity": 3,\n'
+        f'  "input": "{poly}",\n'
+        f'  "reconstructed": "{poly}",\n'
+        '  "verdict": true\n'
+        "}\n"
+    )
+
+
 def test_oracle_suite_scd(capsys):
     code, out, _ = _run(capsys, ["oracle-suite", "--scan", "scd", "--p", "5", "--seed", "42"])
     assert code == 0
@@ -254,6 +317,19 @@ def test_oracle_suite_ore_over_budget_exits_2(capsys, monkeypatch):
     )
     assert code == 2
     assert "206368 generator subsets" in err
+
+
+def test_huge_prime_fields(capsys):
+    code, out, _ = _run(
+        capsys, ["analyze-set", "--field", "F1000000000000000003", "--set", "{1}"]
+    )
+    assert code == 0
+    assert "char_poly: X + 1000000000000000002\n" in out
+    code, _, err = _run(
+        capsys, ["analyze-set", "--field", "F3317044064679887385961981", "--set", "{1}"]
+    )
+    assert code == 2
+    assert "only below 3317044064679887385961981" in err
 
 
 def test_oracle_suite_missing_parameter(capsys):

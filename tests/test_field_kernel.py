@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gridnull as g
-from gridnull.field import _TABLE_CAP
+from gridnull.field import _PRIME_BOUND, _TABLE_CAP, _is_prime
 from gridnull.oracle import field_element_bruteforce, field_op_bruteforce
 from support import F4, F7, F8, F9, F27
 
@@ -82,3 +82,42 @@ def test_contexts_are_interned():
     assert pickle.loads(pickle.dumps(F9.generator)) == F9.generator
     with pytest.raises(g.MixedFields):
         F7.one + g.PrimeField(5).one
+
+
+def _trial_division(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def test_is_prime_agrees_with_trial_division():
+    assert [n for n in range(10**5) if _is_prime(n)] == [
+        n for n in range(10**5) if _trial_division(n)
+    ]
+
+
+def test_is_prime_rejects_carmichael_numbers_and_strong_pseudoprimes():
+    carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185]
+    # each is a strong pseudoprime to every prime base up to the one named
+    strong = {
+        2047: 2,
+        1373653: 3,
+        25326001: 5,
+        3215031751: 7,
+        2152302898747: 11,
+        3474749660383: 13,
+        341550071728321: 17,
+        3825123056546413051: 23,
+        318665857834031151167461: 37,
+    }
+    for n in carmichael + list(strong):
+        assert not _is_prime(n), n
+    assert _is_prime(2**61 - 1) and _is_prime(10**18 + 3)
+    assert not _is_prime((2**31 - 1) ** 2)
+
+
+def test_is_prime_refuses_numbers_past_its_bound():
+    assert not _is_prime(_PRIME_BOUND - 1)  # even
+    with pytest.raises(g.GridNullError, match=str(_PRIME_BOUND)):
+        _is_prime(_PRIME_BOUND)
+    with pytest.raises(g.GridNullError, match=str(_PRIME_BOUND)):
+        g.parse_field(f"F{2**89 - 1}")
+    assert g.parse_field(f"F{10**18 + 3}").cardinality == 10**18 + 3

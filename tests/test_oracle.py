@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gridnull as g
-from gridnull.oracle import grid_sum_bruteforce, grid_values_bruteforce, plane_count_bruteforce
+from gridnull.oracle import (
+    grid_sum_bruteforce,
+    grid_values_bruteforce,
+    interpolate_bruteforce,
+    plane_count_bruteforce,
+)
 from gridnull.theorems import _canonical_planes, _grid_values
 from support import (
     F7,
@@ -19,6 +24,8 @@ from support import (
     random_element,
     random_rational_set,
     random_set,
+    random_structured_factor,
+    zero_sum_rational_set,
 )
 
 
@@ -237,20 +244,79 @@ def test_punctured_count_matches_pointwise_evaluation(fidx, seed):
     assert details["zero_count"] == grid.size - nonzero
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=10**9))
-def test_plane_counts_match_dot_products(fidx, seed):
-    ctx = _KERNEL_FIELDS[fidx]
+# F2^12 is above the table cap: sums are fresh element objects, so the plane
+# histograms must key on element values, not on object identity.
+_PLANE_FIELDS = [F7, F9, F27, g.parse_field("F2^12/1,0,0,1,0,0,0,0,0,0,0,0,1")]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=10**9),
+    st.sampled_from(["pp", "ppp"]),
+)
+def test_plane_counts_match_dot_products(fidx, seed, mode):
+    ctx = _PLANE_FIELDS[fidx]
     rng = make_rng(seed)
-    _, grid = _kernel_instance(rng, ctx)
-    c = [random_element(rng, ctx) for _ in range(grid.n)]
-    c[rng.randrange(grid.n)] = nonzero_element(rng, ctx)
+    n = rng.randint(1, 3)
+    grid = g.grid_make([random_set(rng, ctx, rng.randint(1, 4)) for _ in range(n)])
+    c = [random_element(rng, ctx) for _ in range(n)]
+    c[rng.randrange(n)] = nonzero_element(rng, ctx)
+    if n > 1 and rng.random() < 0.5:  # zero first or last coordinate
+        end = rng.choice([0, -1])
+        c[end] = ctx.zero
+        c[-1 - end] = nonzero_element(rng, ctx)
     count = plane_count_bruteforce(c, grid)
     assert g.plane_grid_count(c, grid).details["count"] == count
-    if ctx.cardinality ** (grid.n - 1) <= 81:
+    if ctx.cardinality ** (n - 1) <= 81:
+        p = ctx.characteristic
         bad = []
-        for cv in _canonical_planes(ctx, grid.n):
+        for cv in _canonical_planes(ctx, n):
             k = plane_count_bruteforce(cv, grid)
-            if k % ctx.characteristic:
+            if not (k != 1 if mode == "pp" else k % p == 0):
                 bad.append({"plane": [str(x) for x in cv], "count": k})
-        assert g.plane_scan(grid, "ppp").counterexamples == tuple(bad)
+        report = g.plane_scan(grid, mode)
+        assert report.counterexamples == tuple(bad)
+        assert report.instances == (ctx.cardinality**n - 1) // (ctx.cardinality - 1)
+
+
+def _interpolation_factor(rng, ctx):
+    """A factor of size 2 to 4, often one with positive nullity."""
+    size = rng.randint(2, 4)
+    if ctx.kind == "rationals":
+        return rng.choice([random_rational_set, zero_sum_rational_set])(rng, size)
+    if ctx.kind == "extension" and rng.random() < 0.3:
+        return g.additive_coset(ctx, [nonzero_element(rng, ctx)], random_element(rng, ctx))
+    return random_structured_factor(rng, ctx, 4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=10**9),
+    st.booleans(),
+)
+def test_interpolate_matches_pointwise_sums(fidx, seed, as_ints):
+    ctx = _KERNEL_FIELDS[fidx]
+    rng = make_rng(seed)
+    grid = g.grid_make([_interpolation_factor(rng, ctx) for _ in range(rng.randint(1, 3))])
+    points = list(grid.points())
+    if as_ints:
+        values = {a: rng.randint(-20, 20) for a in points}
+    else:
+        values = {a: random_element(rng, ctx) for a in points}
+    for lam in range(grid.joint_nullity + 1):
+        fast = g.interpolate(grid, values, lam)
+        slow = interpolate_bruteforce(grid, values, lam)
+        assert fast == slow
+        assert list(fast.terms) == list(slow.terms)
+    gone = rng.sample(range(len(points)), rng.randint(1, 2))
+    for i in gone:
+        del values[points[i]]
+    lam = rng.randint(0, grid.joint_nullity)
+    with pytest.raises(g.MissingValue) as fast_error:
+        g.interpolate(grid, values, lam)
+    with pytest.raises(g.MissingValue) as slow_error:
+        interpolate_bruteforce(grid, values, lam)
+    expected = f"no value supplied for grid point {points[min(gone)]}"
+    assert str(fast_error.value) == str(slow_error.value) == expected

@@ -184,6 +184,13 @@ def test_interpolate_errors():
     del partial[(F7.one, F7.one)]
     with pytest.raises(g.MissingValue):
         g.interpolate(grid, partial, 2)
+    # values are read in point order: a foreign value before a missing point
+    # is reported first
+    foreign = dict(values)
+    foreign[(F7.one, F7.one)] = F9.one
+    del foreign[(F7.element(4), F7.element(4))]
+    with pytest.raises(g.MixedFields, match="cannot combine elements of F3\\^2 and F7"):
+        g.interpolate(grid, foreign, 2)
 
 
 def test_grid_sum_vandermonde_factorization():
