@@ -371,7 +371,7 @@ def _plane_counter(head, grid: Grid):
                 t = h + d
                 nxt[t] = nxt.get(t, 0) + k
         hist = nxt
-    return lambda c: scale * sum(hist.get(-c * a, 0) for a in grid.factors[-1])
+    return lambda c: scale * sum(hist.get(x, 0) for x in map((-c).__mul__, grid.factors[-1]))
 
 
 def plane_grid_count(c, grid: Grid) -> ScanReport:
