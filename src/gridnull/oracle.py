@@ -439,8 +439,8 @@ def interpolate_bruteforce(grid: Grid, values, lam: int) -> MultiPoly:
     """Coefficients of degree <= lam as weighted grid sums, point by point.
 
     For each point a, v(a) prod_i w_i(a_i) a_i^(s_i-1-k_i) is added to the
-    coefficient of every monomial k with |k| <= lam and k_i < s_i.  The size
-    and lambda checks of the fast path are the caller's.
+    coefficient of every monomial k with |k| <= lam and k_i < s_i.  The grid
+    and lambda are not checked here; ``theorems.interpolate`` checks them.
     """
     ctx = grid.ctx
     pow_tables = []
