@@ -2,8 +2,10 @@
 """Run every exhaustive scan in one pass and print compact verdict lines.
 
 Covers the sumset size dichotomy, the extremal-nullity classification, the
-additive-coset vanishing-form check, and both plane-count scans.  Exit code
-is nonzero when any scan reports a counterexample.
+additive-coset vanishing-form check, and both plane-count scans.  The oracle
+scans run under SCAN_CONFIG, whose bound admits redei q=17 and ore on F3^4
+and F2^5 above the default caps.  Exit code is nonzero when any scan reports
+a counterexample.
 """
 
 import argparse
@@ -12,37 +14,41 @@ import time
 
 import gridnull as g
 
+SCAN_CONFIG = g.OracleConfig(max_subset_scan_q=21)
+
 
 def line(name, verdict, instances, elapsed):
     tag = "ok" if verdict else "COUNTEREXAMPLE"
-    print(f"{name:<28} {tag:<16} instances={instances:<7} {elapsed:.2f}s")
+    print(f"{name:<32} {tag:<16} instances={instances:<7} {elapsed:.2f}s")
     return verdict
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--scd-primes", type=int, nargs="*", default=[2, 3, 5, 7])
-    ap.add_argument("--redei-orders", type=int, nargs="*", default=[5, 7, 9, 11, 13])
+    ap.add_argument("--redei-orders", type=int, nargs="*", default=[5, 7, 9, 11, 13, 17])
     ap.add_argument(
-        "--ore-fields", nargs="*", default=["F2^2", "F2^3", "F3^2", "F3^3"]
+        "--ore-fields",
+        nargs="*",
+        default=["F2^2", "F2^3", "F3^2", "F3^3", "F5^2", "F3^4", "F2^5/1,0,1,0,0,1"],
     )
     args = ap.parse_args()
 
     all_ok = True
     for p in args.scd_primes:
         t0 = time.perf_counter()
-        rep = g.scd_scan(p)
+        rep = g.scd_scan(p, SCAN_CONFIG)
         all_ok &= line(f"sumset-dichotomy p={p}", rep.verdict, rep.instances,
                        time.perf_counter() - t0)
     for q in args.redei_orders:
         t0 = time.perf_counter()
-        rep = g.redei_scan(q)
+        rep = g.redei_scan(q, SCAN_CONFIG)
         all_ok &= line(f"extremal-nullity q={q}", rep.verdict, rep.instances,
                        time.perf_counter() - t0)
     for spec in args.ore_fields:
         ctx = g.parse_field(spec)
         t0 = time.perf_counter()
-        groups = g.enumerate_additive_subgroups(ctx)
+        groups = g.enumerate_additive_subgroups(ctx, SCAN_CONFIG)
         ok = all(
             g.ore_form_check(ctx, list(gens))
             and g.ore_form_check(ctx, list(gens), shift=ctx.generator)

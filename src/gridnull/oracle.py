@@ -160,10 +160,40 @@ def _field_for_order(q: int) -> FieldCtx:
     raise PreconditionViolated(f"{q} is not a prime power")
 
 
+def _subset_nullities(ctx: FieldCtx, elements):
+    """(mask, nullity) for each nonempty subset of elements, in Gray-code order.
+
+    Bit i of mask stands for elements[i].  prod (X - a) over the subset is kept
+    top coefficient first; each step multiplies it by one root factor or
+    divides it exactly by one, O(|A|) field operations.  The nullity counts the
+    vanishing coefficients just below the top, capped at |A|, as in FiniteSet.
+    """
+    zero = ctx.zero
+    coeffs = [ctx.one]
+    mask = 0
+    for step in range(1, 1 << len(elements)):
+        bit = (step & -step).bit_length() - 1
+        a = elements[bit]
+        mask ^= 1 << bit
+        if mask >> bit & 1:
+            coeffs = [c - a * b for b, c in zip([zero, *coeffs], [*coeffs, zero])]
+        else:
+            quotient = [coeffs[0]]
+            for c in coeffs[1:-1]:
+                quotient.append(c + a * quotient[-1])
+            coeffs = quotient
+        null = 1
+        while null < len(coeffs) and coeffs[null].is_zero:
+            null += 1
+        yield mask, null - 1
+
+
 def redei_scan(q: int, config: OracleConfig = None) -> ScanReport:
     """All subsets of a small odd field: who reaches nullity (q-1)/2?
 
-    The expected answer is exactly the full field and its units.
+    The expected answer is exactly the full field and its units.  Subsets
+    are walked by ``_subset_nullities`` on products of root factors, never a
+    closed form; sets are built only for qualifying masks, in mask order.
     """
     cfg = config or _DEFAULT
     if q % 2 == 0:
@@ -175,14 +205,16 @@ def redei_scan(q: int, config: OracleConfig = None) -> ScanReport:
     ctx = _field_for_order(q)
     elements = ctx.elements()
     lam = (q - 1) // 2
-    qualifying = []
+    masks = []
     instances = 0
-    for mask in range(1, 1 << q):
+    for mask, null in _subset_nullities(ctx, elements):
         instances += 1
-        subset = [elements[i] for i in range(q) if mask >> i & 1]
-        A = FiniteSet(ctx, subset)
-        if A.nullity >= lam:
-            qualifying.append(A)
+        if null >= lam:
+            masks.append(mask)
+    qualifying = [
+        FiniteSet(ctx, [elements[i] for i in range(q) if mask >> i & 1])
+        for mask in sorted(masks)
+    ]
     expected = [
         FiniteSet(ctx, elements),
         FiniteSet(ctx, [x for x in elements if not x.is_zero]),
@@ -210,7 +242,7 @@ def scd_scan(p: int, config: OracleConfig = None) -> ScanReport:
     """Sumset dichotomy over F_p for every pair of nonempty subsets.
 
     Subsets are bitmasks; the sumset of masks is an or-fold of cyclic
-    rotations, and nullities are precomputed once per mask.
+    rotations; ``_subset_nullities`` gives each mask's nullity once.
     """
     if not _is_prime(p):
         raise NotPrimeField(f"{p} is not prime")
@@ -220,11 +252,9 @@ def scd_scan(p: int, config: OracleConfig = None) -> ScanReport:
     elements = ctx.elements()
     full = (1 << p) - 1
     null_of = [0] * (full + 1)
-    size_of = [0] * (full + 1)
-    for mask in range(1, full + 1):
-        subset = [elements[i] for i in range(p) if mask >> i & 1]
-        null_of[mask] = FiniteSet(ctx, subset).nullity
-        size_of[mask] = len(subset)
+    for mask, null in _subset_nullities(ctx, elements):
+        null_of[mask] = null
+    size_of = [mask.bit_count() for mask in range(full + 1)]
 
     def rotate(mask: int, shift: int) -> int:
         shift %= p
@@ -309,24 +339,44 @@ def ore_form_check(ctx: FieldCtx, generators, shift=None, config: OracleConfig =
 def enumerate_additive_subgroups(ctx: FieldCtx, config: OracleConfig = None) -> list:
     """Generator tuples, one per distinct additive subgroup of the field.
 
-    Scans generator subsets of size up to the extension degree and keeps the
-    first subset that spans each subgroup; the empty tuple spans {0}.  The
-    subset count is checked against the redei budget of
-    2^max_subset_scan_q subsets before the scan starts.
+    Each subspace of F_p^e, on the base-p digits of element indices, is met
+    once as its reduced row echelon basis, pivots on the top digits.  Its rows
+    in pivot order are the greedy basis of the span (each next generator is
+    the smallest index not yet in it): by the matroid greedy property, the
+    lex-first generator subset ``additive_subgroups_bruteforce`` keeps, so
+    sorting by (dimension, indices) gives its list; () spans {0}.  The budget
+    still counts generator subsets of size <= e against 2^max_subset_scan_q.
     """
     cfg = config or _DEFAULT
     if ctx.kind == "rationals":
         raise CharacteristicZero("additive subgroups need characteristic p > 0")
-    e = ctx.e
+    p, e = ctx.characteristic, ctx.e
     subsets = sum(math.comb(ctx.cardinality - 1, k) for k in range(e + 1))
     if subsets > 2**cfg.max_subset_scan_q:
         raise ScanTooLarge(
             f"{subsets} generator subsets of size <= {e} exceed the scan bound "
             f"2^{cfg.max_subset_scan_q}"
         )
+    bases = []
+    for dim in range(e + 1):
+        for pivots in itertools.combinations(range(e), dim):
+            # row i: digit 1 at its pivot, free digits below it off the pivots
+            free = [(i, p**j) for i, t in enumerate(pivots) for j in range(t) if j not in pivots]
+            for digits in itertools.product(range(p), repeat=len(free)):
+                rows = [p**t for t in pivots]
+                for (i, weight), d in zip(free, digits):
+                    rows[i] += d * weight
+                bases.append(tuple(rows))
+    bases.sort(key=lambda rows: (len(rows), rows))
+    elems = ctx.elements()
+    return [tuple(elems[v] for v in rows) for rows in bases]
+
+
+def additive_subgroups_bruteforce(ctx: FieldCtx) -> list:
+    """First generator subset, by size then lex order, spanning each subgroup; unbounded."""
     nonzero = [x for x in ctx.elements() if not x.is_zero]
     found = {}
-    for size in range(e + 1):
+    for size in range(ctx.e + 1):
         for gens in itertools.combinations(nonzero, size):
             span = frozenset(additive_coset(ctx, list(gens)).elements)
             if span not in found:

@@ -1,6 +1,7 @@
 """Command-line interface: golden outputs, exit codes, JSON envelope."""
 
 import json
+import re
 
 import pytest
 
@@ -317,6 +318,66 @@ def test_oracle_suite_ore_over_budget_exits_2(capsys, monkeypatch):
     )
     assert code == 2
     assert "206368 generator subsets" in err
+
+
+def _scan_json(name, instances, details):
+    body = ",\n".join(f'    "{k}": {v}' for k, v in details)
+    return (
+        "{\n"
+        '  "schema_version": "1",\n'
+        f'  "name": "{name}",\n'
+        f'  "instances": {instances},\n'
+        '  "verdict": true,\n'
+        '  "details": {\n'
+        f"{body}\n"
+        "  },\n"
+        '  "counterexamples": [],\n'
+        '  "seed": 0,\n'
+        '  "elapsed_seconds": ?\n'
+        "}\n"
+    )
+
+
+_F9_UNITS = "1, 2, t, t+1, t+2, 2*t, 2*t+1, 2*t+2"
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (
+            ["--scan", "redei", "--q", "9"],
+            _scan_json(
+                "redei",
+                511,
+                [
+                    ("q", 9),
+                    ("lambda", 4),
+                    (
+                        "qualifying",
+                        "[\n"
+                        f'      "{{{_F9_UNITS}}}",\n'
+                        f'      "{{0, {_F9_UNITS}}}"\n'
+                        "    ]",
+                    ),
+                ],
+            ),
+        ),
+        (
+            ["--scan", "scd", "--p", "5"],
+            _scan_json("scd", 961, [("p", 5), ("pairs", 961)]),
+        ),
+        (
+            ["--scan", "ore", "--field", "F3^3"],
+            _scan_json("ore", 28, [("field", '"F3^3"')]),
+        ),
+    ],
+    ids=["redei-q9", "scd-p5", "ore-F27"],
+)
+def test_oracle_suite_json_golden(capsys, argv, golden):
+    code, out, err = _run(capsys, ["oracle-suite", *argv, "--json"])
+    assert code == 0
+    assert err == ""
+    assert re.sub(r'("elapsed_seconds": )[0-9.e-]+', r"\1?", out) == golden
 
 
 def test_huge_prime_fields(capsys):

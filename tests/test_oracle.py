@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import gridnull as g
 from gridnull.oracle import (
+    _subset_nullities,
+    additive_subgroups_bruteforce,
     grid_sum_bruteforce,
     grid_values_bruteforce,
     interpolate_bruteforce,
@@ -14,6 +16,8 @@ from gridnull.oracle import (
 )
 from gridnull.theorems import _canonical_planes, _grid_values
 from support import (
+    F4,
+    F5,
     F7,
     F8,
     F9,
@@ -100,6 +104,17 @@ def test_redei_scan_prime_power():
     report = g.redei_scan(9)
     assert report.verdict
     assert report.instances == 511
+    units = "1, 2, t, t+1, t+2, 2*t, 2*t+1, 2*t+2"
+    assert report.details["qualifying"] == ["{" + units + "}", "{0, " + units + "}"]
+
+
+def test_redei_scan_q7_qualifying_order():
+    report = g.redei_scan(7)
+    assert report.instances == 127
+    assert report.details["qualifying"] == [
+        "{1, 2, 3, 4, 5, 6}",
+        "{0, 1, 2, 3, 4, 5, 6}",
+    ]
 
 
 def test_redei_scan_rejections():
@@ -155,6 +170,83 @@ def test_enumerate_additive_subgroups_is_bounded_before_it_starts():
     assert len(g.enumerate_additive_subgroups(f16)) == 67
     with pytest.raises(g.ScanTooLarge, match="1941 generator subsets"):
         g.enumerate_additive_subgroups(f16, g.OracleConfig(max_subset_scan_q=10))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["F2", "F3", "F7", "F2^2", "F2^3", "F3^2", "F2^4", "F2^4/1,1,0,0,1", "F5^2", "F3^3"],
+)
+def test_subgroup_enumeration_matches_subset_scan(spec):
+    ctx = g.parse_field(spec)
+    assert g.enumerate_additive_subgroups(ctx) == additive_subgroups_bruteforce(ctx)
+
+
+def _span(ctx, gens):
+    span = [ctx.zero]
+    for gen in gens:
+        span = [s + ctx.from_int(c) * gen for c in range(ctx.characteristic) for s in span]
+    return span
+
+
+def _greedy_basis(ctx, members):
+    """Each next generator is the smallest element not yet in the span."""
+    basis, inside = [], {ctx.zero}
+    for x in sorted(members, key=ctx.sort_key):
+        if x not in inside:
+            basis.append(x)
+            inside = set(_span(ctx, basis))
+    return tuple(basis)
+
+
+def _gaussian_binomial(e, k, p):
+    num = den = 1
+    for i in range(k):
+        num *= p ** (e - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
+
+
+@pytest.mark.parametrize(
+    "spec, count",
+    [("F7^2", 10), ("F3^4", 212), ("F2^5/1,0,1,0,0,1", 374), ("F2^6/1,1,0,0,0,0,1", 2825)],
+)
+def test_subgroup_enumeration_beyond_the_default_budget(spec, count):
+    ctx = g.parse_field(spec)
+    groups = g.enumerate_additive_subgroups(ctx, g.OracleConfig(max_subset_scan_q=27))
+    p, e = ctx.characteristic, ctx.e
+    assert len(groups) == count == sum(_gaussian_binomial(e, k, p) for k in range(e + 1))
+    spans = set()
+    for gens in groups:
+        span = frozenset(_span(ctx, gens))
+        assert len(span) == p ** len(gens)
+        assert _greedy_basis(ctx, span) == gens
+        spans.add(span)
+    assert len(spans) == count
+
+
+def _check_walk(ctx, elements):
+    seen, prev = set(), 0
+    for mask, null in _subset_nullities(ctx, elements):
+        assert (mask ^ prev).bit_count() == 1
+        subset = [x for i, x in enumerate(elements) if mask >> i & 1]
+        assert null == g.FiniteSet(ctx, subset).nullity
+        seen.add(mask)
+        prev = mask
+    assert len(seen) == 2 ** len(elements) - 1 and 0 not in seen
+
+
+@pytest.mark.parametrize("ctx", [F4, F5, F7, F8, F9])
+def test_subset_walk_matches_set_nullity(ctx):
+    _check_walk(ctx, ctx.elements())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([F4, F5, F7, F8, F9]).flatmap(
+    lambda ctx: st.tuples(st.just(ctx), st.permutations(ctx.elements()), st.integers(1, 9))
+))
+def test_subset_walk_in_any_element_order(case):
+    ctx, order, size = case
+    _check_walk(ctx, order[:size])
 
 
 def test_ore_form_holds_for_every_subgroup_of_f9():

@@ -1,0 +1,44 @@
+"""Smoke test of scripts/run_scans.py as a separate process."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_run_scans_small_pass_above_the_default_caps():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    # q = 17 is over the default redei cap of 13: it runs only through the
+    # script's SCAN_CONFIG
+    proc = subprocess.run(
+        [
+            sys.executable,
+            str(ROOT / "scripts" / "run_scans.py"),
+            "--scd-primes", "3",
+            "--redei-orders", "5", "17",
+            "--ore-fields", "F2^2", "F5^2",
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    names = [
+        "sumset-dichotomy p=3",
+        "extremal-nullity q=5",
+        "extremal-nullity q=17",
+        "additive-form F2^2",
+        "additive-form F5^2",
+        "plane-scan F7 mul grid",
+        "plane-scan F9 additive grid",
+    ]
+    assert [line.split("  ")[0].strip() for line in lines] == names
+    assert all(line.split()[-3] == "ok" for line in lines)
+    assert "instances=131071" in lines[2]
