@@ -93,55 +93,43 @@ def _monomial_of(text: str):
         raise ParseError(f"--k wants comma-separated integers, got {text!r}") from None
 
 
-def _emit(args, data) -> None:
-    print(emit_report(data, args.json))
-
-
-def _cmd_analyze_set(args) -> int:
+def _cmd_analyze_set(args):
     ctx = parse_field(args.field)
     if len(args.set) != 1:
         raise ParseError("analyze-set wants exactly one --set argument")
     A = parse_factor(args.set[0], ctx)
     table = A.moments(len(A))
-    _emit(
-        args,
-        {
-            "field": ctx.spec_string(),
-            "set": repr(A),
-            "size": len(A),
-            "char_poly": str(A.char_poly),
-            "nullity": A.nullity,
-            "vandermonde_degree": A.vandermonde_degree,
-            "moments": {
-                "e": list(table.e),
-                "h": list(table.h),
-                "p": list(table.p),
-            },
+    return {
+        "field": ctx.spec_string(),
+        "set": repr(A),
+        "size": len(A),
+        "char_poly": str(A.char_poly),
+        "nullity": A.nullity,
+        "vandermonde_degree": A.vandermonde_degree,
+        "moments": {
+            "e": list(table.e),
+            "h": list(table.h),
+            "p": list(table.p),
         },
-    )
-    return 0
+    }, True
 
 
-def _cmd_analyze_grid(args) -> int:
+def _cmd_analyze_grid(args):
     ctx = parse_field(args.field)
     grid = _grid_of(args, ctx)
-    _emit(
-        args,
-        {
-            "field": ctx.spec_string(),
-            "grid": repr(grid),
-            "sizes": list(grid.sizes),
-            "size": grid.size,
-            "joint_nullity": grid.joint_nullity,
-            "joint_vandermonde": grid.joint_vandermonde,
-            "has_singleton": grid.has_singleton,
-            "factor_nullities": [A.nullity for A in grid.factors],
-        },
-    )
-    return 0
+    return {
+        "field": ctx.spec_string(),
+        "grid": repr(grid),
+        "sizes": list(grid.sizes),
+        "size": grid.size,
+        "joint_nullity": grid.joint_nullity,
+        "joint_vandermonde": grid.joint_vandermonde,
+        "has_singleton": grid.has_singleton,
+        "factor_nullities": [A.nullity for A in grid.factors],
+    }, True
 
 
-def _cmd_cn_check(args) -> int:
+def _cmd_cn_check(args):
     ctx = parse_field(args.field)
     grid = _grid_of(args, ctx)
     f = _poly_of(args, ctx, grid.n)
@@ -149,11 +137,10 @@ def _cmd_cn_check(args) -> int:
     verdict = (not report.hypothesis_ok) or report.witness is not None
     data = to_dict(report)
     data["verdict"] = verdict
-    _emit(args, data)
-    return 0 if verdict else 1
+    return data, verdict
 
 
-def _cmd_coeff(args) -> int:
+def _cmd_coeff(args):
     ctx = parse_field(args.field)
     grid = _grid_of(args, ctx)
     f = _poly_of(args, ctx, grid.n)
@@ -162,27 +149,22 @@ def _cmd_coeff(args) -> int:
         extracted = extract_coefficient(f, grid, k)
         direct = f.coefficient(k)
         verdict = extracted == direct
-        _emit(
-            args,
-            {
-                "target": k,
-                "extracted": extracted,
-                "direct_coefficient": direct,
-                "verdict": verdict,
-            },
-        )
-        return 0 if verdict else 1
+        return {
+            "target": k,
+            "extracted": extracted,
+            "direct_coefficient": direct,
+            "verdict": verdict,
+        }, verdict
     report = cct_coefficient(f, grid)
     verdict = (not report.degree_bound_ok) or (
         report.weighted_sum == report.direct_coefficient
     )
     data = to_dict(report)
     data["verdict"] = verdict
-    _emit(args, data)
-    return 0 if verdict else 1
+    return data, verdict
 
 
-def _cmd_interpolate(args) -> int:
+def _cmd_interpolate(args):
     ctx = parse_field(args.field)
     grid = _grid_of(args, ctx)
     f = _poly_of(args, ctx, grid.n)
@@ -190,48 +172,40 @@ def _cmd_interpolate(args) -> int:
     values = {a: f.evaluate(a) for a in grid.points()}
     g = interpolate(grid, values, lam)
     verdict = g == f
-    _emit(
-        args,
-        {
-            "lambda": lam,
-            "joint_nullity": grid.joint_nullity,
-            "input": str(f),
-            "reconstructed": str(g),
-            "verdict": verdict,
-        },
-    )
-    return 0 if verdict else 1
+    return {
+        "lambda": lam,
+        "joint_nullity": grid.joint_nullity,
+        "input": str(f),
+        "reconstructed": str(g),
+        "verdict": verdict,
+    }, verdict
 
 
-def _cmd_grid_sum(args) -> int:
+def _cmd_grid_sum(args):
     ctx = parse_field(args.field)
     grid = _grid_of(args, ctx)
     f = _poly_of(args, ctx, grid.n)
-    value = grid_sum(f, grid, args.mode)
-    _emit(args, {"mode": args.mode, "sum": value})
-    return 0
+    return {"mode": args.mode, "sum": grid_sum(f, grid, args.mode)}, True
 
 
-def _cmd_sumset_cd(args) -> int:
+def _cmd_sumset_cd(args):
     ctx = parse_field(args.field)
     if len(args.set) != 2:
         raise ParseError("sumset-cd wants exactly two --set arguments")
     A = parse_factor(args.set[0], ctx)
     B = parse_factor(args.set[1], ctx)
     report = cauchy_davenport(A, B)
-    _emit(args, report)
-    return 0 if report.verdict else 1
+    return report, report.verdict
 
 
-def _cmd_plane_scan(args) -> int:
+def _cmd_plane_scan(args):
     ctx = parse_field(args.field)
     grid = _grid_of(args, ctx)
     report = plane_scan(grid, args.mode)
-    _emit(args, report)
-    return 0 if report.verdict else 1
+    return report, report.verdict
 
 
-def _cmd_oracle_suite(args) -> int:
+def _cmd_oracle_suite(args):
     seed = args.seed
     cfg = OracleConfig(rng_seed=seed)
     start = time.monotonic()
@@ -261,10 +235,11 @@ def _cmd_oracle_suite(args) -> int:
     data = to_dict(report)
     data["seed"] = seed
     data["elapsed_seconds"] = round(time.monotonic() - start, 3)
-    _emit(args, data)
-    return 0 if report.verdict else 1
+    return data, report.verdict
 
 
+# Each handler returns (report, verdict); run prints the report and exits 0
+# when the verdict holds, 1 when it does not.
 _COMMANDS = {
     "analyze-set": _cmd_analyze_set,
     "analyze-grid": _cmd_analyze_grid,
@@ -364,13 +339,12 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
-    except GridNullError as exc:
+        data, verdict = _COMMANDS[args.command](args)
+        print(emit_report(data, args.json))
+    except (GridNullError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return 0 if verdict else 1
 
 
 def main() -> None:

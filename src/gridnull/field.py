@@ -420,7 +420,7 @@ class FieldCtx:
     def element(self, v) -> FieldElement:
         if isinstance(v, FieldElement):
             if v.ctx is not self:
-                raise MixedFields("element belongs to a different field")
+                raise MixedFields(f"cannot combine elements of {v.ctx} and {self}")
             return v
         return self._wrap(self._canon(v))
 

@@ -107,10 +107,7 @@ def multiplicative_coset(ctx: FieldCtx, d: int, shift=None) -> FiniteSet:
     q = ctx.cardinality
     if d < 1 or (q - 1) % d != 0:
         raise OrderDoesNotDivide(f"{d} does not divide {q - 1}")
-    if shift is None:
-        shift = ctx.one
-    elif not isinstance(shift, FieldElement):
-        shift = ctx.element(shift)
+    shift = ctx.one if shift is None else ctx.element(shift)
     if shift.is_zero:
         raise ZeroShift("the shift must be a unit")
     one = ctx.one
@@ -128,13 +125,8 @@ def additive_coset(ctx: FieldCtx, generators, shift=None) -> FiniteSet:
     if ctx.kind == "rationals":
         raise CharacteristicZero("additive cosets need positive characteristic")
     p = ctx.characteristic
-    gens = [
-        g if isinstance(g, FieldElement) else ctx.element(g) for g in generators
-    ]
-    if shift is None:
-        shift = ctx.zero
-    elif not isinstance(shift, FieldElement):
-        shift = ctx.element(shift)
+    gens = [ctx.element(g) for g in generators]
+    shift = ctx.zero if shift is None else ctx.element(shift)
     elements = []
     for coeffs in itertools.product(range(p), repeat=len(gens)):
         acc = shift
@@ -185,29 +177,9 @@ def parse_factor(text: str, ctx: FieldCtx) -> FiniteSet:
     raise ParseError(f"unrecognized grid factor {s!r}")
 
 
-def _split_factors(text: str) -> list[str]:
-    parts, depth, cur = [], 0, []
-    for ch in text:
-        if ch in "({":
-            depth += 1
-        elif ch in ")}":
-            depth -= 1
-            if depth < 0:
-                raise ParseError("unbalanced brackets in grid")
-        if ch == "x" and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    if depth != 0:
-        raise ParseError("unbalanced brackets in grid")
-    parts.append("".join(cur))
-    return parts
-
-
 def parse_grid(text: str, ctx: FieldCtx) -> Grid:
     """Parse factors separated by x, e.g. 'mul(3) x {0,1} x tracezero'."""
-    parts = _split_factors(text)
+    parts = _split_top_level(text, "x", "({", ")}", "brackets in grid")
     if not any(p.strip() for p in parts):
         raise EmptyFactorList("empty grid expression")
     return grid_make([parse_factor(p, ctx) for p in parts])

@@ -27,6 +27,14 @@ from .field import FieldCtx, FieldElement
 from .poly import UniPoly, parse_element
 
 
+def _leading_zeros(table) -> int:
+    """How many entries from table[1] on are zero before the first nonzero one."""
+    r = 1
+    while r < len(table) and table[r].is_zero:
+        r += 1
+    return r - 1
+
+
 @dataclass(frozen=True)
 class MomentTable:
     """Moments of one set, indexed 0..R: e[r], h[r], p[r]."""
@@ -43,9 +51,11 @@ class MomentTable:
 class FiniteSet:
     """Immutable nonempty set of distinct field elements, insertion-ordered.
 
-    Moment tables grow monotonically to the largest order ever requested;
-    already-computed entries are never recomputed.  Cache fills replace whole
-    tuples, so readers see either the old table or the extended one.
+    The elementary table is read once from the characteristic polynomial;
+    the complete and power-sum tables grow monotonically to the largest order
+    ever requested, and already-computed entries are never recomputed.  Cache
+    fills replace whole tuples, so readers see either the old table or the
+    extended one.
     """
 
     __slots__ = ("ctx", "elements", "_set", "_char", "_e", "_h", "_p", "_pows", "_weights")
@@ -54,9 +64,7 @@ class FiniteSet:
         elems = []
         seen = set()
         for v in elements:
-            x = v if isinstance(v, FieldElement) else ctx.element(v)
-            if x.ctx is not ctx:
-                raise MixedFields("set elements must share one field")
+            x = ctx.element(v)
             if x not in seen:
                 seen.add(x)
                 elems.append(x)
@@ -66,7 +74,7 @@ class FiniteSet:
         self.elements = tuple(elems)
         self._set = frozenset(elems)
         self._char = None
-        self._e = (ctx.one,)
+        self._e = None
         self._h = (ctx.one,)
         self._p = (ctx.from_int(len(elems)),)
         self._pows = tuple(ctx.one for _ in elems)  # a^r alongside _p[r]
@@ -78,41 +86,26 @@ class FiniteSet:
             self._char = UniPoly.from_roots(self.ctx, self.elements)
         return self._char
 
-    def _check_order(self, R: int) -> None:
-        if R < 0:
-            raise PreconditionViolated("moment order must be non-negative")
-
-    def _ensure_e(self, R: int) -> None:
-        self._check_order(R)
-        if len(self._e) > R:
-            return
-        n = len(self.elements)
-        cp = self.char_poly
-        e = list(self._e)
-        for r in range(len(e), R + 1):
-            if r > n:
-                e.append(self.ctx.zero)
-            else:
-                c = cp.coefficient(n - r)
-                e.append(-c if r % 2 else c)
-        self._e = tuple(e)
+    def _elementary(self) -> tuple:
+        """(e_0, ..., e_|A|); e_r is (-1)^r times the degree-(|A|-r) coefficient."""
+        if self._e is None:
+            top_first = reversed(self.char_poly.coeffs)
+            self._e = tuple(-c if r % 2 else c for r, c in enumerate(top_first))
+        return self._e
 
     def _ensure_h(self, R: int) -> None:
-        self._check_order(R)
         if len(self._h) > R:
             return
-        self._ensure_e(R)
-        e, h = self._e, list(self._h)
+        e, h = self._elementary(), list(self._h)
         for r in range(len(h), R + 1):
             acc = self.ctx.zero
-            for i in range(1, r + 1):
+            for i in range(1, min(r, len(e) - 1) + 1):
                 term = e[i] * h[r - i]
                 acc = acc - term if i % 2 == 0 else acc + term
             h.append(acc)
         self._h = tuple(h)
 
     def _ensure_p(self, R: int) -> None:
-        self._check_order(R)
         if len(self._p) > R:
             return
         p, pows = list(self._p), list(self._pows)
@@ -125,28 +118,23 @@ class FiniteSet:
         self._p, self._pows = tuple(p), tuple(pows)
 
     def moments(self, R: int) -> MomentTable:
-        self._ensure_e(R)
+        if R < 0:
+            raise PreconditionViolated("moment order must be non-negative")
         self._ensure_h(R)
         self._ensure_p(R)
-        return MomentTable(self._e[: R + 1], self._h[: R + 1], self._p[: R + 1])
+        e = self._elementary()[: R + 1]
+        e += (self.ctx.zero,) * (R + 1 - len(e))
+        return MomentTable(e, self._h[: R + 1], self._p[: R + 1])
 
     @property
     def nullity(self) -> int:
-        n = len(self.elements)
-        self._ensure_e(n)
-        for r in range(1, n + 1):
-            if not self._e[r].is_zero:
-                return r - 1
-        return n
+        return _leading_zeros(self._elementary())
 
     @property
     def vandermonde_degree(self) -> int:
         n = len(self.elements)
         self._ensure_p(n)
-        for r in range(1, n + 1):
-            if not self._p[r].is_zero:
-                return r - 1
-        return n
+        return _leading_zeros(self._p[: n + 1])
 
     def weight_at(self, a) -> FieldElement:
         """1/P'(a) for a in the set; distinct roots keep P'(a) nonzero."""
@@ -237,22 +225,25 @@ def sylvester_sum(A: FiniteSet, d: int) -> FieldElement:
     return A.sylvester_sum(d)
 
 
-def _split_top_level(text: str, sep: str) -> list[str]:
+def _split_top_level(
+    text: str, sep: str, opens: str = "(", closes: str = ")", noun: str = "parentheses"
+) -> list[str]:
+    """Split text at each sep outside the brackets opens/closes; noun names them in errors."""
     parts, depth, cur = [], 0, []
     for ch in text:
-        if ch == "(":
+        if ch in opens:
             depth += 1
-        elif ch == ")":
+        elif ch in closes:
             depth -= 1
             if depth < 0:
-                raise ParseError("unbalanced parentheses")
+                raise ParseError(f"unbalanced {noun}")
         if ch == sep and depth == 0:
             parts.append("".join(cur))
             cur = []
         else:
             cur.append(ch)
     if depth != 0:
-        raise ParseError("unbalanced parentheses")
+        raise ParseError(f"unbalanced {noun}")
     parts.append("".join(cur))
     return parts
 

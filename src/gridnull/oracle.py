@@ -308,9 +308,7 @@ def ore_form_check(ctx: FieldCtx, generators, shift=None, config: OracleConfig =
     support = {k for k in range(n + 1) if not cp.coefficient(k).is_zero}
     if not support <= p_powers | {0}:
         return False
-    shift_in_subgroup = (shift is None) or (
-        (shift if isinstance(shift, FieldElement) else ctx.element(shift)) in subgroup
-    )
+    shift_in_subgroup = shift is None or ctx.element(shift) in subgroup
     if shift_in_subgroup and not cp.coefficient(0).is_zero:
         return False
 
@@ -474,7 +472,7 @@ def grid_sum_bruteforce(f: MultiPoly, grid: Grid, mode: str = "plain") -> FieldE
 def plane_count_bruteforce(c, grid: Grid) -> int:
     """Grid points on the plane c.x = 0, by a dot product at every point."""
     ctx = grid.ctx
-    cv = tuple(x if isinstance(x, FieldElement) else ctx.element(x) for x in c)
+    cv = tuple(map(ctx.element, c))
     count = 0
     for a in grid.points():
         dot = ctx.zero
@@ -509,8 +507,7 @@ def interpolate_bruteforce(grid: Grid, values, lam: int) -> MultiPoly:
             v = values[a]
         except KeyError:
             raise MissingValue(f"no value supplied for grid point {a}") from None
-        if not isinstance(v, FieldElement):
-            v = ctx.element(v)
+        v = ctx.element(v)
         w = ctx.one
         for i, x in enumerate(a):
             w = w * weight_tables[i][x]

@@ -10,7 +10,7 @@ addition, so degree arithmetic needs no special cases.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -20,7 +20,7 @@ from .errors import (
     ParseError,
     UnknownVariable,
 )
-from .field import FieldCtx, FieldElement, Rationals
+from .field import FieldCtx, FieldElement
 
 
 class _MinusInfinity:
@@ -65,10 +65,7 @@ class UniPoly:
     __slots__ = ("ctx", "coeffs")
 
     def __init__(self, ctx: FieldCtx, coeffs: Iterable = ()):
-        cs = [c if isinstance(c, FieldElement) else ctx.element(c) for c in coeffs]
-        for c in cs:
-            if c.ctx is not ctx:
-                raise MixedFields("coefficient from a different field")
+        cs = [ctx.element(c) for c in coeffs]
         while cs and cs[-1].is_zero:
             cs.pop()
         self.ctx = ctx
@@ -103,8 +100,7 @@ class UniPoly:
         return self.coeffs[k] if k < len(self.coeffs) else self.ctx.zero
 
     def __call__(self, x) -> FieldElement:
-        if not isinstance(x, FieldElement):
-            x = self.ctx.element(x)
+        x = self.ctx.element(x)
         acc = self.ctx.zero
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -207,10 +203,7 @@ class MultiPoly:
                 )
             if any(k < 0 for k in m):
                 raise ExponentOutOfRange("negative exponent")
-            if not isinstance(c, FieldElement):
-                c = ctx.element(c)
-            elif c.ctx is not ctx:
-                raise MixedFields("coefficient from a different field")
+            c = ctx.element(c)
             if not c.is_zero:
                 clean[m] = clean[m] + c if m in clean else c
                 if clean[m].is_zero:
@@ -260,16 +253,11 @@ class MultiPoly:
         return self.terms.get(m, self.ctx.zero)
 
     def evaluate(self, point: Sequence) -> FieldElement:
-        pt = tuple(
-            x if isinstance(x, FieldElement) else self.ctx.element(x) for x in point
-        )
+        pt = tuple(map(self.ctx.element, point))
         if len(pt) != self.n:
             raise DimensionMismatch(
                 f"point has {len(pt)} coordinates, expected {self.n}"
             )
-        for x in pt:
-            if x.ctx is not self.ctx:
-                raise MixedFields("evaluation point from a different field")
         total = self.ctx.zero
         for m, c in self.terms.items():
             v = c

@@ -58,42 +58,20 @@ def _check_shape(f: MultiPoly, grid: Grid) -> None:
         )
 
 
-def _powers(A: FiniteSet, d: int) -> list:
-    """Rows [1, a, a^2, ..., a^d], one per element of A in its order.
-
-    Every row starts [1, a], so degrees up to one cost no multiplication.
-    """
-    rows = []
-    for a in A:
-        row = [A.ctx.one, a]
-        for _ in range(d - 1):
-            row.append(row[-1] * a)
-        rows.append(row)
-    return rows
-
-
 def _grid_values(f: MultiPoly, grid: Grid):
     """Yield f at each point of the grid, in ``grid.points()`` order.
 
-    Each term becomes one column per variable it uses, read from the power
-    rows of that factor, with the coefficient folded into the first column;
-    a point's value is then a sum of products of column entries.  Rows run
-    as far as the number of distinct exponents on their axis, so they never
-    cost more than the columns they feed; higher exponents use square and
-    multiply.
+    Each term becomes one column [a^k for a in A_j] per variable x_j it uses,
+    built once per (axis, exponent) and shared between terms, with the
+    coefficient folded into the term's first column; a point's value is then
+    a sum of products of column entries.
     """
-    tables = [
-        _powers(A, len({m[j] for m in f.terms} - {0}))
-        for j, A in enumerate(grid.factors)
-    ]
+    used = {(j, k) for m in f.terms for j, k in enumerate(m) if k}
+    columns = {(j, k): [a**k for a in grid.factors[j]] for j, k in used}
     const = grid.ctx.zero
     terms = []
     for m, c in f.terms.items():
-        cols = [
-            (j, [row[k] if k < len(row) else row[1] ** k for row in tables[j]])
-            for j, k in enumerate(m)
-            if k
-        ]
+        cols = [(j, columns[j, k]) for j, k in enumerate(m) if k]
         if not cols:
             const = c
             continue
@@ -216,19 +194,16 @@ def interpolate(grid: Grid, values, lam: int) -> MultiPoly:
             v = values[a]
         except KeyError:
             raise MissingValue(f"no value supplied for grid point {a}") from None
-        if not isinstance(v, FieldElement):
-            v = ctx.element(v)
-        elif v.ctx is not ctx:
-            raise MixedFields(f"cannot combine elements of {v.ctx} and {ctx}")
-        flat.append(v)
+        flat.append(ctx.element(v))
     layer = {(): flat}
     rest = grid.size
     for A, s in zip(grid.factors, grid.sizes):
         rest //= s
-        matrix = list(zip(*(
-            [w * x for x in row[::-1][: lam + 1]]
-            for w, row in zip(map(A.weight_at, A), _powers(A, s - 1))
-        )))
+        weights = [A.weight_at(a) for a in A]
+        matrix = [
+            [w * a ** (s - 1 - k) for w, a in zip(weights, A)]
+            for k in range(min(lam, s - 1) + 1)
+        ]
         nxt = {}
         for prefix, t in layer.items():
             lines = [t[r::rest] for r in range(rest)]
@@ -379,7 +354,7 @@ def plane_grid_count(c, grid: Grid) -> ScanReport:
     if grid.ctx.kind == "rationals":
         raise InfiniteField("plane counts need a finite field")
     ctx = grid.ctx
-    cv = tuple(x if isinstance(x, FieldElement) else ctx.element(x) for x in c)
+    cv = tuple(map(ctx.element, c))
     if len(cv) != grid.n:
         raise DimensionMismatch("coefficient vector has wrong arity")
     if all(x.is_zero for x in cv):

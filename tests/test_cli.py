@@ -455,6 +455,13 @@ def test_parse_errors_exit_2(capsys):
     code, _, err = _run(capsys, ["analyze-set", "--field", "Z12", "--set", "{1}"])
     assert code == 2
     assert "error:" in err
+    for argv, line in [
+        (["analyze-grid", "--grid", "all x {1, 2"], "error: unbalanced brackets in grid"),
+        (["analyze-set", "--set", "{1, (2}"], "error: unbalanced parentheses"),
+        (["analyze-set", "--set", "mul(2, (3)"], "error: unbalanced parentheses"),
+    ]:
+        code, out, err = _run(capsys, argv + ["--field", "F7"])
+        assert (code, out, err) == (2, "", line + "\n")
 
 
 def test_normalize_empty_tuple_renders_as_list():

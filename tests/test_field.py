@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gridnull as g
+from gridnull.oracle import plane_count_bruteforce
 from support import F4, F7, F8, F9, F27, Q
 
 
@@ -84,6 +85,30 @@ def test_mixed_fields_rejected():
     other = g.PrimeField(7)
     assert other == F7
     assert other.element(3) + F7.element(5) == F7.element(1)
+
+
+_F7_GRID = g.grid_make([g.FiniteSet(F7, [1, 2]), g.FiniteSet(F7, [3, 5])])
+_FOREIGN_INPUTS = {
+    "FiniteSet": lambda x: g.FiniteSet(F7, [1, x]),
+    "UniPoly": lambda x: g.UniPoly(F7, [1, x]),
+    "MultiPoly": lambda x: g.MultiPoly(F7, 1, {(1,): x}),
+    "MultiPoly.evaluate": lambda x: g.parse_poly("x1 + x2", 2, F7).evaluate((1, x)),
+    "multiplicative_coset shift": lambda x: g.multiplicative_coset(F7, 3, x),
+    "additive_coset shift": lambda x: g.additive_coset(F7, [1], x),
+    "additive_coset generators": lambda x: g.additive_coset(F7, [x]),
+    "plane_grid_count": lambda x: g.plane_grid_count((1, x), _F7_GRID),
+    "interpolate": lambda x: g.interpolate(
+        _F7_GRID, {a: x for a in _F7_GRID.points()}, 0
+    ),
+    "ore_form_check": lambda x: g.ore_form_check(F7, [1], x),
+    "plane_count_bruteforce": lambda x: plane_count_bruteforce((1, x), _F7_GRID),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_FOREIGN_INPUTS))
+def test_foreign_elements_rejected_with_one_message(site):
+    with pytest.raises(g.MixedFields, match=r"^cannot combine elements of F3\^2 and F7$"):
+        _FOREIGN_INPUTS[site](F9.generator)
 
 
 def test_trace_lands_in_prime_subfield_and_is_additive():

@@ -124,6 +124,9 @@ def test_redei_scan_rejections():
         g.redei_scan(3)
     with pytest.raises(g.ScanTooLarge):
         g.redei_scan(15)
+    # 15 is no field order; 17 pins the cap on a scan a config could run
+    with pytest.raises(g.ScanTooLarge):
+        g.redei_scan(17)
 
 
 def test_scd_scan():
