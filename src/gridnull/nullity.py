@@ -35,6 +35,11 @@ def _leading_zeros(table) -> int:
     return r - 1
 
 
+def _check_order(R: int) -> None:
+    if R < 0:
+        raise PreconditionViolated("moment order must be non-negative")
+
+
 @dataclass(frozen=True)
 class MomentTable:
     """Moments of one set, indexed 0..R: e[r], h[r], p[r]."""
@@ -93,9 +98,11 @@ class FiniteSet:
             self._e = tuple(-c if r % 2 else c for r, c in enumerate(top_first))
         return self._e
 
-    def _ensure_h(self, R: int) -> None:
+    def _ensure_h(self, R: int) -> tuple:
+        """(h_0, ..., h_R), growing the cached table from the elementary one."""
+        _check_order(R)
         if len(self._h) > R:
-            return
+            return self._h[: R + 1]
         e, h = self._elementary(), list(self._h)
         for r in range(len(h), R + 1):
             acc = self.ctx.zero
@@ -104,10 +111,13 @@ class FiniteSet:
                 acc = acc - term if i % 2 == 0 else acc + term
             h.append(acc)
         self._h = tuple(h)
+        return self._h
 
-    def _ensure_p(self, R: int) -> None:
+    def _ensure_p(self, R: int) -> tuple:
+        """(p_0, ..., p_R), growing the cached table from the cached powers."""
+        _check_order(R)
         if len(self._p) > R:
-            return
+            return self._p[: R + 1]
         p, pows = list(self._p), list(self._pows)
         for _ in range(len(p), R + 1):
             pows = [w * a for w, a in zip(pows, self.elements)]
@@ -116,15 +126,15 @@ class FiniteSet:
                 acc = acc + w
             p.append(acc)
         self._p, self._pows = tuple(p), tuple(pows)
+        return self._p
+
+    def _elementary_to(self, R: int) -> tuple:
+        _check_order(R)
+        e = self._elementary()[: R + 1]
+        return e + (self.ctx.zero,) * (R + 1 - len(e))
 
     def moments(self, R: int) -> MomentTable:
-        if R < 0:
-            raise PreconditionViolated("moment order must be non-negative")
-        self._ensure_h(R)
-        self._ensure_p(R)
-        e = self._elementary()[: R + 1]
-        e += (self.ctx.zero,) * (R + 1 - len(e))
-        return MomentTable(e, self._h[: R + 1], self._p[: R + 1])
+        return MomentTable(self._elementary_to(R), self._ensure_h(R), self._ensure_p(R))
 
     @property
     def nullity(self) -> int:
@@ -132,9 +142,7 @@ class FiniteSet:
 
     @property
     def vandermonde_degree(self) -> int:
-        n = len(self.elements)
-        self._ensure_p(n)
-        return _leading_zeros(self._p[: n + 1])
+        return _leading_zeros(self._ensure_p(len(self.elements)))
 
     def weight_at(self, a) -> FieldElement:
         """1/P'(a) for a in the set; distinct roots keep P'(a) nonzero."""
@@ -183,17 +191,17 @@ class FiniteSet:
 
 def elementary_moments(A: FiniteSet, R: int) -> list:
     """[e_0, ..., e_R]; e_r is the signed degree-(|A|-r) coefficient."""
-    return list(A.moments(R).e)
+    return list(A._elementary_to(R))
 
 
 def complete_moments(A: FiniteSet, R: int) -> list:
     """[h_0, ..., h_R] via h_r = sum_{i=1}^{r} (-1)^(i+1) e_i h_{r-i}."""
-    return list(A.moments(R).h)
+    return list(A._ensure_h(R))
 
 
 def power_sums(A: FiniteSet, R: int) -> list:
-    """[p_0, ..., p_R] with p_r the sum of r-th powers; p_0 = |A|."""
-    return list(A.moments(R).p)
+    """[p_0, ..., p_R] with p_r the sum of r-th powers; p_0 = |A|; no char poly."""
+    return list(A._ensure_p(R))
 
 
 def nullity(A: FiniteSet) -> int:

@@ -284,19 +284,27 @@ def scd_scan(p: int, config: OracleConfig = None) -> ScanReport:
 
 
 def ore_form_check(ctx: FieldCtx, generators, shift=None, config: OracleConfig = None) -> bool:
-    """Structural checks for a coset of an additive subgroup.
+    """Structural checks for a coset A = shift + V of an additive subgroup V.
 
-    Verifies that the vanishing polynomial is supported on p-power degrees
-    (plus a constant), the binomial relations on elementary moments, the
-    translation invariance of moments under subgroup shifts, and, for the
-    subgroup itself, that the coefficient of X is the product of the nonzero
-    elements.
+    Verifies that the vanishing polynomial P_A is supported on p-power
+    degrees (plus a constant), the binomial relations on the elementary
+    moments e_0, ..., e_(n-1) read from P_A, the translation invariance of
+    those moments under V, and, for V itself, that the coefficient of X is
+    the product of the nonzero elements.
+
+    The stabilizer {c : P_A(X - c) - P_A(X) is constant} is an additive
+    subgroup, so invariance under the given generators is invariance under
+    all of V: one translate per generator, not one per element.  Each
+    translate is a fresh set whose char poly is built from its own roots,
+    never shifted from P_A.  With no shift, A is V and one char poly serves
+    both the support and the coefficient-of-X checks.
     """
     if ctx.kind == "rationals":
         raise CharacteristicZero("additive structure needs characteristic p > 0")
     p = ctx.characteristic
-    subgroup = additive_coset(ctx, generators)
-    A = additive_coset(ctx, generators, shift)
+    gens = [ctx.element(x) for x in generators]
+    subgroup = additive_coset(ctx, gens)
+    A = subgroup if shift is None else additive_coset(ctx, gens, shift)
     n = len(A)
     cp = A.char_poly
 
@@ -312,15 +320,15 @@ def ore_form_check(ctx: FieldCtx, generators, shift=None, config: OracleConfig =
     if shift_in_subgroup and not cp.coefficient(0).is_zero:
         return False
 
-    base = A.moments(n - 1).e
-    for k in range(1, n):
-        for r in range(k):
-            if not (ctx.from_int(math.comb(n - r, k - r)) * base[r]).is_zero:
-                return False
+    # C(n-r, k-r) e_r = 0 for r < k < n, where e_r = +-cp.coeffs[n - r]
+    for r in range(n):
+        if not cp.coeffs[n - r].is_zero and any(math.comb(n - r, j) % p for j in range(1, n - r)):
+            return False
 
-    for c in subgroup:
-        translated = FiniteSet(ctx, [c + a for a in A])
-        if translated.moments(n - 1).e != base:
+    for g in gens:
+        translated = FiniteSet(ctx, [g + a for a in A])
+        # the coefficients of X, ..., X^n are +-e_(n-1), ..., e_0
+        if translated.char_poly.coeffs[1:] != cp.coeffs[1:]:
             return False
 
     if shift_in_subgroup:

@@ -73,13 +73,14 @@ class UniPoly:
 
     @classmethod
     def from_roots(cls, ctx: FieldCtx, roots: Sequence[FieldElement]) -> "UniPoly":
+        """prod (X - a) over the roots; top coefficient first, each factor is
+        multiplied in place by c_j -= a * c_(j-1) from the last entry down."""
         coeffs = [ctx.one]
-        for a in roots:
-            nxt = [ctx.zero] * (len(coeffs) + 1)
-            for j, c in enumerate(coeffs):
-                nxt[j + 1] = nxt[j + 1] + c
-                nxt[j] = nxt[j] - a * c
-            coeffs = nxt
+        for a in map(ctx.element, roots):
+            coeffs.append(ctx.zero)
+            for j in range(len(coeffs) - 1, 0, -1):
+                coeffs[j] = coeffs[j] - a * coeffs[j - 1]
+        coeffs.reverse()
         return cls(ctx, coeffs)
 
     @property

@@ -40,6 +40,27 @@ def test_moment_functions_match_table():
     assert tuple(g.power_sums(a, 5)) == table.p
 
 
+def test_moment_functions_build_only_their_own_tables(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("table not asked for")
+
+    monkeypatch.setattr(g.UniPoly, "from_roots", classmethod(refuse))
+    assert [str(v) for v in g.power_sums(g.FiniteSet(F7, [1, 2, 4]), 3)] == ["3", "0", "0", "3"]
+    monkeypatch.undo()
+    monkeypatch.setattr(g.FiniteSet, "_ensure_h", refuse)
+    monkeypatch.setattr(g.FiniteSet, "_ensure_p", refuse)
+    assert [str(v) for v in g.elementary_moments(g.FiniteSet(F7, [1, 2, 4]), 4)] == [
+        "1", "0", "0", "1", "0"
+    ]
+    monkeypatch.undo()
+    monkeypatch.setattr(g.FiniteSet, "_ensure_p", refuse)
+    assert [str(v) for v in g.complete_moments(g.FiniteSet(F7, [1, 2, 4]), 3)] == ["1", "0", "0", "1"]
+    monkeypatch.undo()
+    for moments in (g.elementary_moments, g.complete_moments, g.power_sums):
+        with pytest.raises(g.PreconditionViolated):
+            moments(g.FiniteSet(F7, [1, 2]), -1)
+
+
 def test_moments_reject_negative_order():
     a = g.FiniteSet(F7, [1, 2])
     with pytest.raises(g.PreconditionViolated):

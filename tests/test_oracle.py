@@ -258,6 +258,50 @@ def test_ore_form_holds_for_every_subgroup_of_f9():
         assert g.ore_form_check(F9, gens, shift=F9.generator)
 
 
+def _ore_shifts(ctx, V):
+    """None, a shift inside V and, unless V is the field, one outside it."""
+    inside = next((x for x in V if not x.is_zero), ctx.zero)
+    outside = [x for x in ctx.elements() if x not in V][:1]
+    return [None, inside, *outside]
+
+
+@pytest.mark.parametrize("spec", ["F2^2", "F2^3", "F3^2", "F2^4", "F5^2", "F3^3"])
+def test_ore_form_check_against_every_translate(spec):
+    """Reference: every c in V, not only a generator, fixes the char poly of c + A."""
+    ctx = g.parse_field(spec)
+    for gens in g.enumerate_additive_subgroups(ctx):
+        V = g.additive_coset(ctx, gens)
+        for shift in _ore_shifts(ctx, V):
+            A = g.additive_coset(ctx, gens, shift)
+            for c in V:
+                assert g.FiniteSet(ctx, [c + a for a in A]).char_poly == A.char_poly
+            assert g.ore_form_check(ctx, list(gens), shift)
+
+
+def test_ore_form_check_builds_one_translate_per_generator(monkeypatch):
+    calls = []
+    from_roots = g.UniPoly.from_roots.__func__
+
+    def counted(cls, ctx, roots):
+        calls.append(len(roots))
+        return from_roots(cls, ctx, roots)
+
+    def refuse(*args):
+        raise AssertionError("ore_form_check reads no complete moments or power sums")
+
+    monkeypatch.setattr(g.UniPoly, "from_roots", classmethod(counted))
+    monkeypatch.setattr(g.FiniteSet, "_ensure_h", refuse)
+    monkeypatch.setattr(g.FiniteSet, "_ensure_p", refuse)
+    gens = list(g.enumerate_additive_subgroups(F27)[-1])  # all of F27
+    assert len(gens) == 3
+    for shift in (None, F27.generator + F27.one):
+        calls.clear()
+        assert g.ore_form_check(F27, gens, shift)
+        # A, one fresh translate per generator, and V when A is a proper shift
+        assert len(gens) + 1 <= len(calls) <= len(gens) + 2
+        assert set(calls) == {27}
+
+
 def test_coefficient_oracle_matches_accessor():
     rng = make_rng(21)
     f = g.parse_poly("2*x1*x2 + 3", 2, F7)

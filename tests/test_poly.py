@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gridnull as g
-from support import F7, F9, Q, make_rng, random_multipoly
+from gridnull.oracle import moments_bruteforce
+from support import F7, F9, F27, Q, make_rng, random_multipoly, random_set
 
 
 def test_minus_infinity_ordering():
@@ -35,6 +36,32 @@ def test_unipoly_from_roots_matches_char_poly():
     assert [str(c) for c in B.char_poly.coeffs] == ["0", "-1", "0", "1"]
     for a in B:
         assert B.char_poly(a).is_zero
+
+
+# F2^12 lies above the table cap: its products run on the digit kernels
+_ROOT_FIELDS = [Q, F7, F9, F27, g.parse_field("F2^12/1,0,0,1,0,0,0,0,0,0,0,0,1")]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(_ROOT_FIELDS), st.integers(min_value=0, max_value=10**9))
+def test_from_roots_matches_bruteforce_elementary_moments(ctx, seed):
+    rng = make_rng(seed)
+    size = rng.randint(0, 5)
+    if size == 0:
+        assert g.UniPoly.from_roots(ctx, []).coeffs == (ctx.one,)
+        return
+    A = random_set(rng, ctx, size)
+    # prime-subfield roots go in as ints about half the time
+    roots = [
+        int(x.value) if x.in_prime_subfield and x.value == int(x.value) and rng.random() < 0.5
+        else x
+        for x in A
+    ]
+    e = moments_bruteforce(A, size).e
+    signed = [-c if r % 2 else c for r, c in enumerate(e)]
+    poly = g.UniPoly.from_roots(ctx, roots)
+    assert poly.coeffs == tuple(reversed(signed))
+    assert poly == g.UniPoly.from_roots(ctx, list(A))
 
 
 def test_char_poly_rejects_duplicates_and_empty():
