@@ -38,7 +38,6 @@ class Grid:
         "size",
         "has_singleton",
         "joint_nullity",
-        "joint_vandermonde",
     )
 
     def __init__(self, factors):
@@ -55,7 +54,11 @@ class Grid:
         self.size = prod(self.sizes)
         self.has_singleton = any(s == 1 for s in self.sizes)
         self.joint_nullity = min(A.nullity for A in factors)
-        self.joint_vandermonde = min(A.vandermonde_degree for A in factors)
+
+    @property
+    def joint_vandermonde(self) -> int:
+        """Read on demand: each factor fills its power sums up to |A|."""
+        return min(A.vandermonde_degree for A in self.factors)
 
     @property
     def n(self) -> int:
@@ -88,7 +91,7 @@ class Grid:
 
 
 def grid_make(factors) -> Grid:
-    """Build a grid from FiniteSet factors, populating the joint caches."""
+    """Build a grid from FiniteSet factors."""
     return Grid(factors)
 
 

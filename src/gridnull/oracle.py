@@ -288,23 +288,20 @@ def ore_form_check(ctx: FieldCtx, generators, shift=None, config: OracleConfig =
 
     Verifies that the vanishing polynomial P_A is supported on p-power
     degrees (plus a constant), the binomial relations on the elementary
-    moments e_0, ..., e_(n-1) read from P_A, the translation invariance of
-    those moments under V, and, for V itself, that the coefficient of X is
-    the product of the nonzero elements.
+    moments e_0, ..., e_(n-1) read from P_A, that translating A by an element
+    outside V keeps those moments, and, when A is V, that the coefficient of
+    X is the product of the nonzero elements.
 
-    The stabilizer {c : P_A(X - c) - P_A(X) is constant} is an additive
-    subgroup, so invariance under the given generators is invariance under
-    all of V: one translate per generator, not one per element.  Each
-    translate is a fresh set whose char poly is built from its own roots,
-    never shifted from P_A.  With no shift, A is V and one char poly serves
-    both the support and the coefficient-of-X checks.
+    P_A(X - c) - P_A(X) = -L_V(c) is constant for every c in the field, so
+    a translate by c outside V (a set other than A) keeps the coefficients of
+    X, ..., X^n.  One of 1, t, ..., t^(e-1) lies outside V unless V is the
+    field; the first such is the translate, a fresh set whose char poly is
+    built from its own roots, never shifted from P_A.
     """
     if ctx.kind == "rationals":
         raise CharacteristicZero("additive structure needs characteristic p > 0")
     p = ctx.characteristic
-    gens = [ctx.element(x) for x in generators]
-    subgroup = additive_coset(ctx, gens)
-    A = subgroup if shift is None else additive_coset(ctx, gens, shift)
+    A = additive_coset(ctx, generators, shift)
     n = len(A)
     cp = A.char_poly
 
@@ -316,27 +313,27 @@ def ore_form_check(ctx: FieldCtx, generators, shift=None, config: OracleConfig =
     support = {k for k in range(n + 1) if not cp.coefficient(k).is_zero}
     if not support <= p_powers | {0}:
         return False
-    shift_in_subgroup = shift is None or ctx.element(shift) in subgroup
-    if shift_in_subgroup and not cp.coefficient(0).is_zero:
-        return False
 
     # C(n-r, k-r) e_r = 0 for r < k < n, where e_r = +-cp.coeffs[n - r]
     for r in range(n):
         if not cp.coeffs[n - r].is_zero and any(math.comb(n - r, j) % p for j in range(1, n - r)):
             return False
 
-    for g in gens:
-        translated = FiniteSet(ctx, [g + a for a in A])
+    basis = [ctx.one] + [ctx.generator**i for i in range(1, ctx.e)]
+    first = A.elements[0]
+    c = next((b for b in basis if b + first not in A), None)
+    if c is not None:
+        translated = FiniteSet(ctx, [c + a for a in A])
         # the coefficients of X, ..., X^n are +-e_(n-1), ..., e_0
         if translated.char_poly.coeffs[1:] != cp.coeffs[1:]:
             return False
 
-    if shift_in_subgroup:
+    if ctx.zero in A:
         prod = ctx.one
-        for b in subgroup:
+        for b in A:
             if not b.is_zero:
                 prod = prod * b
-        coeff_x = subgroup.char_poly.coefficient(1)
+        coeff_x = cp.coefficient(1)
         if coeff_x != prod or coeff_x.is_zero:
             return False
     return True

@@ -10,6 +10,7 @@ addition, so degree arithmetic needs no special cases.
 from __future__ import annotations
 
 import re
+from itertools import zip_longest
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -87,14 +88,6 @@ class UniPoly:
     def degree(self):
         return len(self.coeffs) - 1 if self.coeffs else MINUS_INFINITY
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == self.ctx.one
-
     def coefficient(self, k: int) -> FieldElement:
         if k < 0:
             raise ExponentOutOfRange("negative exponent")
@@ -115,44 +108,13 @@ class UniPoly:
         ]
         return UniPoly(self.ctx, cs)
 
-    def _binop(self, other, op):
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        if other.ctx is not self.ctx:
-            raise MixedFields("polynomials over different fields")
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = []
-        for i in range(n):
-            a = self.coeffs[i] if i < len(self.coeffs) else self.ctx.zero
-            b = other.coeffs[i] if i < len(other.coeffs) else self.ctx.zero
-            out.append(op(a, b))
-        return UniPoly(self.ctx, out)
-
-    def __add__(self, other):
-        return self._binop(other, lambda a, b: a + b)
-
     def __sub__(self, other):
-        return self._binop(other, lambda a, b: a - b)
-
-    def __neg__(self):
-        return UniPoly(self.ctx, [-c for c in self.coeffs])
-
-    def __mul__(self, other):
-        if isinstance(other, FieldElement):
-            return UniPoly(self.ctx, [c * other for c in self.coeffs])
         if not isinstance(other, UniPoly):
             return NotImplemented
         if other.ctx is not self.ctx:
             raise MixedFields("polynomials over different fields")
-        if self.is_zero or other.is_zero:
-            return UniPoly(self.ctx, [])
-        out = [self.ctx.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return UniPoly(self.ctx, out)
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=self.ctx.zero)
+        return UniPoly(self.ctx, [a - b for a, b in pairs])
 
     def __eq__(self, other):
         if not isinstance(other, UniPoly):

@@ -30,23 +30,7 @@ from .field import FieldElement
 from .grids import Grid
 from .nullity import FiniteSet
 from .poly import MultiPoly, raise_degree
-from .reports import CoefficientReport, ScanReport, WitnessReport, to_dict
-
-__all__ = [
-    "WitnessReport",
-    "CoefficientReport",
-    "ScanReport",
-    "to_dict",
-    "gcn_check",
-    "cct_coefficient",
-    "extract_coefficient",
-    "interpolate",
-    "grid_sum",
-    "punctured_check",
-    "cauchy_davenport",
-    "plane_grid_count",
-    "plane_scan",
-]
+from .reports import CoefficientReport, ScanReport, WitnessReport
 
 
 def _check_shape(f: MultiPoly, grid: Grid) -> None:
@@ -58,33 +42,43 @@ def _check_shape(f: MultiPoly, grid: Grid) -> None:
         )
 
 
-def _grid_values(f: MultiPoly, grid: Grid):
-    """Yield f at each point of the grid, in ``grid.points()`` order.
+def _fold(f: MultiPoly, grid: Grid, column) -> list:
+    """sum_m c_m C_1(m_1) (x) ... (x) C_n(m_n) over f's terms, flattened in
+    product order, last axis fastest, where C_j(k) = column(A_j, k).
 
-    Each term becomes one column [a^k for a in A_j] per variable x_j it uses,
-    built once per (axis, exponent) and shared between terms, with the
-    coefficient folded into the term's first column; a point's value is then
-    a sum of products of column entries.
+    Each column is built once per (axis, exponent).  The terms sit in a trie
+    keyed by their exponents axis by axis; the subtree under exponent k on
+    axis j is folded over the later axes once, and C_j(k) is spread over
+    that fold.  With the columns [a^k for a in A_j] this gives f's values at
+    ``grid.points()``; with one-entry columns it gives a grid sum.
     """
-    used = {(j, k) for m in f.terms for j, k in enumerate(m) if k}
-    columns = {(j, k): [a**k for a in grid.factors[j]] for j, k in used}
-    const = grid.ctx.zero
-    terms = []
-    for m, c in f.terms.items():
-        cols = [(j, columns[j, k]) for j, k in enumerate(m) if k]
-        if not cols:
-            const = c
-            continue
-        j, col = cols[0]
-        terms.append((j, [c * x for x in col], cols[1:]))
-    for idx in itertools.product(*(range(s) for s in grid.sizes)):
-        v = const
-        for j, col, rest in terms:
-            t = col[idx[j]]
-            for j, col in rest:
-                t = t * col[idx[j]]
-            v = v + t
-        yield v
+    n = grid.n
+    trie = {}  # exponents m_1, ..., m_(n-1) lead to {m_n: [c_m]}
+    for m, c in (f.terms or {(0,) * n: grid.ctx.zero}).items():
+        node = trie
+        for k in m[:-1]:
+            node = node.setdefault(k, {})
+        node[m[-1]] = [c]
+    columns = {}
+
+    def fold(node, j):
+        acc = None
+        for k, inner in node.items():
+            if j < n - 1:
+                inner = fold(inner, j + 1)
+            if (j, k) not in columns:
+                columns[j, k] = column(grid.factors[j], k)
+            part = [x * y for x in columns[j, k] for y in inner]
+            acc = part if acc is None else list(map(add, acc, part))
+        return acc
+
+    return fold(trie, 0)
+
+
+def _grid_values(f: MultiPoly, grid: Grid) -> list:
+    """f at each point of the grid, in ``grid.points()`` order."""
+    one = grid.ctx.one
+    return _fold(f, grid, lambda A, k: [a**k for a in A] if k else [one] * len(A))
 
 
 def _zero_scan(f: MultiPoly, grid: Grid):
@@ -223,20 +217,10 @@ def grid_sum(f: MultiPoly, grid: Grid, mode: str = "plain") -> FieldElement:
     _check_shape(f, grid)
     if mode not in ("plain", "weighted"):
         raise ValueError(f"mode must be 'plain' or 'weighted', got {mode!r}")
+    if mode == "weighted":
+        return _fold(f, grid, lambda A, k: [A.sylvester_sum(k)])[0]
     zero = grid.ctx.zero
-    axis_sums = []
-    for j, A in enumerate(grid.factors):
-        ks = {m[j] for m in f.terms}
-        if mode == "weighted":
-            axis_sums.append({k: A.sylvester_sum(k) for k in ks})
-        else:
-            axis_sums.append({k: sum((a**k for a in A), zero) for k in ks})
-    acc = zero
-    for m, c in f.terms.items():
-        for sums, k in zip(axis_sums, m):
-            c = c * sums[k]
-        acc = acc + c
-    return acc
+    return _fold(f, grid, lambda A, k: [sum((a**k for a in A), zero)])[0]
 
 
 def punctured_check(f: MultiPoly, grid: Grid) -> ScanReport:

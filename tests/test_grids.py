@@ -21,6 +21,28 @@ def test_grid_make_basic():
     assert not grid.has_singleton
 
 
+def test_engines_fill_no_power_sums(monkeypatch):
+    """Only joint_vandermonde reads power sums: parsing a grid and running the
+    engines on it fills no power-sum table."""
+
+    def refuse(*args):
+        raise AssertionError("power sums filled")
+
+    monkeypatch.setattr(g.FiniteSet, "_ensure_p", refuse)
+    grid = g.parse_grid("mul(13) x add(1;t)", F27)
+    assert grid.joint_nullity >= 4
+    f = g.parse_poly("x1^2*x2^2 + t*x1*x2 + 1", 2, F27)
+    assert g.gcn_check(f, grid).hypothesis_ok
+    assert g.grid_sum(f, grid) == F27.zero
+    assert g.grid_sum(f, grid, "weighted") == g.cct_coefficient(f, grid).weighted_sum
+    values = {a: f.evaluate(a) for a in grid.points()}
+    assert g.interpolate(grid, values, 4) == f
+    assert g.plane_grid_count([1, 1], grid).details["count"] >= 1
+    assert g.plane_scan(grid).instances == 28
+    with pytest.raises(AssertionError, match="power sums"):
+        grid.joint_vandermonde
+
+
 def test_grid_with_singleton_factor():
     full = g.FiniteSet(F5, [0, 1, 2, 3, 4])
     grid = g.grid_make([full, g.FiniteSet(F5, [0])])

@@ -267,23 +267,27 @@ def _ore_shifts(ctx, V):
 
 @pytest.mark.parametrize("spec", ["F2^2", "F2^3", "F3^2", "F2^4", "F5^2", "F3^3"])
 def test_ore_form_check_against_every_translate(spec):
-    """Reference: every c in V, not only a generator, fixes the char poly of c + A."""
+    """Reference: every c in V fixes the char poly of c + A, and every c in the
+    field, not only the one translate checked, keeps its coefficients of X ... X^n."""
     ctx = g.parse_field(spec)
     for gens in g.enumerate_additive_subgroups(ctx):
         V = g.additive_coset(ctx, gens)
         for shift in _ore_shifts(ctx, V):
             A = g.additive_coset(ctx, gens, shift)
-            for c in V:
-                assert g.FiniteSet(ctx, [c + a for a in A]).char_poly == A.char_poly
+            for c in ctx.elements():
+                translated = g.FiniteSet(ctx, [c + a for a in A]).char_poly
+                if c in V:
+                    assert translated == A.char_poly
+                assert translated.coeffs[1:] == A.char_poly.coeffs[1:]
             assert g.ore_form_check(ctx, list(gens), shift)
 
 
-def test_ore_form_check_builds_one_translate_per_generator(monkeypatch):
+def test_ore_form_check_builds_one_translate_outside_v(monkeypatch):
     calls = []
     from_roots = g.UniPoly.from_roots.__func__
 
     def counted(cls, ctx, roots):
-        calls.append(len(roots))
+        calls.append(frozenset(roots))
         return from_roots(cls, ctx, roots)
 
     def refuse(*args):
@@ -292,14 +296,19 @@ def test_ore_form_check_builds_one_translate_per_generator(monkeypatch):
     monkeypatch.setattr(g.UniPoly, "from_roots", classmethod(counted))
     monkeypatch.setattr(g.FiniteSet, "_ensure_h", refuse)
     monkeypatch.setattr(g.FiniteSet, "_ensure_p", refuse)
-    gens = list(g.enumerate_additive_subgroups(F27)[-1])  # all of F27
-    assert len(gens) == 3
-    for shift in (None, F27.generator + F27.one):
-        calls.clear()
-        assert g.ore_form_check(F27, gens, shift)
-        # A, one fresh translate per generator, and V when A is a proper shift
-        assert len(gens) + 1 <= len(calls) <= len(gens) + 2
-        assert set(calls) == {27}
+    subgroups = g.enumerate_additive_subgroups(F27)
+    for gens, size in ((subgroups[-1], 27), (subgroups[-2], 9)):  # F27 and a plane
+        V = g.additive_coset(F27, gens)
+        shifts = _ore_shifts(F27, V)
+        assert len(shifts) == (2 if size == 27 else 3)
+        for shift in shifts:
+            calls.clear()
+            assert g.ore_form_check(F27, list(gens), shift)
+            # A, and one translate by an element outside V unless V is the field
+            assert len(calls) == (1 if size == 27 else 2)
+            assert calls[0] == frozenset(g.additive_coset(F27, gens, shift))
+            assert all(len(roots) == size for roots in calls)
+            assert calls[-1] != calls[0] or size == 27
 
 
 def test_coefficient_oracle_matches_accessor():

@@ -3,6 +3,8 @@
 import pytest
 
 import gridnull as g
+from gridnull.oracle import grid_sum_bruteforce
+from gridnull.theorems import _grid_values
 from support import (
     F5,
     F7,
@@ -218,6 +220,31 @@ def test_grid_sum_modes():
     assert g.grid_sum(g.MultiPoly.zero(F7, 1), grid) == F7.zero
     with pytest.raises(ValueError):
         g.grid_sum(f, grid, mode="twisted")
+
+
+def test_fold_builds_each_column_once(monkeypatch):
+    """One column per (axis, exponent): x2^2 sits under three exponents of x1."""
+    f = g.parse_poly("x1*x2^2 + x1^2*x2^2 + x1^3*x2^2", 2, F7)
+    A, B = _mu3(), g.FiniteSet(F7, [0, 1, 2, 5])
+    grid = g.grid_make([A, B])
+    counts = {"pow": 0, "sylvester": 0}
+    pow_, sylvester = g.FieldElement.__pow__, g.FiniteSet.sylvester_sum
+
+    def counted_pow(x, k):
+        counts["pow"] += 1
+        return pow_(x, k)
+
+    def counted_sylvester(self, d):
+        counts["sylvester"] += 1
+        return sylvester(self, d)
+
+    monkeypatch.setattr(g.FieldElement, "__pow__", counted_pow)
+    monkeypatch.setattr(g.FiniteSet, "sylvester_sum", counted_sylvester)
+    values = list(_grid_values(f, grid))
+    assert counts["pow"] == 3 * len(A) + len(B)
+    assert values == [f.evaluate(a) for a in grid.points()]
+    assert g.grid_sum(f, grid, "weighted") == grid_sum_bruteforce(f, grid, "weighted")
+    assert counts["sylvester"] == 4
 
 
 def test_punctured_check_on_cube_root_grid():
