@@ -7,6 +7,7 @@ root-of-unity groups, additive cosets, full field) sit at the extremes.
 """
 
 import argparse
+import sys
 from collections import defaultdict
 from itertools import combinations
 
@@ -23,7 +24,7 @@ def main() -> int:
 
     ctx = g.parse_field(args.field)
     pool = [x for x in ctx.elements() if not (args.units_only and x.is_zero)]
-    hi = args.max_size or len(pool)
+    hi = len(pool) if args.max_size is None else args.max_size
 
     census = defaultdict(int)
     best = {}
@@ -47,4 +48,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -44,11 +44,8 @@ from .field import (
     ExtensionField,
     FieldCtx,
     FieldElement,
-    FieldSpec,
     PrimeField,
     Rationals,
-    enumerate_elements,
-    field_make,
     parse_field,
     trace,
 )
@@ -58,10 +55,7 @@ from .poly import (
     MultiPoly,
     UniPoly,
     char_poly,
-    coefficient,
     format_poly,
-    formal_derivative,
-    multi_eval,
     parse_element,
     parse_poly,
     raise_degree,
@@ -71,18 +65,14 @@ from .nullity import (
     MomentTable,
     complete_moments,
     elementary_moments,
-    nullity,
     parse_set,
     power_sums,
-    sylvester_sum,
-    vandermonde_degree,
     weight,
 )
 from .grids import (
     Grid,
     additive_coset,
     grid_make,
-    grid_points,
     multiplicative_coset,
     parse_factor,
     parse_grid,

@@ -17,7 +17,6 @@ appears.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from operator import mul
@@ -68,6 +67,17 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _int_literal(digits: str, position=None) -> int:
+    """int(digits), as a ParseError past Python's int/str digit limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(
+            f"integer literal of {len(digits)} digits exceeds the int/str conversion limit",
+            position,
+        ) from None
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -277,16 +287,6 @@ def _intern(key, build):
     return ctx
 
 
-@dataclass(frozen=True)
-class FieldSpec:
-    """Declarative description of a field; feed it to field_make."""
-
-    kind: str  # "rationals" | "prime" | "extension"
-    p: Optional[int] = None
-    e: Optional[int] = None
-    modulus: Optional[tuple[int, ...]] = None
-
-
 class FieldElement:
     """A single field element bound to its owning context."""
 
@@ -297,15 +297,8 @@ class FieldElement:
         self.value = value
 
     def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.ctx is not self.ctx:
-                raise MixedFields(
-                    f"cannot combine elements of {self.ctx} and {other.ctx}"
-                )
-            return other
-        if isinstance(other, int):
-            return self.ctx.from_int(other)
-        if isinstance(other, Fraction) and self.ctx.kind == "rationals":
+        """other in this context through FieldCtx.element; None for other types."""
+        if isinstance(other, (FieldElement, int, Fraction)):
             return self.ctx.element(other)
         return None
 
@@ -384,12 +377,15 @@ class FieldElement:
     def __bool__(self):
         return bool(self.value)
 
+    # An element equals the int n only as the image of n in [0, p) (any n over
+    # Q), whose value is n itself, so equal objects hash alike.
     def __eq__(self, other):
         if other.__class__ is FieldElement:
             return self.value == other.value and self.ctx is other.ctx
-        if isinstance(other, (int, Fraction)):
-            coerced = self._coerce(other)
-            return coerced is not None and self.value == coerced.value
+        if isinstance(other, int):
+            return self.value == other and self.in_prime_subfield
+        if isinstance(other, Fraction):
+            return self.ctx.kind == "rationals" and self.value == other
         return NotImplemented
 
     def __hash__(self):
@@ -499,7 +495,12 @@ class Rationals(FieldCtx):
         raise InfiniteField("the rationals cannot be enumerated")
 
     def _fmt(self, v: Fraction) -> str:
-        return str(v)
+        try:
+            return str(v)
+        except ValueError:
+            raise GridNullError(
+                "cannot print a rational with more digits than the int/str conversion limit"
+            ) from None
 
     def spec_string(self) -> str:
         return "Q"
@@ -721,26 +722,8 @@ class ExtensionField(FiniteField):
         return self._wrap(self.p)
 
 
-def field_make(spec: FieldSpec) -> FieldCtx:
-    """Build a field context from a declarative spec."""
-    if spec.kind == "rationals":
-        return Rationals()
-    if spec.kind == "prime":
-        return PrimeField(spec.p)
-    if spec.kind == "extension":
-        return ExtensionField(spec.p, spec.e, spec.modulus)
-    raise GridNullError(f"unknown field kind {spec.kind!r}")
-
-
-def enumerate_elements(ctx: FieldCtx) -> tuple[FieldElement, ...]:
-    """All elements of a finite context in canonical order."""
-    return ctx.elements()
-
-
-def trace(x: FieldElement, ctx: Optional[FieldCtx] = None) -> FieldElement:
+def trace(x: FieldElement) -> FieldElement:
     """Trace down to the prime subfield: x + x^p + ... + x^(p^(e-1))."""
-    if ctx is not None and ctx is not x.ctx:
-        raise MixedFields("trace context disagrees with the element")
     ctx = x.ctx
     if ctx.kind != "extension":
         raise NotExtensionField("trace requires an extension field")
@@ -764,13 +747,13 @@ def parse_field(text: str) -> FieldCtx:
         raise ParseError(f"unrecognized field spec {text!r}")
     if m.group(1) == "Q":
         return Rationals()
-    p = int(m.group(2))
+    p = _int_literal(m.group(2))
     if m.group(3) is None:
         if m.group(4) is not None:
             raise ParseError("a modulus requires an explicit extension degree")
         return PrimeField(p)
-    e = int(m.group(3))
+    e = _int_literal(m.group(3))
     modulus = None
     if m.group(4) is not None:
-        modulus = tuple(int(c) for c in m.group(4).split(","))
+        modulus = tuple(map(_int_literal, m.group(4).split(",")))
     return ExtensionField(p, e, modulus)

@@ -23,7 +23,7 @@ from .errors import (
     ParseError,
     ZeroShift,
 )
-from .field import FieldCtx, FieldElement, trace
+from .field import FieldCtx, FieldElement, _int_literal, trace
 from .nullity import FiniteSet, _split_top_level, parse_set, weight as _weight
 from .poly import parse_element
 
@@ -93,10 +93,6 @@ class Grid:
 def grid_make(factors) -> Grid:
     """Build a grid from FiniteSet factors."""
     return Grid(factors)
-
-
-def grid_points(grid: Grid):
-    return list(grid.points())
 
 
 def multiplicative_coset(ctx: FieldCtx, d: int, shift=None) -> FiniteSet:
@@ -170,7 +166,7 @@ def parse_factor(text: str, ctx: FieldCtx) -> FiniteSet:
                 if len(args) not in (1, 2) or not args[0].isdigit():
                     raise ParseError("expected mul(d) or mul(d, shift)")
                 shift = parse_element(args[1], ctx) if len(args) == 2 else None
-                return multiplicative_coset(ctx, int(args[0]), shift)
+                return multiplicative_coset(ctx, _int_literal(args[0]), shift)
             if len(args) not in (1, 2):
                 raise ParseError("expected add(g1;g2;...) or add(g1;...;gk, shift)")
             gen_texts = [g for g in _split_top_level(args[0], ";") if g.strip()]

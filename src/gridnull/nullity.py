@@ -204,16 +204,6 @@ def power_sums(A: FiniteSet, R: int) -> list:
     return list(A._ensure_p(R))
 
 
-def nullity(A: FiniteSet) -> int:
-    """Largest L in [0, |A|] with e_1 = ... = e_L = 0; |A| only for {0}."""
-    return A.nullity
-
-
-def vandermonde_degree(A: FiniteSet) -> int:
-    """Largest L in [0, |A|] with p_1 = ... = p_L = 0."""
-    return A.vandermonde_degree
-
-
 def weight(grid, a) -> FieldElement:
     """Product over coordinates of 1/P'_i(a_i) for a point of the grid."""
     factors = grid.factors
@@ -226,11 +216,6 @@ def weight(grid, a) -> FieldElement:
     for A, x in zip(factors, point):
         w = w * A.weight_at(x)
     return w
-
-
-def sylvester_sum(A: FiniteSet, d: int) -> FieldElement:
-    """Sum over a in A of a^d / P'(a), evaluated directly."""
-    return A.sylvester_sum(d)
 
 
 def _split_top_level(

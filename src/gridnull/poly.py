@@ -10,6 +10,7 @@ addition, so degree arithmetic needs no special cases.
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 from itertools import zip_longest
 from typing import Iterable, Mapping, Sequence
 
@@ -21,7 +22,7 @@ from .errors import (
     ParseError,
     UnknownVariable,
 )
-from .field import FieldCtx, FieldElement
+from .field import FieldCtx, FieldElement, _int_literal
 
 
 class _MinusInfinity:
@@ -144,10 +145,6 @@ def char_poly(A) -> UniPoly:
     return UniPoly.from_roots(ctx, elements)
 
 
-def formal_derivative(f: UniPoly) -> UniPoly:
-    return f.derivative()
-
-
 class MultiPoly:
     """Sparse polynomial in n variables; keys are exponent tuples."""
 
@@ -201,13 +198,6 @@ class MultiPoly:
         if not self.terms:
             return MINUS_INFINITY
         return max(sum(m) for m in self.terms)
-
-    def var_degree(self, i: int) -> int:
-        """Largest exponent of variable i (0-based); 0 for the zero polynomial."""
-        return max((m[i] for m in self.terms), default=0)
-
-    def var_degrees(self) -> tuple[int, ...]:
-        return tuple(self.var_degree(i) for i in range(self.n))
 
     def coefficient(self, m: Sequence[int]) -> FieldElement:
         m = tuple(m)
@@ -313,32 +303,18 @@ class MultiPoly:
     __repr__ = __str__
 
 
-def multi_eval(f: MultiPoly, point: Sequence) -> FieldElement:
-    """Evaluate f at a point, with 0**0 taken as 1."""
-    return f.evaluate(point)
-
-
-def coefficient(f: MultiPoly, m: Sequence[int]) -> FieldElement:
-    """The stored coefficient of the monomial with exponent tuple m."""
-    return f.coefficient(m)
-
-
 def raise_degree(f: MultiPoly, grid, k: Sequence[int]) -> MultiPoly:
-    """Multiply f by prod_i x_i^(s_i - k_i - 1) where s_i are the factor sizes.
-
-    Accepts a Grid or a plain sequence of sizes.  This moves the monomial k of
-    f onto the top monomial (s_1 - 1, ..., s_n - 1) of the product.
+    """Multiply f by prod_i x_i^(s_i - k_i - 1) where s_i are the grid's factor
+    sizes.  This moves the monomial k of f onto the top monomial
+    (s_1 - 1, ..., s_n - 1) of the product.
     """
-    sizes = getattr(grid, "sizes", None)
-    if sizes is None:
-        sizes = tuple(int(s) for s in grid)
     k = tuple(int(x) for x in k)
-    if len(k) != f.n or len(sizes) != f.n:
+    if len(k) != f.n or grid.n != f.n:
         raise DimensionMismatch("sizes, exponents, and variables disagree")
-    for ki, si in zip(k, sizes):
+    for ki, si in zip(k, grid.sizes):
         if not 0 <= ki <= si - 1:
             raise ExponentOutOfRange(f"exponent {ki} outside 0..{si - 1}")
-    shifts = tuple(si - ki - 1 for ki, si in zip(k, sizes))
+    shifts = tuple(si - ki - 1 for ki, si in zip(k, grid.sizes))
     shifted = {
         tuple(e + s for e, s in zip(m, shifts)): c for m, c in f.terms.items()
     }
@@ -364,9 +340,9 @@ def _tokenize(text: str):
             bad = pos + (len(text) - pos - len(stripped))
             raise ParseError(f"unexpected character {stripped[0]!r}", bad)
         if m.group(1) is not None:
-            tokens.append(("int", int(m.group(1)), m.start(1)))
+            tokens.append(("int", _int_literal(m.group(1), m.start(1)), m.start(1)))
         elif m.group(2) is not None:
-            tokens.append(("var", int(m.group(2)[1:]), m.start(2)))
+            tokens.append(("var", _int_literal(m.group(2)[1:], m.start(2)), m.start(2)))
         elif m.group(3) is not None:
             tokens.append(("gen", "t", m.start(3)))
         else:
@@ -453,8 +429,6 @@ class _Parser:
                 dkind, den, dpos = self.take()
                 if dkind != "int" or den == 0:
                     raise ParseError("expected a nonzero denominator", dpos)
-                from fractions import Fraction
-
                 return MultiPoly.constant(self.ctx, self.n, Fraction(val, den))
             return MultiPoly.constant(self.ctx, self.n, val)
         if kind == "var":

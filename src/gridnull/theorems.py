@@ -42,15 +42,18 @@ def _check_shape(f: MultiPoly, grid: Grid) -> None:
         )
 
 
-def _fold(f: MultiPoly, grid: Grid, column) -> list:
-    """sum_m c_m C_1(m_1) (x) ... (x) C_n(m_n) over f's terms, flattened in
-    product order, last axis fastest, where C_j(k) = column(A_j, k).
+def _fold(f: MultiPoly, grid: Grid, column):
+    """sum_m c_m C_1(m_1) (x) ... (x) C_n(m_n) over f's terms, in product
+    order, last axis fastest, where C_j(k) = column(A_j, k); yielded one row
+    per entry of C_1.
 
     Each column is built once per (axis, exponent).  The terms sit in a trie
     keyed by their exponents axis by axis; the subtree under exponent k on
     axis j is folded over the later axes once, and C_j(k) is spread over
-    that fold.  With the columns [a^k for a in A_j] this gives f's values at
-    ``grid.points()``; with one-entry columns it gives a grid sum.
+    that fold.  The first axis is streamed: row i is sum_k C_1(k)[i] F_k over
+    the trie's keys k, where F_k is the fold under k, so only the F_k are
+    held.  With the columns [a^k for a in A_j] the rows are f's values at
+    ``grid.points()``; with one-entry columns the single row is a grid sum.
     """
     n = grid.n
     trie = {}  # exponents m_1, ..., m_(n-1) lead to {m_n: [c_m]}
@@ -72,13 +75,22 @@ def _fold(f: MultiPoly, grid: Grid, column) -> list:
             acc = part if acc is None else list(map(add, acc, part))
         return acc
 
-    return fold(trie, 0)
+    A = grid.factors[0]
+    (c1, first), *rest = [
+        (column(A, k), fold(inner, 1) if n > 1 else inner) for k, inner in trie.items()
+    ]
+    for i, x in enumerate(c1):
+        row = list(map(x.__mul__, first))
+        for c, fk in rest:
+            row = list(map(add, row, map(c[i].__mul__, fk)))
+        yield row
 
 
-def _grid_values(f: MultiPoly, grid: Grid) -> list:
-    """f at each point of the grid, in ``grid.points()`` order."""
+def _grid_values(f: MultiPoly, grid: Grid):
+    """Iterator over f at each point of the grid, in ``grid.points()`` order."""
     one = grid.ctx.one
-    return _fold(f, grid, lambda A, k: [a**k for a in A] if k else [one] * len(A))
+    rows = _fold(f, grid, lambda A, k: [a**k for a in A] if k else [one] * len(A))
+    return itertools.chain.from_iterable(rows)
 
 
 def _zero_scan(f: MultiPoly, grid: Grid):
@@ -218,9 +230,9 @@ def grid_sum(f: MultiPoly, grid: Grid, mode: str = "plain") -> FieldElement:
     if mode not in ("plain", "weighted"):
         raise ValueError(f"mode must be 'plain' or 'weighted', got {mode!r}")
     if mode == "weighted":
-        return _fold(f, grid, lambda A, k: [A.sylvester_sum(k)])[0]
+        return next(_fold(f, grid, lambda A, k: [A.sylvester_sum(k)]))[0]
     zero = grid.ctx.zero
-    return _fold(f, grid, lambda A, k: [sum((a**k for a in A), zero)])[0]
+    return next(_fold(f, grid, lambda A, k: [sum((a**k for a in A), zero)]))[0]
 
 
 def punctured_check(f: MultiPoly, grid: Grid) -> ScanReport:

@@ -393,6 +393,38 @@ def test_huge_prime_fields(capsys):
     assert "only below 3317044064679887385961981" in err
 
 
+_LIMIT = "the int/str conversion limit"
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (
+            ["grid-sum", "--field", "F7", "--grid", "{1,2}", "--poly", "7" * 5000],
+            f"integer literal of 5000 digits exceeds {_LIMIT} (at position 0)",
+        ),
+        (
+            ["analyze-set", "--field", "F" + "7" * 5000, "--set", "{1}"],
+            f"integer literal of 5000 digits exceeds {_LIMIT}",
+        ),
+        (
+            ["analyze-set", "--field", "F7", "--set", "mul(" + "7" * 5000 + ")"],
+            f"integer literal of 5000 digits exceeds {_LIMIT}",
+        ),
+        (
+            ["grid-sum", "--field", "Q", "--grid", "{2,3}", "--poly", "x1^10000"],
+            f"cannot print a rational with more digits than {_LIMIT}",
+        ),
+        (
+            ["grid-sum", "--field", "Q", "--grid", "{2,3}", "--poly", "x1^10000", "--json"],
+            f"cannot print a rational with more digits than {_LIMIT}",
+        ),
+    ],
+)
+def test_int_str_digit_limit_exits_2(capsys, argv, line):
+    assert _run(capsys, argv) == (2, "", f"error: {line}\n")
+
+
 def test_oracle_suite_missing_parameter(capsys):
     code, _, err = _run(capsys, ["oracle-suite", "--scan", "scd"])
     assert code == 2

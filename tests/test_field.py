@@ -78,6 +78,30 @@ def test_rationals_arithmetic_and_coercion():
         Q.elements()
 
 
+def test_int_equality_only_in_prime_subfield_range():
+    assert F7.element(3) == 3 and F7.element(3) != 10
+    assert F7.element(6) != -1 and F7.element(6) == F7.element(-1)
+    assert F9.generator != 3 and F9.from_int(2) == 2
+    assert Q.element(-1) == -1 and Q.element(Fraction(1, 2)) == Fraction(1, 2)
+    assert F7.element(3) != Fraction(3)
+    # arithmetic and membership still reduce ints mod p
+    assert F7.element(3) + 10 == 6 and 10 * F7.element(1) == 3
+    assert 9 in g.FiniteSet(F7, [1, 2])
+
+
+@pytest.mark.parametrize("ctx", [F7, F9, Q])
+def test_equal_elements_and_ints_hash_alike(ctx):
+    elements = [ctx.from_int(n) for n in range(-20, 21)]
+    elements += list(ctx.elements()) if ctx.cardinality else []
+    for x in elements:
+        for n in range(-20, 21):
+            if x == n:
+                assert hash(x) == hash(n)
+    table = {n: n for n in range(-20, 21)}
+    for x in elements:
+        assert (x in table) == any(x == n for n in table)
+
+
 def test_mixed_fields_rejected():
     with pytest.raises(g.MixedFields):
         F7.element(1) + g.PrimeField(5).element(1)
@@ -89,6 +113,7 @@ def test_mixed_fields_rejected():
 
 _F7_GRID = g.grid_make([g.FiniteSet(F7, [1, 2]), g.FiniteSet(F7, [3, 5])])
 _FOREIGN_INPUTS = {
+    "FieldElement operators": lambda x: F7.one + x,
     "FiniteSet": lambda x: g.FiniteSet(F7, [1, x]),
     "UniPoly": lambda x: g.UniPoly(F7, [1, x]),
     "MultiPoly": lambda x: g.MultiPoly(F7, 1, {(1,): x}),
@@ -149,12 +174,6 @@ def test_parse_field_grammar():
 def test_spec_string_round_trip():
     for ctx in [Q, F7, F8, F9, F27, g.ExtensionField(2, 2, [1, 1, 1])]:
         assert g.parse_field(ctx.spec_string()) == ctx
-
-
-def test_field_make_dispatch():
-    assert g.field_make(g.FieldSpec("rationals")) == Q
-    assert g.field_make(g.FieldSpec("prime", p=7)) == F7
-    assert g.field_make(g.FieldSpec("extension", p=3, e=2)) == F9
 
 
 _f9_idx = st.integers(min_value=0, max_value=8)

@@ -1,9 +1,11 @@
 """Static checks on the library sources."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "gridnull"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "gridnull"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -46,3 +48,26 @@ def test_unused_import_detector():
         "    return os.sep\n"
     )
     assert unused_imports(source) == ["Union (line 3)"]
+
+
+def test_names_the_benchmark_tracer_wraps_exist():
+    """perfbench/tracer.py patches these by name; a missing one breaks install()."""
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [
+        f"{module}.{attr}"
+        for _layer, module, attr, _record in tracer._FUNCTIONS
+        if attr not in vars(importlib.import_module(f"gridnull.{module}"))
+    ]
+    for _layer, module, cls, attr, _record in tracer._METHODS:
+        owner = getattr(importlib.import_module(f"gridnull.{module}"), cls, None)
+        if owner is None or attr not in owner.__dict__:
+            missing.append(f"{module}.{cls}.{attr}")
+    field = importlib.import_module("gridnull.field")
+    missing += [
+        f"field.FieldElement.{attr}"
+        for attr in tracer._FIELD_OPS
+        if attr not in field.FieldElement.__dict__
+    ]
+    assert missing == []

@@ -68,21 +68,21 @@ def test_moments_reject_negative_order():
 
 
 def test_nullity_ground_cases():
-    assert g.nullity(g.FiniteSet(F5, [0, 1, 2, 3, 4])) == 3
-    assert g.nullity(g.FiniteSet(F5, [0])) == 1
-    assert g.nullity(g.FiniteSet(F5, [2])) == 0
-    assert g.nullity(g.FiniteSet(Q, [0])) == 1
-    assert g.nullity(g.FiniteSet(F7, [1, 2, 4])) == 2
-    assert g.nullity(g.FiniteSet(F7, [1, 2, 3, 4, 5, 6])) == 5
+    assert g.FiniteSet(F5, [0, 1, 2, 3, 4]).nullity == 3
+    assert g.FiniteSet(F5, [0]).nullity == 1
+    assert g.FiniteSet(F5, [2]).nullity == 0
+    assert g.FiniteSet(Q, [0]).nullity == 1
+    assert g.FiniteSet(F7, [1, 2, 4]).nullity == 2
+    assert g.FiniteSet(F7, [1, 2, 3, 4, 5, 6]).nullity == 5
 
 
 def test_vandermonde_degree_cases():
     t = F9.generator
-    assert g.vandermonde_degree(g.FiniteSet(F9, [F9.zero, t, t + t])) == 1
-    assert g.vandermonde_degree(g.FiniteSet(Q, [-1, 1])) == 1
-    assert g.vandermonde_degree(g.FiniteSet(F7, [1, 2, 3, 4, 5, 6])) == 5
-    assert g.vandermonde_degree(g.FiniteSet(Q, [0])) == 1
-    assert g.vandermonde_degree(g.FiniteSet(Q, [3])) == 0
+    assert g.FiniteSet(F9, [F9.zero, t, t + t]).vandermonde_degree == 1
+    assert g.FiniteSet(Q, [-1, 1]).vandermonde_degree == 1
+    assert g.FiniteSet(F7, [1, 2, 3, 4, 5, 6]).vandermonde_degree == 5
+    assert g.FiniteSet(Q, [0]).vandermonde_degree == 1
+    assert g.FiniteSet(Q, [3]).vandermonde_degree == 0
 
 
 def test_weights_over_full_prime_field():
@@ -100,19 +100,19 @@ def test_weight_of_cube_roots():
 
 def test_sylvester_sum_three_regimes():
     a = g.FiniteSet(Q, [1, 2, 3])
-    assert g.sylvester_sum(a, 0) == Fraction(0)
-    assert g.sylvester_sum(a, 1) == Fraction(0)
-    assert g.sylvester_sum(a, 2) == Fraction(1)
-    assert g.sylvester_sum(a, 3) == Fraction(6)
+    assert a.sylvester_sum(0) == Fraction(0)
+    assert a.sylvester_sum(1) == Fraction(0)
+    assert a.sylvester_sum(2) == Fraction(1)
+    assert a.sylvester_sum(3) == Fraction(6)
     with pytest.raises(g.PreconditionViolated):
-        g.sylvester_sum(a, -1)
+        a.sylvester_sum(-1)
 
 
 def test_sylvester_sum_singleton():
     a = g.FiniteSet(Q, [5])
-    assert g.sylvester_sum(a, 0) == Fraction(1)
-    assert g.sylvester_sum(a, 1) == Fraction(5)
-    assert g.sylvester_sum(a, 2) == Fraction(25)
+    assert a.sylvester_sum(0) == Fraction(1)
+    assert a.sylvester_sum(1) == Fraction(5)
+    assert a.sylvester_sum(2) == Fraction(25)
 
 
 def test_finite_set_dedup_and_equality():
@@ -207,12 +207,12 @@ def test_nullity_scaling_and_zero_toggle(fidx, seed):
     while c == ctx.zero:
         c = rng.choice(list(ctx.elements()))
     scaled = g.FiniteSet(ctx, [c * v for v in a])
-    assert g.nullity(scaled) == g.nullity(a)
+    assert scaled.nullity == a.nullity
     nonzero = [v for v in a if v != ctx.zero]
     if nonzero:
         with_zero = g.FiniteSet(ctx, nonzero + [ctx.zero])
         without = g.FiniteSet(ctx, nonzero)
-        assert g.nullity(with_zero) == g.nullity(without)
+        assert with_zero.nullity == without.nullity
 
 
 @settings(max_examples=80, deadline=None)
@@ -227,7 +227,7 @@ def test_nullity_superadditive_on_disjoint_union(fidx, seed):
     right_pool = [v for v in pool if v not in left]
     right = g.FiniteSet(ctx, right_pool[: rng.randint(1, len(right_pool))])
     union = g.FiniteSet(ctx, list(left) + list(right))
-    assert g.nullity(union) >= min(g.nullity(left), g.nullity(right))
+    assert union.nullity >= min(left.nullity, right.nullity)
 
 
 @settings(max_examples=100, deadline=None)
@@ -235,8 +235,8 @@ def test_nullity_superadditive_on_disjoint_union(fidx, seed):
 def test_nullity_versus_vandermonde_degree(fidx, seed):
     ctx = _FIELDS[fidx]
     a = _sized(make_rng(seed), ctx)
-    lam = g.nullity(a)
-    vd = g.vandermonde_degree(a)
+    lam = a.nullity
+    vd = a.vandermonde_degree
     assert lam <= vd
     if ctx.kind == "rationals":
         if not (len(a) == 1 and ctx.zero in a):

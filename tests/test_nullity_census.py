@@ -1,0 +1,80 @@
+"""scripts/nullity_census.py run as a separate process, output pinned."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+_F5 = """\
+field F5, pool size 5
+size  nullity    count
+   1        0        4
+   1        1        1
+   2        0        8
+   2        1        2
+   3        0        8
+   3        1        2
+   4        0        4
+   4        3        1
+   5        3        1
+
+size 1: max nullity 1 at {0}
+size 2: max nullity 1 at {1, 4}
+size 3: max nullity 1 at {0, 1, 4}
+size 4: max nullity 3 at {1, 2, 3, 4}
+size 5: max nullity 3 at {0, 1, 2, 3, 4}
+"""
+
+_F7_UNITS = """\
+field F7, pool size 6
+size  nullity    count
+   1        0        6
+   2        0       12
+   2        1        3
+   3        0       18
+   3        2        2
+   4        0       12
+   4        1        3
+   5        0        6
+   6        5        1
+
+size 1: max nullity 0 at {1}
+size 2: max nullity 1 at {1, 6}
+size 3: max nullity 2 at {1, 2, 4}
+size 4: max nullity 1 at {1, 2, 5, 6}
+size 5: max nullity 0 at {1, 2, 3, 4, 5}
+size 6: max nullity 5 at {1, 2, 3, 4, 5, 6}
+"""
+
+_F5_EMPTY = """\
+field F5, pool size 5
+size  nullity    count
+
+"""
+
+
+@pytest.mark.parametrize(
+    "args, expected",
+    [
+        (["--field", "F5"], _F5),
+        (["--field", "F7", "--units-only"], _F7_UNITS),
+        (["--field", "F5", "--max-size", "0"], _F5_EMPTY),
+    ],
+)
+def test_nullity_census_output(args, expected):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "nullity_census.py"), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, "")

@@ -4,7 +4,7 @@ import pytest
 
 import gridnull as g
 from gridnull.oracle import grid_sum_bruteforce
-from gridnull.theorems import _grid_values
+from gridnull.theorems import _fold, _grid_values
 from support import (
     F5,
     F7,
@@ -220,6 +220,17 @@ def test_grid_sum_modes():
     assert g.grid_sum(g.MultiPoly.zero(F7, 1), grid) == F7.zero
     with pytest.raises(ValueError):
         g.grid_sum(f, grid, mode="twisted")
+
+
+def test_grid_values_stream_one_row_per_first_axis_entry():
+    f = g.parse_poly("x1^2*x2 + x2 + 3", 2, F7)
+    A, B = _mu3(), g.FiniteSet(F7, [0, 1, 2, 5])
+    grid = g.grid_make([A, B])
+    values = _grid_values(f, grid)
+    assert iter(values) is values
+    assert list(values) == [f.evaluate(a) for a in grid.points()]
+    rows = _fold(f, grid, lambda S, k: [a**k for a in S])
+    assert [len(row) for row in rows] == [len(B)] * len(A)
 
 
 def test_fold_builds_each_column_once(monkeypatch):
