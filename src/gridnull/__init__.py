@@ -100,6 +100,7 @@ from .oracle import (
     redei_scan,
     scd_scan,
     sylvester_rhs_bruteforce,
+    sylvester_sum_bruteforce,
 )
 
 __version__ = "0.1.0"

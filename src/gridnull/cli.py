@@ -271,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument(
             "--seed",
             type=int,
-            default=int(os.environ.get("GRIDNULL_SEED", "0")),
+            default=os.environ.get("GRIDNULL_SEED", "0"),
             help="seed recorded in scan reports (env GRIDNULL_SEED)",
         )
 

@@ -15,6 +15,7 @@ sum over A of a^d/P'(a) collapses to 0, 1, or a complete moment.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import (
     EmptySet,
@@ -60,10 +61,12 @@ class FiniteSet:
     the complete and power-sum tables grow monotonically to the largest order
     ever requested, and already-computed entries are never recomputed.  Cache
     fills replace whole tuples, so readers see either the old table or the
-    extended one.
+    extended one.  For the grid engines, the power column (a^k for a in A),
+    the weighted column (a^k/P'(a) for a in A) and the sums of both are kept
+    per exponent k for the set's lifetime, each built on first use.
     """
 
-    __slots__ = ("ctx", "elements", "_set", "_char", "_e", "_h", "_p", "_pows", "_weights")
+    __slots__ = ("ctx", "elements", "_set", "_char", "_e", "_h", "_p", "_weights", "_cols", "_sums")
 
     def __init__(self, ctx: FieldCtx, elements):
         elems = []
@@ -82,8 +85,8 @@ class FiniteSet:
         self._e = None
         self._h = (ctx.one,)
         self._p = (ctx.from_int(len(elems)),)
-        self._pows = tuple(ctx.one for _ in elems)  # a^r alongside _p[r]
         self._weights = None
+        self._cols, self._sums = {(0, False): (ctx.one,) * len(elems)}, {}
 
     @property
     def char_poly(self) -> UniPoly:
@@ -114,18 +117,15 @@ class FiniteSet:
         return self._h
 
     def _ensure_p(self, R: int) -> tuple:
-        """(p_0, ..., p_R), growing the cached table from the cached powers."""
+        """(p_0, ..., p_R), growing the cached table from the power column at its top."""
         _check_order(R)
         if len(self._p) > R:
             return self._p[: R + 1]
-        p, pows = list(self._p), list(self._pows)
+        p, pows = list(self._p), self._cols[len(self._p) - 1, False]
         for _ in range(len(p), R + 1):
             pows = [w * a for w, a in zip(pows, self.elements)]
-            acc = self.ctx.zero
-            for w in pows:
-                acc = acc + w
-            p.append(acc)
-        self._p, self._pows = tuple(p), tuple(pows)
+            p.append(sum(pows, self.ctx.zero))
+        self._cols[R, False], self._p = tuple(pows), tuple(p)
         return self._p
 
     def _elementary_to(self, R: int) -> tuple:
@@ -144,25 +144,46 @@ class FiniteSet:
     def vandermonde_degree(self) -> int:
         return _leading_zeros(self._ensure_p(len(self.elements)))
 
-    def weight_at(self, a) -> FieldElement:
-        """1/P'(a) for a in the set; distinct roots keep P'(a) nonzero."""
-        if not isinstance(a, FieldElement):
-            a = self.ctx.element(a)
+    def _weight_table(self) -> dict:
+        """{a: 1/P'(a)} in element order; distinct roots keep P'(a) nonzero."""
         if self._weights is None:
             deriv = self.char_poly.derivative()
             self._weights = {x: deriv(x).inv() for x in self.elements}
+        return self._weights
+
+    def weight_at(self, a) -> FieldElement:
+        """1/P'(a) for a in the set."""
+        a = self.ctx.element(a)
         try:
-            return self._weights[a]
+            return self._weight_table()[a]
         except KeyError:
             raise PointNotOnGrid(f"{a} is not in the set") from None
 
+    def column(self, k: int, weighted: bool = False) -> tuple:
+        """(a^k for a in A), or (a^k/P'(a) for a in A) when weighted."""
+        key = (k, weighted)
+        if key not in self._cols:
+            if weighted:
+                col = map(mul, self._weight_table().values(), self.column(k))
+            else:
+                col = (a**k for a in self.elements)
+            self._cols[key] = tuple(col)
+        return self._cols[key]
+
+    def column_sum(self, k: int, weighted: bool = False) -> FieldElement:
+        """The sum of column(k, weighted)."""
+        key = (k, weighted)
+        if key not in self._sums:
+            self._sums[key] = sum(self.column(k, weighted), self.ctx.zero)
+        return self._sums[key]
+
     def sylvester_sum(self, d: int) -> FieldElement:
+        """Sum of a^d/P'(a) over A; 0 for d < |A| - 1 and 1 for d = |A| - 1."""
         if d < 0:
             raise PreconditionViolated("sylvester_sum needs d >= 0")
-        acc = self.ctx.zero
-        for a in self.elements:
-            acc = acc + a**d * self.weight_at(a)
-        return acc
+        if d < len(self.elements):
+            return self.ctx.one if d == len(self.elements) - 1 else self.ctx.zero
+        return self.column_sum(d, weighted=True)
 
     def __iter__(self):
         return iter(self.elements)

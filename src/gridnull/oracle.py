@@ -61,60 +61,50 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def moments_bruteforce(A: FiniteSet, R: int, config: OracleConfig = None) -> MomentTable:
-    """Moments by raw enumeration: r-subsets, weak compositions, power sums."""
-    cfg = config or _DEFAULT
-    if len(A) > cfg.max_set_size:
-        raise SizeBoundExceeded(f"set size {len(A)} exceeds {cfg.max_set_size}")
-    if R > cfg.max_degree:
-        raise SizeBoundExceeded(f"order {R} exceeds {cfg.max_degree}")
-    ctx = A.ctx
-    elems = A.elements
-    e = [ctx.one]
-    h = [ctx.one]
-    p = [ctx.from_int(len(elems))]
-    for r in range(1, R + 1):
-        acc = ctx.zero
-        for subset in itertools.combinations(elems, r):
-            prod = ctx.one
-            for x in subset:
-                prod = prod * x
-            acc = acc + prod
-        e.append(acc)
-        acc = ctx.zero
-        for ks in _compositions(r, len(elems)):
-            prod = ctx.one
-            for x, k in zip(elems, ks):
-                if k:
-                    prod = prod * x**k
-            acc = acc + prod
-        h.append(acc)
-        acc = ctx.zero
-        for x in elems:
-            acc = acc + x**r
-        p.append(acc)
-    return MomentTable(tuple(e), tuple(h), tuple(p))
-
-
-def sylvester_rhs_bruteforce(A: FiniteSet, d: int, config: OracleConfig = None) -> FieldElement:
-    """Sum of all monomials of degree d - |A| + 1 in the elements of A."""
+def _check_caps(A: FiniteSet, d: int, config: OracleConfig, noun: str) -> None:
+    """Refuse a set larger, or an order or degree d higher, than the config allows."""
     cfg = config or _DEFAULT
     if len(A) > cfg.max_set_size:
         raise SizeBoundExceeded(f"set size {len(A)} exceeds {cfg.max_set_size}")
     if d > cfg.max_degree:
-        raise SizeBoundExceeded(f"degree {d} exceeds {cfg.max_degree}")
-    ctx = A.ctx
+        raise SizeBoundExceeded(f"{noun} {d} exceeds {cfg.max_degree}")
+
+
+def moments_bruteforce(A: FiniteSet, R: int, config: OracleConfig = None) -> MomentTable:
+    """Moments by raw enumeration: r-subsets, weak compositions, power sums."""
+    _check_caps(A, R, config, "order")
+    ctx, elems = A.ctx, A.elements
+    e, h, p = [ctx.one], [ctx.one], [ctx.from_int(len(elems))]
+    for r in range(1, R + 1):
+        subsets = itertools.combinations(elems, r)
+        e.append(sum((math.prod(s, start=ctx.one) for s in subsets), ctx.zero))
+        h.append(_monomial_sum(ctx, elems, r))
+        p.append(sum((x**r for x in elems), ctx.zero))
+    return MomentTable(tuple(e), tuple(h), tuple(p))
+
+
+def _monomial_sum(ctx: FieldCtx, elems, total: int) -> FieldElement:
+    """Sum of all monomials of degree total in elems, one weak composition at a time."""
+    monomials = (
+        math.prod((x**k for x, k in zip(elems, ks) if k), start=ctx.one)
+        for ks in _compositions(total, len(elems))
+    )
+    return sum(monomials, ctx.zero)
+
+
+def sylvester_rhs_bruteforce(A: FiniteSet, d: int, config: OracleConfig = None) -> FieldElement:
+    """Sum of all monomials of degree d - |A| + 1 in the elements of A."""
+    _check_caps(A, d, config, "degree")
     total = d - len(A) + 1
-    if total < 0:
-        return ctx.zero
-    acc = ctx.zero
-    for ks in _compositions(total, len(A)):
-        prod = ctx.one
-        for x, k in zip(A.elements, ks):
-            if k:
-                prod = prod * x**k
-        acc = acc + prod
-    return acc
+    return _monomial_sum(A.ctx, A.elements, total) if total >= 0 else A.ctx.zero
+
+
+def sylvester_sum_bruteforce(A: FiniteSet, d: int, config: OracleConfig = None) -> FieldElement:
+    """Sum of a^d / prod_(b != a) (a - b) over A, one element at a time."""
+    _check_caps(A, d, config, "degree")
+    one = A.ctx.one
+    terms = (a**d / math.prod((a - b for b in A if b != a), start=one) for a in A)
+    return sum(terms, A.ctx.zero)
 
 
 def exp_series_check(A: FiniteSet, D: int, config: OracleConfig = None) -> bool:
@@ -136,10 +126,7 @@ def exp_series_check(A: FiniteSet, D: int, config: OracleConfig = None) -> bool:
     table = moments_bruteforce(A, max(D - m + 1, 0), cfg)
     for s in range(D + 1):
         lhs = table.h[s - m + 1] if s >= m - 1 else ctx.zero
-        rhs = ctx.zero
-        for a in A:
-            rhs = rhs + a**s * A.weight_at(a)
-        if lhs != rhs:
+        if lhs != sylvester_sum_bruteforce(A, s, cfg):
             return False
     return True
 

@@ -7,9 +7,11 @@ broken bound is still a complete, serializable answer.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Optional
 
+from .errors import GridNullError
 from .field import FieldElement
 from .poly import Monomial
 
@@ -61,7 +63,8 @@ class ScanReport:
 def _normalize(value):
     """Tuples of scalars stay tuples (points, monomials); tuples holding
     containers become lists (collections of such).  Leaves that JSON cannot
-    hold, such as field elements and MINUS_INFINITY, become display strings."""
+    hold, such as field elements and MINUS_INFINITY, become display strings.
+    An int too long to print under Python's int/str limit raises."""
     if isinstance(value, dict):
         return {k: _normalize(v) for k, v in value.items()}
     if isinstance(value, list):
@@ -70,6 +73,14 @@ def _normalize(value):
         if not value or any(isinstance(x, (tuple, list, dict)) for x in value):
             return [_normalize(x) for x in value]
         return tuple(_normalize(x) for x in value)
+    if isinstance(value, int):
+        try:
+            str(value)
+        except ValueError:
+            raise GridNullError(
+                "cannot print an integer with more digits than the int/str conversion limit"
+                f" of {sys.get_int_max_str_digits()}"
+            ) from None
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     return str(value)

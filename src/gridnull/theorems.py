@@ -88,9 +88,7 @@ def _fold(f: MultiPoly, grid: Grid, column):
 
 def _grid_values(f: MultiPoly, grid: Grid):
     """Iterator over f at each point of the grid, in ``grid.points()`` order."""
-    one = grid.ctx.one
-    rows = _fold(f, grid, lambda A, k: [a**k for a in A] if k else [one] * len(A))
-    return itertools.chain.from_iterable(rows)
+    return itertools.chain.from_iterable(_fold(f, grid, FiniteSet.column))
 
 
 def _zero_scan(f: MultiPoly, grid: Grid):
@@ -205,11 +203,7 @@ def interpolate(grid: Grid, values, lam: int) -> MultiPoly:
     rest = grid.size
     for A, s in zip(grid.factors, grid.sizes):
         rest //= s
-        weights = [A.weight_at(a) for a in A]
-        matrix = [
-            [w * a ** (s - 1 - k) for w, a in zip(weights, A)]
-            for k in range(min(lam, s - 1) + 1)
-        ]
+        matrix = [A.column(s - 1 - k, weighted=True) for k in range(min(lam, s - 1) + 1)]
         nxt = {}
         for prefix, t in layer.items():
             lines = [t[r::rest] for r in range(rest)]
@@ -231,8 +225,7 @@ def grid_sum(f: MultiPoly, grid: Grid, mode: str = "plain") -> FieldElement:
         raise ValueError(f"mode must be 'plain' or 'weighted', got {mode!r}")
     if mode == "weighted":
         return next(_fold(f, grid, lambda A, k: [A.sylvester_sum(k)]))[0]
-    zero = grid.ctx.zero
-    return next(_fold(f, grid, lambda A, k: [sum((a**k for a in A), zero)]))[0]
+    return next(_fold(f, grid, lambda A, k: [A.column_sum(k)]))[0]
 
 
 def punctured_check(f: MultiPoly, grid: Grid) -> ScanReport:

@@ -2,6 +2,7 @@
 
 import json
 import re
+import sys
 
 import pytest
 
@@ -436,6 +437,23 @@ def test_seed_env_fallback(capsys, monkeypatch):
     code, out, _ = _run(capsys, ["oracle-suite", "--scan", "scd", "--p", "2"])
     assert code == 0
     assert "seed: 7\n" in out
+
+
+def test_non_integer_seed_env_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("GRIDNULL_SEED", "abc")
+    code, out, err = _run(capsys, ["analyze-set", "--field", "F7", "--set", "{1}"])
+    assert (code, out) == (2, "")
+    assert err.endswith("error: argument --seed: invalid int value: 'abc'\n")
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_report_int_past_digit_limit_exits_2(capsys, json_flag):
+    nines = "9" * 4300
+    argv = ["cn-check", "--field", "F7", "--grid", "{1,2} x {1,2}"]
+    argv += ["--poly", f"x1^{nines}*x2^{nines}", *json_flag]
+    limit = f"{_LIMIT} of {sys.get_int_max_str_digits()}"
+    line = f"error: cannot print an integer with more digits than {limit}\n"
+    assert _run(capsys, argv) == (2, "", line)
 
 
 def test_poly_and_grid_files(capsys, tmp_path):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gridnull as g
-from support import F5, F7, F9, Q, make_rng, random_rational_set, random_set
+from gridnull.nullity import weight
+from support import F5, F7, F9, F13, F27, Q, make_rng, random_rational_set, random_set
 
 
 def _sized(rng, ctx, hi=7):
@@ -96,6 +97,17 @@ def test_weight_of_cube_roots():
     assert a.weight_at(F7.one) == F7.element(5)
     with pytest.raises(g.PointNotOnGrid):
         a.weight_at(F7.element(3))
+
+
+def test_weights_reject_foreign_elements():
+    a = g.FiniteSet(F7, [1, 2])
+    grid = g.grid_make([a])
+    t = F9.generator
+    for call in (lambda: a.weight_at(t), lambda: grid.weight((t,)), lambda: weight(grid, (t,))):
+        with pytest.raises(g.MixedFields, match=r"cannot combine elements of F3\^2 and F7"):
+            call()
+    with pytest.raises(g.PointNotOnGrid, match="3 is not in the set"):
+        weight(grid, (F7.element(3),))
 
 
 def test_sylvester_sum_three_regimes():
@@ -255,3 +267,42 @@ def test_weight_sum_vanishes(seed):
     for v in a:
         total = total + a.weight_at(v)
     assert total == F7.zero
+
+
+_MEMO_FIELDS = [F7, F13, F9, F27, g.ExtensionField(2, 4), Q]
+
+
+def _derivative_at(a, x):
+    """P'(x) for x in a, as the product of x - y over the other elements y."""
+    acc = a.ctx.one
+    for y in a:
+        if y != x:
+            acc = acc * (x - y)
+    return acc
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=5), st.integers(min_value=0, max_value=10**9))
+def test_columns_and_sums_match_per_element_references(fidx, seed):
+    """Each value is asked for twice, so the second answer comes from the cache."""
+    ctx = _MEMO_FIELDS[fidx]
+    a = _sized(make_rng(seed), ctx, hi=6)
+    for d in range(len(a) + 5):
+        powers = tuple(x**d for x in a)
+        weighted = tuple(x**d / _derivative_at(a, x) for x in a)
+        sylvester = g.sylvester_sum_bruteforce(a, d)
+        assert sylvester == g.sylvester_rhs_bruteforce(a, d)
+        for _ in range(2):
+            assert a.column(d) == powers
+            assert a.column(d, weighted=True) == weighted
+            assert a.column_sum(d) == sum(powers, ctx.zero)
+            assert a.column_sum(d, weighted=True) == sylvester
+            assert a.sylvester_sum(d) == sylvester
+    assert tuple(g.power_sums(a, len(a) + 4)) == tuple(a.column_sum(d) for d in range(len(a) + 5))
+
+
+def test_power_sums_grow_from_the_cached_column():
+    a = g.FiniteSet(F7, [1, 2, 3])
+    assert [str(v) for v in g.power_sums(a, 2)] == ["3", "6", "0"]
+    assert a.column(2) == (F7.one, F7.element(4), F7.element(2))
+    assert [str(v) for v in g.power_sums(a, 4)] == ["3", "6", "0", "1", "0"]

@@ -258,6 +258,40 @@ def test_fold_builds_each_column_once(monkeypatch):
     assert counts["sylvester"] == 4
 
 
+def test_repeated_engine_calls_reuse_the_set_caches(monkeypatch):
+    """A second call on the same grid reads every column and sum from its sets."""
+    grid = g.grid_make([_mu3(), g.multiplicative_coset(F7, 3, 3)])
+    f = g.parse_poly("x1^5*x2^4 + 3*x1^2*x2^2 + x2^7 + 2*x1 + 1", 2, F7)
+    low = g.parse_poly("x1^2 + 3*x1*x2 + 5", 2, F7)
+    values = _points_values(low, grid)
+    counts = {"pow": 0, "weight_at": 0}
+    pow_, weight_at = g.FieldElement.__pow__, g.FiniteSet.weight_at
+
+    def counted_pow(x, k):
+        counts["pow"] += 1
+        return pow_(x, k)
+
+    def counted_weight_at(self, a):
+        counts["weight_at"] += 1
+        return weight_at(self, a)
+
+    monkeypatch.setattr(g.FieldElement, "__pow__", counted_pow)
+    monkeypatch.setattr(g.FiniteSet, "weight_at", counted_weight_at)
+    calls = (
+        lambda: g.grid_sum(f, grid, "weighted"),
+        lambda: g.cct_coefficient(f, grid),
+        lambda: g.interpolate(grid, values, 2),
+    )
+    first = [call() for call in calls]
+    assert counts["pow"] > 0
+    counts.update(pow=0, weight_at=0)
+    assert [call() for call in calls] == first
+    assert counts == {"pow": 0, "weight_at": 0}
+    monkeypatch.undo()
+    assert first[0] == grid_sum_bruteforce(f, grid, "weighted")
+    assert first[2] == low
+
+
 def test_punctured_check_on_cube_root_grid():
     grid = g.grid_make([_mu3(), _mu3()])
     report = g.punctured_check(g.parse_poly("x1 + x2", 2, F7), grid)
