@@ -17,16 +17,11 @@ import time
 from .errors import GridNullError, ParseError
 from .field import parse_field
 from .grids import parse_factor, parse_grid
-from .oracle import (
-    OracleConfig,
-    enumerate_additive_subgroups,
-    ore_form_check,
-    redei_scan,
-    scd_scan,
-)
+from .oracle import enumerate_additive_subgroups, ore_form_check, redei_scan, scd_scan
 from .poly import parse_poly
 from .reports import ScanReport, to_dict
 from .theorems import (
+    _grid_values,
     cauchy_davenport,
     cct_coefficient,
     extract_coefficient,
@@ -60,7 +55,7 @@ def _text_lines(data: dict, prefix: str = ""):
 
 
 def emit_report(report, json_mode: bool = False) -> str:
-    """Render a report dataclass or plain dict as text or JSON."""
+    """Render a report record or plain dict as text or JSON."""
     data = to_dict(report)
     if json_mode:
         return json.dumps({"schema_version": "1", **data}, indent=2)
@@ -135,9 +130,7 @@ def _cmd_cn_check(args):
     f = _poly_of(args, ctx, grid.n)
     report = gcn_check(f, grid)
     verdict = (not report.hypothesis_ok) or report.witness is not None
-    data = to_dict(report)
-    data["verdict"] = verdict
-    return data, verdict
+    return {**report._asdict(), "verdict": verdict}, verdict
 
 
 def _cmd_coeff(args):
@@ -159,9 +152,7 @@ def _cmd_coeff(args):
     verdict = (not report.degree_bound_ok) or (
         report.weighted_sum == report.direct_coefficient
     )
-    data = to_dict(report)
-    data["verdict"] = verdict
-    return data, verdict
+    return {**report._asdict(), "verdict": verdict}, verdict
 
 
 def _cmd_interpolate(args):
@@ -169,7 +160,7 @@ def _cmd_interpolate(args):
     grid = _grid_of(args, ctx)
     f = _poly_of(args, ctx, grid.n)
     lam = args.lam if args.lam is not None else grid.joint_nullity
-    values = {a: f.evaluate(a) for a in grid.points()}
+    values = dict(zip(grid.points(), _grid_values(f, grid)))
     g = interpolate(grid, values, lam)
     verdict = g == f
     return {
@@ -206,23 +197,21 @@ def _cmd_plane_scan(args):
 
 
 def _cmd_oracle_suite(args):
-    seed = args.seed
-    cfg = OracleConfig(rng_seed=seed)
     start = time.monotonic()
     if args.scan == "scd":
         if args.p is None:
             raise ParseError("--scan scd needs --p")
-        report = scd_scan(args.p, cfg)
+        report = scd_scan(args.p)
     elif args.scan == "redei":
         if args.q is None:
             raise ParseError("--scan redei needs --q")
-        report = redei_scan(args.q, cfg)
+        report = redei_scan(args.q)
     else:
         if args.field is None:
             raise ParseError("--scan ore needs --field")
         ctx = parse_field(args.field)
-        gens_list = enumerate_additive_subgroups(ctx, cfg)
-        bad = [g for g in gens_list if not ore_form_check(ctx, list(g), None, cfg)]
+        gens_list = enumerate_additive_subgroups(ctx)
+        bad = [g for g in gens_list if not ore_form_check(ctx, list(g))]
         report = ScanReport(
             name="ore",
             instances=len(gens_list),
@@ -232,10 +221,11 @@ def _cmd_oracle_suite(args):
                 {"generators": [str(x) for x in g]} for g in bad
             ),
         )
-    data = to_dict(report)
-    data["seed"] = seed
-    data["elapsed_seconds"] = round(time.monotonic() - start, 3)
-    return data, report.verdict
+    return {
+        **report._asdict(),
+        "seed": args.seed,
+        "elapsed_seconds": round(time.monotonic() - start, 3),
+    }, report.verdict
 
 
 # Each handler returns (report, verdict); run prints the report and exits 0

@@ -14,8 +14,8 @@ sum over A of a^d/P'(a) collapses to 0, 1, or a complete moment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
+from typing import NamedTuple
 
 from .errors import (
     EmptySet,
@@ -41,8 +41,7 @@ def _check_order(R: int) -> None:
         raise PreconditionViolated("moment order must be non-negative")
 
 
-@dataclass(frozen=True)
-class MomentTable:
+class MomentTable(NamedTuple):
     """Moments of one set, indexed 0..R: e[r], h[r], p[r]."""
 
     e: tuple

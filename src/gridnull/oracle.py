@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     CharacteristicZero,
@@ -31,22 +31,28 @@ from .poly import MultiPoly, Monomial
 from .reports import ScanReport
 
 
-@dataclass(frozen=True)
-class OracleConfig:
+class _Caps(NamedTuple):
     max_set_size: int = 8
     max_degree: int = 16
     max_subset_scan_q: int = 13
     series_truncation_order: int = 12
-    rng_seed: int = 0
 
-    def __post_init__(self):
-        if min(
-            self.max_set_size,
-            self.max_degree,
-            self.max_subset_scan_q,
-            self.series_truncation_order,
-        ) <= 0:
+
+class OracleConfig(_Caps):
+    """The oracles' size caps; every cap must be positive."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if min(self) <= 0:
             raise PreconditionViolated("oracle bounds must be positive")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        """Checked like a direct call; ``_replace`` builds through this."""
+        return cls(*iterable)
 
 
 _DEFAULT = OracleConfig()
@@ -270,7 +276,7 @@ def scd_scan(p: int, config: OracleConfig = None) -> ScanReport:
     )
 
 
-def ore_form_check(ctx: FieldCtx, generators, shift=None, config: OracleConfig = None) -> bool:
+def ore_form_check(ctx: FieldCtx, generators, shift=None) -> bool:
     """Structural checks for a coset A = shift + V of an additive subgroup V.
 
     Verifies that the vanishing polynomial P_A is supported on p-power

@@ -8,16 +8,14 @@ broken bound is still a complete, serializable answer.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field, fields, is_dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import GridNullError
 from .field import FieldElement
 from .poly import Monomial
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     """Outcome of a non-vanishing witness search over a grid."""
 
     hypothesis_ok: bool
@@ -31,8 +29,7 @@ class WitnessReport:
     singleton_warning: bool
 
 
-@dataclass(frozen=True)
-class CoefficientReport:
+class CoefficientReport(NamedTuple):
     """Weighted grid sum versus the stored top-monomial coefficient."""
 
     target: Monomial
@@ -45,8 +42,7 @@ class CoefficientReport:
     singleton_warning: bool
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     """Aggregate verdict of a scan or single structured check.
 
     counterexamples stays empty on passing runs; a failing run records the
@@ -56,7 +52,7 @@ class ScanReport:
     name: str
     instances: int
     verdict: bool
-    details: dict = field(default_factory=dict)
+    details: dict
     counterexamples: tuple = ()
 
 
@@ -87,10 +83,7 @@ def _normalize(value):
 
 
 def to_dict(report) -> dict:
-    """JSON-ready dict of a report dataclass or a plain dict.
-
-    Fields are read directly rather than through ``asdict``, which would
-    deep-copy every field element together with its field context."""
-    if is_dataclass(report):
-        report = {f.name: getattr(report, f.name) for f in fields(report)}
+    """JSON-ready dict of a report record or a plain dict, fields in order."""
+    if not isinstance(report, dict):
+        report = report._asdict()
     return _normalize(report)

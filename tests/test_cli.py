@@ -515,7 +515,7 @@ def test_parse_errors_exit_2(capsys):
 
 
 def test_normalize_empty_tuple_renders_as_list():
-    report = g.ScanReport(name="demo", instances=1, verdict=True)
+    report = g.ScanReport(name="demo", instances=1, verdict=True, details={})
     assert "counterexamples: []" in cli.emit_report(report).splitlines()
 
 

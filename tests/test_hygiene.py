@@ -2,6 +2,9 @@
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -48,6 +51,42 @@ def test_unused_import_detector():
         "    return os.sep\n"
     )
     assert unused_imports(source) == ["Union (line 3)"]
+
+
+def imported_modules(source: str) -> set[str]:
+    """Top-level names of the modules a source imports, relative imports left out."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_no_module_imports_dataclasses():
+    assert [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        if "dataclasses" in imported_modules(path.read_text(encoding="utf-8"))
+    ] == []
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, gridnull.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))",
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_names_the_benchmark_tracer_wraps_exist():

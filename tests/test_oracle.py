@@ -332,7 +332,10 @@ def test_oracle_config_validation():
         g.OracleConfig(max_degree=-3)
     cfg = g.OracleConfig()
     assert cfg.max_set_size == 8
-    assert cfg.rng_seed == 0
+    with pytest.raises(AttributeError):
+        cfg.max_set_size = 3
+    with pytest.raises(g.PreconditionViolated):
+        cfg._replace(max_degree=0)
 
 
 _KERNEL_FIELDS = [Q, F7, F9, F27]
