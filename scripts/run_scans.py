@@ -3,10 +3,11 @@
 
 Covers the sumset size dichotomy, the extremal-nullity classification, the
 additive-coset vanishing-form check, and both plane-count scans.  The oracle
-scans run under SCAN_CONFIG, whose bound admits redei q=17 and ore on F3^4,
-F2^5 and F2^6 above the default caps; the subgroup enumerator budgets F2^6 at
-75,611,761 generator subsets, over 2^21 and under 2^27.  Exit code is nonzero
-when any scan reports a counterexample.
+scans run under SCAN_CONFIG, whose bound admits scd p=11 and 13, redei q=17,
+19 and 23, and ore on F3^4, F2^5 and F2^6 above the default caps: scd p=13
+checks 67,092,481 subset pairs, under 2^28; the subgroup enumerator budgets
+F2^6 at 75,611,761 generator subsets, over 2^21 and under 2^27.  Exit code is
+nonzero when any scan reports a counterexample.
 """
 
 import argparse
@@ -26,8 +27,8 @@ def line(name, verdict, instances, elapsed):
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--scd-primes", type=int, nargs="*", default=[2, 3, 5, 7])
-    ap.add_argument("--redei-orders", type=int, nargs="*", default=[5, 7, 9, 11, 13, 17])
+    ap.add_argument("--scd-primes", type=int, nargs="*", default=[2, 3, 5, 7, 11, 13])
+    ap.add_argument("--redei-orders", type=int, nargs="*", default=[5, 7, 9, 11, 13, 17, 19, 23])
     ap.add_argument(
         "--ore-fields",
         nargs="*",

@@ -330,11 +330,21 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         data, verdict = _COMMANDS[args.command](args)
-        print(emit_report(data, args.json))
+        text = emit_report(data, args.json)
     except (GridNullError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0 if verdict else 1
+    code = 0 if verdict else 1
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early; stdout goes to devnull so that the flush at
+        # exit cannot fail again, and the verdict stands
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
 
 
 def main() -> None:

@@ -1,10 +1,12 @@
 """Naive reference implementations and exhaustive scans.
 
-Everything here is deliberately slow and literal: subset enumeration for
-elementary moments, weak compositions for complete ones, full power-set
-scans for the classification results.  The fast paths are tested against
-these, never the other way around, and every oracle enforces its size
-bounds with an error instead of silently delegating.
+The references are deliberately slow and literal: subset enumeration for
+elementary moments, weak compositions for complete ones, a Gray-code walk
+over the whole power set.  The fast paths are tested against these, never
+the other way around.  The classification scans cover every subset, or
+every pair, but visit one per dilation orbit; each walk they rest on has
+its reference here and a differential test.  Every oracle enforces its
+size bounds with an error instead of silently delegating.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from .errors import (
     ScanTooLarge,
     SizeBoundExceeded,
 )
-from .field import ExtensionField, FieldCtx, FieldElement, PrimeField, _is_prime
+from .field import ExtensionField, FieldCtx, FieldElement, PrimeField, _is_prime, _prime_factors
 from .grids import Grid, additive_coset
-from .nullity import FiniteSet, MomentTable
+from .nullity import FiniteSet, MomentTable, _leading_zeros
 from .poly import MultiPoly, Monomial
 from .reports import ScanReport
 
@@ -175,18 +177,75 @@ def _subset_nullities(ctx: FieldCtx, elements):
             for c in coeffs[1:-1]:
                 quotient.append(c + a * quotient[-1])
             coeffs = quotient
-        null = 1
-        while null < len(coeffs) and coeffs[null].is_zero:
-            null += 1
-        yield mask, null - 1
+        yield mask, _leading_zeros(coeffs)
+
+
+def _primitive_element(ctx: FieldCtx) -> FieldElement:
+    """The first unit, in enumeration order, whose powers are all the units."""
+    n = ctx.cardinality - 1
+    rs = _prime_factors(n)
+    return next(
+        x for x in ctx.elements()
+        if not x.is_zero and all(x ** (n // r) != ctx.one for r in rs)
+    )
+
+
+def _necklace_nullities(ctx: FieldCtx, units):
+    """(word, period, N(A), N(A + {0})) for each binary necklace of length |units|.
+
+    Bit i of word puts units[i] in A.  With units[i] = g^i for a primitive g,
+    dilation by g rotates the word, so a necklace stands for its period's
+    worth of sets, all of one nullity since e_r(cA) = c^r e_r(A).  Necklaces
+    come in lex order from the FKM prenecklace walk (Fredricksen, Kessler and
+    Maiorana; Ruskey, Combinatorial Generation, cited only); prods[j] is
+    prod (X - a) over the set letters among the first j, top coefficient first,
+    so each prefix node that sets a letter costs one root factor, O(|A|).
+    """
+    n = len(units)
+    zero = ctx.zero
+    letters = [0] * (n + 1)  # letters[1..n]; letters[0] = 0 roots the tree
+    prods = [[ctx.one]] * (n + 1)
+    word, period = 0, 1
+    while True:
+        if n % period == 0:
+            coeffs = prods[n]
+            yield word, period, _leading_zeros(coeffs), _leading_zeros([*coeffs, zero])
+        i = n
+        while letters[i]:
+            i -= 1
+        if i == 0:
+            return
+        # the next prenecklace: letter i goes up to 1, then the prefix repeats
+        word &= (1 << i - 1) - 1
+        period = i
+        for j in range(i, n + 1):
+            letter = letters[j] = 1 if j == i else letters[j - i]
+            coeffs = prods[j - 1]
+            if letter:
+                a = units[j - 1]
+                coeffs = [c - a * b for b, c in zip([zero, *coeffs], [*coeffs, zero])]
+                word |= 1 << j - 1
+            prods[j] = coeffs
+
+
+def _rotation_masks(word: int, period: int, units):
+    """The element masks (bit x.value for x in A) of a necklace's distinct rotations."""
+    n = len(units)
+    full = (1 << n) - 1
+    for s in range(period):
+        rotated = (word << s | word >> n - s) & full
+        yield sum(1 << x.value for i, x in enumerate(units) if rotated >> i & 1)
 
 
 def redei_scan(q: int, config: OracleConfig = None) -> ScanReport:
     """All subsets of a small odd field: who reaches nullity (q-1)/2?
 
-    The expected answer is exactly the full field and its units.  Subsets
-    are walked by ``_subset_nullities`` on products of root factors, never a
-    closed form; sets are built only for qualifying masks, in mask order.
+    The expected answer is exactly the full field and its units.  Each
+    dilation orbit of subsets of the units is met once, as a necklace of
+    ``_necklace_nullities`` with and without 0; its char polys are products
+    of root factors, never a closed form.  ``instances`` counts every subset
+    an orbit stands for, and sets are built only for qualifying masks, in
+    mask order.  ``_subset_nullities`` is the walk over every subset.
     """
     cfg = config or _DEFAULT
     if q % 2 == 0:
@@ -198,12 +257,18 @@ def redei_scan(q: int, config: OracleConfig = None) -> ScanReport:
     ctx = _field_for_order(q)
     elements = ctx.elements()
     lam = (q - 1) // 2
+    g = _primitive_element(ctx)
+    units = [g**i for i in range(q - 1)]
+    zero_bit = 1 << ctx.zero.value
     masks = []
     instances = 0
-    for mask, null in _subset_nullities(ctx, elements):
-        instances += 1
-        if null >= lam:
-            masks.append(mask)
+    for word, period, null, null_with_zero in _necklace_nullities(ctx, units):
+        # the empty word stands for {0} alone
+        instances += 2 * period if word else 1
+        if word and null >= lam:
+            masks.extend(_rotation_masks(word, period, units))
+        if null_with_zero >= lam:
+            masks.extend(m | zero_bit for m in _rotation_masks(word, period, units))
     qualifying = [
         FiniteSet(ctx, [elements[i] for i in range(q) if mask >> i & 1])
         for mask in sorted(masks)
@@ -231,48 +296,109 @@ def redei_scan(q: int, config: OracleConfig = None) -> ScanReport:
     )
 
 
+def _rotation_sumset(p: int, a_mask: int, b_mask: int) -> int:
+    """Mask of A + B in F_p, the or of A rotated by each b in B."""
+    full = (1 << p) - 1
+    c_mask = 0
+    for b in range(p):
+        if b_mask >> b & 1:
+            c_mask |= (a_mask << b | a_mask >> p - b) & full
+    return c_mask
+
+
+def _mask_table(bits: int, place) -> list:
+    """For each mask m < 2^bits, the or of 1 << place(i) over the set bits i of m."""
+    table = [0] * (1 << bits)
+    for m in range(1, 1 << bits):
+        low = m & -m
+        table[m] = table[m ^ low] | 1 << place(low.bit_length() - 1)
+    return table
+
+
+def _product_sumsets(p: int):
+    """A function of a_mask: the masks of A + B in F_p for b_mask = 1 .. 2^p - 1.
+
+    Each mask is spread to one w-bit slot per residue, so in spread(A) *
+    spread(B), with the slots of k and k + p added (mod X^p - 1), slot k counts
+    the pairs with a + b = k.  A count is at most p < 2^(w-1): no slot carries
+    (Kronecker substitution, cited only), and adding 2^(w-1) - 1 to every slot
+    sets its top bit exactly on A + B.  ``_rotation_sumset`` is the reference.
+    """
+    w = p.bit_length() + 1
+    spread = _mask_table(p, lambda i: w * i)
+    ones = spread[-1]
+    tops = ones << w - 1
+    bias = tops - ones
+    span = w * p
+    below = (1 << span) - 1
+    mask_of = {s << w - 1: m for m, s in enumerate(spread)}
+    spread_b = spread[1:]
+
+    def sums(a_mask: int) -> list:
+        products = map(spread[a_mask].__mul__, spread_b)
+        return [mask_of[((f & below) + (f >> span) + bias) & tops] for f in products]
+
+    return sums
+
+
+def _dichotomy_holds(null_of, a_mask: int, b_mask: int, c_mask: int) -> bool:
+    """N(A + B) >= min(N(A), N(B)), or else |A + B| >= |A| + |B| + N(A + B)."""
+    null = null_of[c_mask]
+    return null >= min(null_of[a_mask], null_of[b_mask]) or (
+        c_mask.bit_count() >= a_mask.bit_count() + b_mask.bit_count() + null
+    )
+
+
 def scd_scan(p: int, config: OracleConfig = None) -> ScanReport:
     """Sumset dichotomy over F_p for every pair of nonempty subsets.
 
-    Subsets are bitmasks; the sumset of masks is an or-fold of cyclic
-    rotations; ``_subset_nullities`` gives each mask's nullity once.
+    Subsets are bitmasks, and ``_subset_nullities`` gives each mask's nullity
+    once.  Sumsets and nullities are invariant under (A, B) -> (cA, cB), so A
+    runs over one representative of each dilation orbit and B over every
+    mask; a pair stands for |orbit(A)| pairs, one per distinct cA.  Each
+    sumset comes from ``_product_sumsets``.  Counterexamples are expanded
+    over the orbit and listed in (a_mask, b_mask) order.  The pair count is
+    refused above 2^(max_subset_scan_q + 1).
     """
+    cfg = config or _DEFAULT
     if not _is_prime(p):
         raise NotPrimeField(f"{p} is not prime")
-    if p > 7:
-        raise ScanTooLarge(f"all-pairs scan needs p <= 7, got {p}")
-    ctx = PrimeField(p)
-    elements = ctx.elements()
     full = (1 << p) - 1
+    bound = cfg.max_subset_scan_q + 1
+    if full * full > 2**bound:
+        raise ScanTooLarge(f"{full * full} subset pairs exceed the scan bound 2^{bound}")
+    ctx = PrimeField(p)
     null_of = [0] * (full + 1)
-    for mask, null in _subset_nullities(ctx, elements):
+    for mask, null in _subset_nullities(ctx, ctx.elements()):
         null_of[mask] = null
-    size_of = [mask.bit_count() for mask in range(full + 1)]
-
-    def rotate(mask: int, shift: int) -> int:
-        shift %= p
-        return ((mask << shift) | (mask >> (p - shift))) & full
-
+    g = _primitive_element(ctx).value
+    dilate = _mask_table(p, lambda i: g * i % p)  # the mask of gA
+    sums = _product_sumsets(p)
+    seen = bytearray(full + 1)
     bad = []
     instances = 0
     for a_mask in range(1, full + 1):
-        for b_mask in range(1, full + 1):
-            instances += 1
-            c_mask = 0
-            for b in range(p):
-                if b_mask >> b & 1:
-                    c_mask |= rotate(a_mask, b)
-            ok = null_of[c_mask] >= min(null_of[a_mask], null_of[b_mask]) or (
-                size_of[c_mask] >= size_of[a_mask] + size_of[b_mask] + null_of[c_mask]
-            )
-            if not ok:
-                bad.append({"a_mask": a_mask, "b_mask": b_mask, "sum_mask": c_mask})
+        if seen[a_mask]:
+            continue
+        orbit = [a_mask]
+        while dilate[orbit[-1]] != a_mask:
+            orbit.append(dilate[orbit[-1]])
+        for m in orbit:
+            seen[m] = 1
+        instances += len(orbit) * full
+        for b_mask, c_mask in enumerate(sums(a_mask), 1):
+            if not _dichotomy_holds(null_of, a_mask, b_mask, c_mask):
+                triple = (a_mask, b_mask, c_mask)
+                for _ in orbit:
+                    bad.append(triple)
+                    triple = tuple(dilate[m] for m in triple)
+    bad.sort()
     return ScanReport(
         name="scd",
         instances=instances,
         verdict=not bad,
         details={"p": p, "pairs": instances},
-        counterexamples=tuple(bad),
+        counterexamples=tuple({"a_mask": a, "b_mask": b, "sum_mask": c} for a, b, c in bad),
     )
 
 

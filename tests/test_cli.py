@@ -1,8 +1,11 @@
 """Command-line interface: golden outputs, exit codes, JSON envelope."""
 
 import json
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -475,6 +478,44 @@ def test_poly_and_grid_files(capsys, tmp_path):
     )
     assert code == 0
     assert "sum: 10\n" in out
+
+
+def test_unreadable_grid_file_exits_2(capsys, tmp_path):
+    missing = str(tmp_path / "missing.txt")
+    code, out, err = _run(
+        capsys, ["grid-sum", "--field", "Q", "--grid-file", missing, "--poly", "x1"]
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "missing.txt" in err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["analyze-set", "--field", "F7", "--set", "units", "--json"], 0),
+        (["interpolate", "--field", "F7", "--grid", "mul(3)", "--poly", "x1^3"], 1),
+    ],
+)
+def test_closed_stdout_keeps_the_verdict_code(argv, code):
+    # the read end is closed before the process starts, so its first write
+    # to stdout meets a broken pipe
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "gridnull.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (code, "")
 
 
 def test_inline_and_file_conflict(capsys, tmp_path):

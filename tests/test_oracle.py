@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gridnull as g
+from gridnull import oracle
 from gridnull.oracle import (
+    _field_for_order,
+    _necklace_nullities,
+    _primitive_element,
+    _product_sumsets,
+    _rotation_masks,
+    _rotation_sumset,
     _subset_nullities,
     additive_subgroups_bruteforce,
     grid_sum_bruteforce,
@@ -137,8 +144,72 @@ def test_scd_scan():
     assert report.details["pairs"] == 49
     with pytest.raises(g.NotPrimeField):
         g.scd_scan(4)
-    with pytest.raises(g.ScanTooLarge):
+    with pytest.raises(g.ScanTooLarge, match="4190209 subset pairs"):
         g.scd_scan(11)
+    # the pair count is weighed against 2^(max_subset_scan_q + 1)
+    with pytest.raises(g.ScanTooLarge, match="16129 subset pairs exceed the scan bound 2"):
+        g.scd_scan(7, g.OracleConfig(max_subset_scan_q=12))
+    assert g.scd_scan(5, g.OracleConfig(max_subset_scan_q=9)).instances == 961
+
+
+@pytest.mark.parametrize("q", [5, 7, 9, 11, 13])
+def test_necklace_walk_matches_subset_walk(q):
+    ctx = _field_for_order(q)
+    gen = _primitive_element(ctx)
+    units = [gen**i for i in range(q - 1)]
+    assert len(set(units)) == q - 1 and ctx.zero not in units
+    walk, covered = {}, 0
+    for word, period, null, null_with_zero in _necklace_nullities(ctx, units):
+        masks = list(_rotation_masks(word, period, units))
+        assert len(set(masks)) == period
+        for mask in masks:
+            if word:
+                walk[mask] = null
+            walk[mask | 1 << ctx.zero.value] = null_with_zero
+        covered += 2 * period if word else 1
+    assert covered == len(walk) == 2**q - 1
+    assert walk == dict(_subset_nullities(ctx, ctx.elements()))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_product_sumsets_match_rotations(p):
+    full = (1 << p) - 1
+    sums = _product_sumsets(p)
+    for a_mask in range(1, full + 1):
+        row = [_rotation_sumset(p, a_mask, b_mask) for b_mask in range(1, full + 1)]
+        assert sums(a_mask) == row
+    a, b = [i for i in range(p) if i % 2 == 0], [i for i in range(p) if i % 3 == 1]
+    c_mask = sum({1 << (x + y) % p for x in a for y in b})
+    assert _rotation_sumset(p, sum(1 << x for x in a), sum(1 << y for y in b)) == c_mask
+
+
+def _never(null_of, a_mask, b_mask, c_mask):
+    return False
+
+
+def _odd_sumset(null_of, a_mask, b_mask, c_mask):
+    return c_mask.bit_count() % 2 == 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("holds", [_never, _odd_sumset])
+def test_scd_orbits_expand_to_the_full_loop(monkeypatch, p, holds):
+    # the failing representatives, expanded over their orbits, must list what
+    # the full loop lists; under _never that is each of the (2^p - 1)^2 pairs
+    # exactly once, in (a_mask, b_mask) order
+    full = (1 << p) - 1
+    null_of = dict(_subset_nullities(g.PrimeField(p), g.PrimeField(p).elements()))
+    loop = []
+    for a_mask in range(1, full + 1):
+        for b_mask in range(1, full + 1):
+            c_mask = _rotation_sumset(p, a_mask, b_mask)
+            if not holds(null_of, a_mask, b_mask, c_mask):
+                loop.append({"a_mask": a_mask, "b_mask": b_mask, "sum_mask": c_mask})
+    monkeypatch.setattr(oracle, "_dichotomy_holds", holds)
+    report = g.scd_scan(p)
+    assert report.instances == full * full
+    assert list(report.counterexamples) == loop
+    assert report.verdict == (not loop)
 
 
 def test_ore_form_check():

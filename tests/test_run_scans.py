@@ -13,13 +13,13 @@ def test_run_scans_small_pass_above_the_default_caps():
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
-    # q = 17 is over the default redei cap of 13: it runs only through the
-    # script's SCAN_CONFIG
+    # q = 17 and p = 11 are over the default redei and scd caps: they run
+    # only through the script's SCAN_CONFIG
     proc = subprocess.run(
         [
             sys.executable,
             str(ROOT / "scripts" / "run_scans.py"),
-            "--scd-primes", "3",
+            "--scd-primes", "3", "11",
             "--redei-orders", "5", "17",
             "--ore-fields", "F2^2", "F5^2",
         ],
@@ -32,6 +32,7 @@ def test_run_scans_small_pass_above_the_default_caps():
     lines = proc.stdout.splitlines()
     names = [
         "sumset-dichotomy p=3",
+        "sumset-dichotomy p=11",
         "extremal-nullity q=5",
         "extremal-nullity q=17",
         "additive-form F2^2",
@@ -41,4 +42,5 @@ def test_run_scans_small_pass_above_the_default_caps():
     ]
     assert [line.split("  ")[0].strip() for line in lines] == names
     assert all(line.split()[-3] == "ok" for line in lines)
-    assert "instances=131071" in lines[2]
+    assert "instances=4190209" in lines[1]
+    assert "instances=131071" in lines[3]
