@@ -4,17 +4,33 @@
 Prints a size-by-nullity census and lists the subsets attaining the largest
 nullity for each size.  Useful for eyeballing which structures (cosets of
 root-of-unity groups, additive cosets, full field) sit at the extremes.
-Nullities come from the oracle's Gray-code walk, one root factor per subset;
-the walk visits all 2^|pool| subsets whatever --max-size is, so keep the
-pool small: the 2^16 subsets of F2^4 take about half a second.
+Nullities come from the oracle's Gray-code walk, one root factor per subset,
+unless --max-size leaves under a quarter of the 2^|pool| subsets: then only
+those are visited, each with its own char poly.
 """
 
 import argparse
 import sys
 from collections import defaultdict
+from itertools import combinations
+from math import comb
 
 import gridnull as g
 from gridnull.oracle import _subset_nullities
+
+
+def subset_nullities(ctx, pool, hi):
+    """(pool indices, nullity) for each nonempty subset of at most hi elements."""
+    n = len(pool)
+    hi = min(hi, n)
+    if 4 * sum(comb(n, k) for k in range(1, hi + 1)) < 2**n:
+        for size in range(1, hi + 1):
+            for combo in combinations(range(n), size):
+                yield combo, g.FiniteSet(ctx, [pool[i] for i in combo]).nullity
+        return
+    for mask, lam in _subset_nullities(ctx, pool):
+        if mask.bit_count() <= hi:
+            yield tuple(i for i in range(n) if mask >> i & 1), lam
 
 
 def main() -> int:
@@ -33,12 +49,9 @@ def main() -> int:
     # size -> min (-nullity, pool indices): the first maximiser in
     # combinations order, which is lex order of the indices
     best = {}
-    for mask, lam in _subset_nullities(ctx, pool):
-        size = mask.bit_count()
-        if size <= hi:
-            census[(size, lam)] += 1
-            combo = tuple(i for i in range(len(pool)) if mask >> i & 1)
-            best[size] = min(best.get(size, (1,)), (-lam, combo))
+    for combo, lam in subset_nullities(ctx, pool, hi):
+        census[(len(combo), lam)] += 1
+        best[len(combo)] = min(best.get(len(combo), (1,)), (-lam, combo))
 
     print(f"field {ctx.spec_string()}, pool size {len(pool)}")
     print(f"{'size':>4} {'nullity':>8} {'count':>8}")

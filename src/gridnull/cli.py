@@ -338,12 +338,16 @@ def run(argv=None) -> int:
     try:
         print(text)
         sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader left early; stdout goes to devnull so that the flush at
-        # exit cannot fail again, and the verdict stands
+    except OSError as exc:
+        # stdout goes to devnull so that the flush at exit cannot fail again;
+        # a reader that left early keeps the verdict, any other write error
+        # exits 2
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     return code
 
 

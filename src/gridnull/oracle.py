@@ -3,10 +3,11 @@
 The references are deliberately slow and literal: subset enumeration for
 elementary moments, weak compositions for complete ones, a Gray-code walk
 over the whole power set.  The fast paths are tested against these, never
-the other way around.  The classification scans cover every subset, or
-every pair, but visit one per dilation orbit; each walk they rest on has
-its reference here and a differential test.  Every oracle enforces its
-size bounds with an error instead of silently delegating.
+the other way around.  The classification scans account for every subset,
+or every pair, but visit only what can decide them: redei one subset per
+dilation orbit, scd the pairs of positive nullity; each shortcut has a
+differential test against the full walk.  Every oracle enforces its size
+bounds with an error instead of silently delegating.
 """
 
 from __future__ import annotations
@@ -306,41 +307,6 @@ def _rotation_sumset(p: int, a_mask: int, b_mask: int) -> int:
     return c_mask
 
 
-def _mask_table(bits: int, place) -> list:
-    """For each mask m < 2^bits, the or of 1 << place(i) over the set bits i of m."""
-    table = [0] * (1 << bits)
-    for m in range(1, 1 << bits):
-        low = m & -m
-        table[m] = table[m ^ low] | 1 << place(low.bit_length() - 1)
-    return table
-
-
-def _product_sumsets(p: int):
-    """A function of a_mask: the masks of A + B in F_p for b_mask = 1 .. 2^p - 1.
-
-    Each mask is spread to one w-bit slot per residue, so in spread(A) *
-    spread(B), with the slots of k and k + p added (mod X^p - 1), slot k counts
-    the pairs with a + b = k.  A count is at most p < 2^(w-1): no slot carries
-    (Kronecker substitution, cited only), and adding 2^(w-1) - 1 to every slot
-    sets its top bit exactly on A + B.  ``_rotation_sumset`` is the reference.
-    """
-    w = p.bit_length() + 1
-    spread = _mask_table(p, lambda i: w * i)
-    ones = spread[-1]
-    tops = ones << w - 1
-    bias = tops - ones
-    span = w * p
-    below = (1 << span) - 1
-    mask_of = {s << w - 1: m for m, s in enumerate(spread)}
-    spread_b = spread[1:]
-
-    def sums(a_mask: int) -> list:
-        products = map(spread[a_mask].__mul__, spread_b)
-        return [mask_of[((f & below) + (f >> span) + bias) & tops] for f in products]
-
-    return sums
-
-
 def _dichotomy_holds(null_of, a_mask: int, b_mask: int, c_mask: int) -> bool:
     """N(A + B) >= min(N(A), N(B)), or else |A + B| >= |A| + |B| + N(A + B)."""
     null = null_of[c_mask]
@@ -353,52 +319,37 @@ def scd_scan(p: int, config: OracleConfig = None) -> ScanReport:
     """Sumset dichotomy over F_p for every pair of nonempty subsets.
 
     Subsets are bitmasks, and ``_subset_nullities`` gives each mask's nullity
-    once.  Sumsets and nullities are invariant under (A, B) -> (cA, cB), so A
-    runs over one representative of each dilation orbit and B over every
-    mask; a pair stands for |orbit(A)| pairs, one per distinct cA.  Each
-    sumset comes from ``_product_sumsets``.  Counterexamples are expanded
-    over the orbit and listed in (a_mask, b_mask) order.  The pair count is
-    refused above 2^(max_subset_scan_q + 1).
+    once.  A pair with min(N(A), N(B)) = 0 holds by N(A + B) >= 0, so only
+    pairs of masks of positive nullity are checked, each sumset by
+    ``_rotation_sumset``; counterexamples come in (a_mask, b_mask) order.  The
+    (2^p - 1)^2 pairs are refused above 2^(max_subset_scan_q + 1).
     """
     cfg = config or _DEFAULT
     if not _is_prime(p):
         raise NotPrimeField(f"{p} is not prime")
-    full = (1 << p) - 1
     bound = cfg.max_subset_scan_q + 1
-    if full * full > 2**bound:
-        raise ScanTooLarge(f"{full * full} subset pairs exceed the scan bound 2^{bound}")
+    # for p >= 2, (2^p - 1)^2 <= 2^bound exactly when 2p <= bound
+    if 2 * p > bound:
+        pairs = ((1 << p) - 1) ** 2 if p <= 64 else f"(2^{p} - 1)^2"
+        raise ScanTooLarge(f"{pairs} subset pairs exceed the scan bound 2^{bound}")
     ctx = PrimeField(p)
+    full = (1 << p) - 1
     null_of = [0] * (full + 1)
     for mask, null in _subset_nullities(ctx, ctx.elements()):
         null_of[mask] = null
-    g = _primitive_element(ctx).value
-    dilate = _mask_table(p, lambda i: g * i % p)  # the mask of gA
-    sums = _product_sumsets(p)
-    seen = bytearray(full + 1)
+    positive = [mask for mask in range(1, full + 1) if null_of[mask]]
     bad = []
-    instances = 0
-    for a_mask in range(1, full + 1):
-        if seen[a_mask]:
-            continue
-        orbit = [a_mask]
-        while dilate[orbit[-1]] != a_mask:
-            orbit.append(dilate[orbit[-1]])
-        for m in orbit:
-            seen[m] = 1
-        instances += len(orbit) * full
-        for b_mask, c_mask in enumerate(sums(a_mask), 1):
+    for a_mask in positive:
+        for b_mask in positive:
+            c_mask = _rotation_sumset(p, a_mask, b_mask)
             if not _dichotomy_holds(null_of, a_mask, b_mask, c_mask):
-                triple = (a_mask, b_mask, c_mask)
-                for _ in orbit:
-                    bad.append(triple)
-                    triple = tuple(dilate[m] for m in triple)
-    bad.sort()
+                bad.append({"a_mask": a_mask, "b_mask": b_mask, "sum_mask": c_mask})
     return ScanReport(
         name="scd",
-        instances=instances,
+        instances=full * full,
         verdict=not bad,
-        details={"p": p, "pairs": instances},
-        counterexamples=tuple({"a_mask": a, "b_mask": b, "sum_mask": c} for a, b, c in bad),
+        details={"p": p, "pairs": full * full},
+        counterexamples=tuple(bad),
     )
 
 

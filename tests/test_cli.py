@@ -489,33 +489,47 @@ def test_unreadable_grid_file_exits_2(capsys, tmp_path):
     assert err.startswith("error: ") and "missing.txt" in err
 
 
-@pytest.mark.parametrize(
-    "argv, code",
-    [
-        (["analyze-set", "--field", "F7", "--set", "units", "--json"], 0),
-        (["interpolate", "--field", "F7", "--grid", "mul(3)", "--poly", "x1^3"], 1),
-    ],
-)
+def _run_with_stdout(argv, stdout):
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "gridnull.cli", *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+
+
+_VERDICTS = [
+    (["analyze-set", "--field", "F7", "--set", "units", "--json"], 0),
+    (["interpolate", "--field", "F7", "--grid", "mul(3)", "--poly", "x1^3"], 1),
+]
+
+
+@pytest.mark.parametrize("argv, code", _VERDICTS)
 def test_closed_stdout_keeps_the_verdict_code(argv, code):
     # the read end is closed before the process starts, so its first write
     # to stdout meets a broken pipe
     read_end, write_end = os.pipe()
     os.close(read_end)
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "gridnull.cli", *argv],
-            stdout=write_end,
-            stderr=subprocess.PIPE,
-            text=True,
-            env=env,
-            timeout=60,
-        )
+        proc = _run_with_stdout(argv, write_end)
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (code, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [argv for argv, _ in _VERDICTS])
+def test_failed_stdout_write_exits_2(argv):
+    # any other write error is reported, whatever the verdict
+    with open("/dev/full", "w") as full:
+        proc = _run_with_stdout(argv, full)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: [Errno 28] No space left on device\n"
 
 
 def test_inline_and_file_conflict(capsys, tmp_path):

@@ -66,6 +66,10 @@ size  nullity    count
     ],
 )
 def test_nullity_census_output(args, expected):
+    assert _census(args) == expected
+
+
+def _census(args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
@@ -77,4 +81,23 @@ def test_nullity_census_output(args, expected):
         env=env,
         timeout=60,
     )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, "")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    return proc.stdout
+
+
+def _size_of(row):
+    """The subset size a census row or "size k:" line is about, else 0."""
+    head = row.removeprefix("size ").split(":")[0].split()
+    return int(head[0]) if head and head[0].isdigit() else 0
+
+
+def test_small_max_size_visits_only_small_subsets():
+    # 28 of the 127 subsets of F7 have at most 2 elements, so --max-size 2
+    # builds each of them instead of walking all 127; the rows must be those
+    # of the full walk
+    full = _census(["--field", "F7"]).splitlines()
+    small = _census(["--field", "F7", "--max-size", "2"]).splitlines()
+    assert small == [row for row in full if _size_of(row) <= 2]
+    # a pool of 31 would take 2^31 walk steps; its 496 small subsets take none
+    rows = _census(["--field", "F31", "--max-size", "2"]).splitlines()[2:-3]
+    assert sum(int(row.split()[2]) for row in rows) == 31 + 465

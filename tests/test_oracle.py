@@ -11,7 +11,6 @@ from gridnull.oracle import (
     _field_for_order,
     _necklace_nullities,
     _primitive_element,
-    _product_sumsets,
     _rotation_masks,
     _rotation_sumset,
     _subset_nullities,
@@ -150,6 +149,9 @@ def test_scd_scan():
     with pytest.raises(g.ScanTooLarge, match="16129 subset pairs exceed the scan bound 2"):
         g.scd_scan(7, g.OracleConfig(max_subset_scan_q=12))
     assert g.scd_scan(5, g.OracleConfig(max_subset_scan_q=9)).instances == 961
+    # the cap is read before anything 2^p-sized is built
+    with pytest.raises(g.ScanTooLarge, match=r"\(2\^1000000007 - 1\)\^2 subset pairs"):
+        g.scd_scan(1000000007)
 
 
 @pytest.mark.parametrize("q", [5, 7, 9, 11, 13])
@@ -172,37 +174,37 @@ def test_necklace_walk_matches_subset_walk(q):
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_product_sumsets_match_rotations(p):
+def test_rotation_sumset_is_the_sumset(p):
     full = (1 << p) - 1
-    sums = _product_sumsets(p)
     for a_mask in range(1, full + 1):
-        row = [_rotation_sumset(p, a_mask, b_mask) for b_mask in range(1, full + 1)]
-        assert sums(a_mask) == row
-    a, b = [i for i in range(p) if i % 2 == 0], [i for i in range(p) if i % 3 == 1]
-    c_mask = sum({1 << (x + y) % p for x in a for y in b})
-    assert _rotation_sumset(p, sum(1 << x for x in a), sum(1 << y for y in b)) == c_mask
+        a = [x for x in range(p) if a_mask >> x & 1]
+        for b_mask in range(1, full + 1):
+            c_mask = sum({1 << (x + y) % p for x in a for y in range(p) if b_mask >> y & 1})
+            assert _rotation_sumset(p, a_mask, b_mask) == c_mask
 
 
-def _never(null_of, a_mask, b_mask, c_mask):
-    return False
+def _only_trivial(null_of, a_mask, b_mask, c_mask):
+    return min(null_of[a_mask], null_of[b_mask]) == 0
 
 
-def _odd_sumset(null_of, a_mask, b_mask, c_mask):
-    return c_mask.bit_count() % 2 == 1
+def _trivial_or_odd_sumset(null_of, a_mask, b_mask, c_mask):
+    return _only_trivial(null_of, a_mask, b_mask, c_mask) or c_mask.bit_count() % 2 == 1
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
-@pytest.mark.parametrize("holds", [_never, _odd_sumset])
-def test_scd_orbits_expand_to_the_full_loop(monkeypatch, p, holds):
-    # the failing representatives, expanded over their orbits, must list what
-    # the full loop lists; under _never that is each of the (2^p - 1)^2 pairs
-    # exactly once, in (a_mask, b_mask) order
+@pytest.mark.parametrize("holds", [oracle._dichotomy_holds, _only_trivial, _trivial_or_odd_sumset])
+def test_scd_prune_matches_the_full_loop(monkeypatch, p, holds):
+    # each predicate holds when min(N(A), N(B)) = 0, as the dichotomy does, so
+    # the scan over masks of positive nullity must list what the loop over all
+    # pairs lists, in order; under _only_trivial that is every pair it checks
     full = (1 << p) - 1
     null_of = dict(_subset_nullities(g.PrimeField(p), g.PrimeField(p).elements()))
     loop = []
     for a_mask in range(1, full + 1):
         for b_mask in range(1, full + 1):
             c_mask = _rotation_sumset(p, a_mask, b_mask)
+            if _only_trivial(null_of, a_mask, b_mask, c_mask):
+                assert oracle._dichotomy_holds(null_of, a_mask, b_mask, c_mask)
             if not holds(null_of, a_mask, b_mask, c_mask):
                 loop.append({"a_mask": a_mask, "b_mask": b_mask, "sum_mask": c_mask})
     monkeypatch.setattr(oracle, "_dichotomy_holds", holds)
