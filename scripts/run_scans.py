@@ -4,10 +4,10 @@
 Covers the sumset size dichotomy, the extremal-nullity classification, the
 additive-coset vanishing-form check, and both plane-count scans.  The oracle
 scans run under SCAN_CONFIG, whose bound admits scd p=11 and 13, redei q=17,
-19 and 23, and ore on F3^4, F2^5 and F2^6 above the default caps: scd p=13
-checks 67,092,481 subset pairs, under 2^28; the subgroup enumerator budgets
-F2^6 at 75,611,761 generator subsets, over 2^21 and under 2^27.  Exit code is
-nonzero when any scan reports a counterexample.
+19 and 23, and ore on F2^6 above the default caps: scd p=13 checks
+67,092,481 subset pairs, under 2^28; the subgroup enumerator budgets F2^6 at
+26,387 elements over all its subgroups, over 2^13.  Exit code is nonzero when
+any scan reports a counterexample.
 """
 
 import argparse

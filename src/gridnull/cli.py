@@ -223,7 +223,6 @@ def _cmd_oracle_suite(args):
         )
     return {
         **report._asdict(),
-        "seed": args.seed,
         "elapsed_seconds": round(time.monotonic() - start, 3),
     }, report.verdict
 
@@ -258,12 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="field spec: Q, F<p>, F<p>^<e>, or F<p>^<e>/<c0>,...,<ce>",
         )
         sp.add_argument("--json", action="store_true", help="emit a JSON report")
-        sp.add_argument(
-            "--seed",
-            type=int,
-            default=os.environ.get("GRIDNULL_SEED", "0"),
-            help="seed recorded in scan reports (env GRIDNULL_SEED)",
-        )
 
     def gridded(sp):
         sp.add_argument("--grid", default=None, help="factors separated by x")

@@ -203,9 +203,14 @@ def _default_modulus(p: int, e: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree e over F_p.
 
     Candidates X^e + c_{e-1} X^(e-1) + ... + c_0 are ordered by the tuple
-    (c_{e-1}, ..., c_0); the first irreducible one wins.
+    (c_{e-1}, ..., c_0); the first irreducible one wins.  The first p are
+    the binomials X^e + c_0.  One of them can be irreducible only if every
+    prime factor of e divides p - 1, and 4 divides p - 1 when 4 divides e
+    (Lidl and Niederreiter, Finite Fields, Thm 3.75); otherwise they are
+    skipped.
     """
-    for k in range(p**e):
+    binomials = all((p - 1) % ell == 0 for ell in _prime_factors(e)) and (e % 4 or p % 4 == 1)
+    for k in range(0 if binomials else p, p**e):
         tail = [(k // p**j) % p for j in range(e)]
         m = tail + [1]
         if _px_is_irreducible(m, p):

@@ -141,19 +141,13 @@ def exp_series_check(A: FiniteSet, D: int, config: OracleConfig = None) -> bool:
 
 
 def _field_for_order(q: int) -> FieldCtx:
-    if _is_prime(q):
-        return PrimeField(q)
-    for p in range(2, q):
-        if _is_prime(p) and q % p == 0:
-            e = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                e += 1
-            if m == 1:
-                return ExtensionField(p, e)
-            break
-    raise PreconditionViolated(f"{q} is not a prime power")
+    primes = _prime_factors(q)
+    if len(primes) != 1:
+        raise PreconditionViolated(f"{q} is not a prime power")
+    p, e = primes[0], 1
+    while p**e < q:
+        e += 1
+    return PrimeField(p) if e == 1 else ExtensionField(p, e)
 
 
 def _subset_nullities(ctx: FieldCtx, elements):
@@ -418,16 +412,23 @@ def enumerate_additive_subgroups(ctx: FieldCtx, config: OracleConfig = None) -> 
     the smallest index not yet in it): by the matroid greedy property, the
     lex-first generator subset ``additive_subgroups_bruteforce`` keeps, so
     sorting by (dimension, indices) gives its list; () spans {0}.  The budget
-    still counts generator subsets of size <= e against 2^max_subset_scan_q.
+    is the number of elements over all the subgroups, the sum over k of
+    [e choose k]_p * p^k, against 2^max_subset_scan_q; it is at least both
+    the subgroup count and the field size, and is checked before any element
+    is built.
     """
     cfg = config or _DEFAULT
     if ctx.kind == "rationals":
         raise CharacteristicZero("additive subgroups need characteristic p > 0")
     p, e = ctx.characteristic, ctx.e
-    subsets = sum(math.comb(ctx.cardinality - 1, k) for k in range(e + 1))
-    if subsets > 2**cfg.max_subset_scan_q:
+    # gaussian runs through the Gaussian binomials [e choose k]_p
+    elements, gaussian = 0, 1
+    for k in range(e + 1):
+        elements += gaussian * p**k
+        gaussian = gaussian * (p ** (e - k) - 1) // (p ** (k + 1) - 1)
+    if elements > 2**cfg.max_subset_scan_q:
         raise ScanTooLarge(
-            f"{subsets} generator subsets of size <= {e} exceed the scan bound "
+            f"{elements} elements over all subgroups exceed the scan bound "
             f"2^{cfg.max_subset_scan_q}"
         )
     bases = []

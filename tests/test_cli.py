@@ -286,12 +286,12 @@ def test_interpolate_json_golden(capsys):
 
 
 def test_oracle_suite_scd(capsys):
-    code, out, _ = _run(capsys, ["oracle-suite", "--scan", "scd", "--p", "5", "--seed", "42"])
+    code, out, _ = _run(capsys, ["oracle-suite", "--scan", "scd", "--p", "5"])
     assert code == 0
     assert "name: scd\n" in out
     assert "instances: 961\n" in out
     assert "verdict: true\n" in out
-    assert "seed: 42\n" in out
+    assert "seed" not in out
     assert "elapsed_seconds:" in out
 
 
@@ -318,10 +318,10 @@ def test_oracle_suite_ore_over_budget_exits_2(capsys, monkeypatch):
 
     monkeypatch.setattr(g.oracle, "additive_coset", scan_started)
     code, _, err = _run(
-        capsys, ["oracle-suite", "--scan", "ore", "--field", "F2^5/1,0,1,0,0,1"]
+        capsys, ["oracle-suite", "--scan", "ore", "--field", "F2^6/1,1,0,0,0,0,1"]
     )
     assert code == 2
-    assert "206368 generator subsets" in err
+    assert "26387 elements over all subgroups" in err
 
 
 def _scan_json(name, instances, details):
@@ -336,7 +336,6 @@ def _scan_json(name, instances, details):
         f"{body}\n"
         "  },\n"
         '  "counterexamples": [],\n'
-        '  "seed": 0,\n'
         '  "elapsed_seconds": ?\n'
         "}\n"
     )
@@ -435,18 +434,42 @@ def test_oracle_suite_missing_parameter(capsys):
     assert "--p" in err
 
 
-def test_seed_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("GRIDNULL_SEED", "7")
-    code, out, _ = _run(capsys, ["oracle-suite", "--scan", "scd", "--p", "2"])
-    assert code == 0
-    assert "seed: 7\n" in out
-
-
-def test_non_integer_seed_env_exits_2(capsys, monkeypatch):
+def test_non_integer_seed_env_is_ignored(capsys, monkeypatch):
     monkeypatch.setenv("GRIDNULL_SEED", "abc")
-    code, out, err = _run(capsys, ["analyze-set", "--field", "F7", "--set", "{1}"])
+    assert _run(capsys, ["analyze-set", "--field", "F7", "--set", "{1}"]) == (
+        0,
+        "field: F7\n"
+        "set: {1}\n"
+        "size: 1\n"
+        "char_poly: X + 6\n"
+        "nullity: 0\n"
+        "vandermonde_degree: 0\n"
+        "moments.e: [1, 1]\n"
+        "moments.h: [1, 1]\n"
+        "moments.p: [1, 1]\n",
+        "",
+    )
+
+
+_ONE_PER_COMMAND = [
+    ["analyze-set", "--field", "F7", "--set", "{1}"],
+    ["analyze-grid", "--field", "F7", "--grid", "{1,2}"],
+    ["cn-check", "--field", "F7", "--grid", "{1,2}", "--poly", "x1"],
+    ["coeff", "--field", "F7", "--grid", "{1,2}", "--poly", "x1"],
+    ["interpolate", "--field", "F7", "--grid", "{1,2}", "--poly", "3"],
+    ["grid-sum", "--field", "F7", "--grid", "{1,2}", "--poly", "x1"],
+    ["sumset-cd", "--field", "F7", "--set", "{1}", "--set", "{2}"],
+    ["plane-scan", "--field", "F7", "--grid", "mul(3) x mul(3) x mul(2)"],
+    ["oracle-suite", "--scan", "scd", "--p", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", _ONE_PER_COMMAND, ids=lambda argv: argv[0])
+def test_seed_option_is_gone(capsys, argv):
+    assert _run(capsys, argv)[0] == 0
+    code, out, err = _run(capsys, [*argv, "--seed", "5"])
     assert (code, out) == (2, "")
-    assert err.endswith("error: argument --seed: invalid int value: 'abc'\n")
+    assert err.endswith("error: unrecognized arguments: --seed 5\n")
 
 
 @pytest.mark.parametrize("json_flag", [[], ["--json"]])

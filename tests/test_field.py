@@ -1,11 +1,13 @@
 """Field construction, arithmetic, traces, and the field-spec grammar."""
 
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import gridnull as g
+from gridnull.field import _default_modulus, _px_is_irreducible
 from gridnull.oracle import plane_count_bruteforce
 from support import F4, F7, F8, F9, F27, Q
 
@@ -39,6 +41,32 @@ def test_default_moduli_are_first_in_coefficient_order():
     assert F8.modulus == (1, 1, 0, 1)  # X^3 + X + 1
     assert F9.modulus == (1, 0, 1)  # X^2 + 1
     assert F27.modulus == (1, 2, 0, 1)  # X^3 + 2X + 1
+
+
+def _first_irreducible(p, e):
+    """The first monic irreducible in coefficient order, binomials included."""
+    for k in range(p**e):
+        m = [(k // p**j) % p for j in range(e)] + [1]
+        if _px_is_irreducible(m, p):
+            return tuple(m)
+
+
+def test_default_modulus_skips_only_reducible_binomials():
+    primes = [p for p in range(2, 100) if all(p % d for d in range(2, p))]
+    assert [
+        (p, e)
+        for p in primes
+        for e in (2, 3, 4)
+        if _default_modulus(p, e) != _first_irreducible(p, e)
+    ] == []
+
+
+@pytest.mark.parametrize("spec", ["F1000003^4", "F1000000007^3"])
+def test_default_modulus_of_a_large_prime_takes_no_walk_over_p(spec):
+    start = time.perf_counter()
+    ctx = g.parse_field(spec)
+    assert time.perf_counter() - start < 1
+    assert ctx.spec_string() == spec
 
 
 def test_element_enumeration_order_and_display():

@@ -1,5 +1,6 @@
 """Static checks on the library sources."""
 
+import argparse
 import ast
 import importlib.util
 import os
@@ -110,3 +111,42 @@ def test_names_the_benchmark_tracer_wraps_exist():
         if attr not in field.FieldElement.__dict__
     ]
     assert missing == []
+
+
+def _args_reads(functions: dict, name: str) -> set[str]:
+    """Attributes a function reads off ``args``, and those of the module
+    functions it passes ``args`` on to."""
+    reads = set()
+    for node in ast.walk(functions[name]):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id == "args":
+                reads.add(node.attr)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in functions
+            and any(isinstance(a, ast.Name) and a.id == "args" for a in node.args)
+        ):
+            reads |= _args_reads(functions, node.func.id)
+    return reads
+
+
+def test_every_cli_option_is_read():
+    """Each subcommand's options reach its handler, a helper it hands args
+    to, or run; an option nothing reads is a knob that does nothing."""
+    cli = importlib.import_module("gridnull.cli")
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    (commands,) = [
+        action
+        for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    unread = {}
+    for command, parser in commands.choices.items():
+        reads = _args_reads(functions, cli._COMMANDS[command].__name__)
+        reads |= _args_reads(functions, "run")
+        dests = {action.dest for action in parser._actions if action.dest != "help"}
+        if dests - reads:
+            unread[command] = sorted(dests - reads)
+    assert unread == {}

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import gridnull as g
 from gridnull import oracle
+from gridnull.field import FiniteField
 from gridnull.oracle import (
     _field_for_order,
     _necklace_nullities,
@@ -238,14 +239,28 @@ def test_enumerate_additive_subgroups():
         g.enumerate_additive_subgroups(Q)
 
 
-def test_enumerate_additive_subgroups_is_bounded_before_it_starts():
+def test_enumerate_additive_subgroups_is_bounded_before_it_starts(monkeypatch):
+    # 2,451 elements over all subgroups: inside the default 2^13; the list
+    # itself is checked in test_subgroup_enumeration_beyond_the_default_budget
     f32 = g.parse_field("F2^5/1,0,1,0,0,1")
-    with pytest.raises(g.ScanTooLarge, match="206368 generator subsets"):
-        g.enumerate_additive_subgroups(f32)
-    f16 = g.parse_field("F2^4")  # 1941 subsets: inside the default 2^13
+    assert len(g.enumerate_additive_subgroups(f32)) == 374
+    f64 = g.parse_field("F2^6/1,1,0,0,0,0,1")
+    refusal = r"^26387 elements over all subgroups exceed the scan bound 2\^13$"
+    with pytest.raises(g.ScanTooLarge, match=refusal):
+        g.enumerate_additive_subgroups(f64)
+    f16 = g.parse_field("F2^4")
     assert len(g.enumerate_additive_subgroups(f16)) == 67
-    with pytest.raises(g.ScanTooLarge, match="1941 generator subsets"):
-        g.enumerate_additive_subgroups(f16, g.OracleConfig(max_subset_scan_q=10))
+    refusal = r"^307 elements over all subgroups exceed the scan bound 2\^8$"
+    with pytest.raises(g.ScanTooLarge, match=refusal):
+        g.enumerate_additive_subgroups(f16, g.OracleConfig(max_subset_scan_q=8))
+    f8179 = g.parse_field("F8179^2")
+
+    def elements_built(self):
+        raise AssertionError("the subgroup scan built the field's elements")
+
+    monkeypatch.setattr(FiniteField, "elements", elements_built)
+    with pytest.raises(g.ScanTooLarge, match="^133800262 elements over all subgroups"):
+        g.enumerate_additive_subgroups(f8179)
 
 
 @pytest.mark.parametrize(
@@ -291,6 +306,13 @@ def test_subgroup_enumeration_beyond_the_default_budget(spec, count):
     groups = g.enumerate_additive_subgroups(ctx, g.OracleConfig(max_subset_scan_q=27))
     p, e = ctx.characteristic, ctx.e
     assert len(groups) == count == sum(_gaussian_binomial(e, k, p) for k in range(e + 1))
+    # in the order of additive_subgroups_bruteforce: by size, then by indices
+    assert groups == sorted(groups, key=lambda gens: (len(gens), [x.value for x in gens]))
+    # the budget counts the elements of the subgroups it returns
+    with pytest.raises(g.ScanTooLarge) as refused:
+        g.enumerate_additive_subgroups(ctx, g.OracleConfig(max_subset_scan_q=1))
+    estimate = int(str(refused.value).split()[0])
+    assert estimate == sum(p ** len(gens) for gens in groups)
     spans = set()
     for gens in groups:
         span = frozenset(_span(ctx, gens))
