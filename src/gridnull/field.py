@@ -9,9 +9,17 @@ irreducible polynomial of degree e; a prime field is the case e = 1.  Up to
 _TABLE_CAP elements, extension-field products, inverses and powers are
 lookups in exp/log tables built once from a primitive element, and sums are
 XOR (p = 2) or a Zech-log lookup; above the cap they are polynomial
-arithmetic on the digits.  Contexts are interned, one object per field, so
-context equality is identity.  All arithmetic is exact; floating point never
-appears.
+arithmetic on the digits.
+
+Besides these scalar kernels every context has two list kernels on raw
+values, which build and unbuild vanishing polynomials one root factor at a
+time without an element object per step: _mul_root multiplies a top-first
+coefficient list by (X - a), _div_root divides one exactly by (X - a).
+They come in one form per kind: residues mod p, p = 2 tables (XOR sums,
+exp[log a + log b] products), odd-p tables (log and Zech), Fractions over Q,
+and a fallback on the scalar kernels for the digits above the cap.  Contexts
+are interned, one object per field, so context equality is identity.  All
+arithmetic is exact; floating point never appears.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import partial
+from itertools import accumulate
 from operator import mul
 from typing import Optional, Sequence
 
@@ -409,7 +418,11 @@ class FieldCtx:
     field, and copies and pickles come back as that same object.  Every
     context has the elements ``zero`` and ``one`` and the kernels _add,
     _sub, _mul, _neg, _inv and _pow (exponent >= 0), which take element
-    values and return elements.
+    values and return elements.  The list kernels _mul_root(cs, a) and
+    _div_root(cs, a) take and return lists of values, top coefficient first:
+    the coefficients of (X - a) times cs, and of cs divided exactly by
+    (X - a).  Each field kind sets its own; the methods here are the
+    fallback on the scalar kernels.
     """
 
     kind: str
@@ -417,6 +430,15 @@ class FieldCtx:
     cardinality: Optional[int]
     zero: FieldElement
     one: FieldElement
+
+    def _mul_root(self, cs: list, a) -> list:
+        mul, sub = self._mul, self._sub
+        return [sub(c, mul(a, b).value).value for b, c in zip((0, *cs), (*cs, 0))]
+
+    def _div_root(self, cs: list, a) -> list:
+        # the quotient's top coefficient is cs[0], each next one c + a * the last
+        mul, add = self._mul, self._add
+        return list(accumulate(cs[:-1], lambda b, c: add(c, mul(a, b).value).value))
 
     def element(self, v) -> FieldElement:
         if isinstance(v, FieldElement):
@@ -496,6 +518,12 @@ class Rationals(FieldCtx):
     def _pow(self, a, k):
         return FieldElement(self, a**k)
 
+    def _mul_root(self, cs, a):
+        return [c - a * b for b, c in zip((0, *cs), (*cs, 0))]
+
+    def _div_root(self, cs, a):
+        return list(accumulate(cs[:-1], lambda b, c: c + a * b))
+
     def elements(self):
         raise InfiniteField("the rationals cannot be enumerated")
 
@@ -556,15 +584,19 @@ class FiniteField(FieldCtx):
         self._neg = lambda a: new(-a % p)
         self._inv = inv
         self._pow = lambda a, k: new(pow(a, k, p))
+        self._mul_root = lambda cs, a: [(c - a * b) % p for b, c in zip((0, *cs), (*cs, 0))]
+        self._div_root = lambda cs, a: list(accumulate(cs[:-1], lambda b, c: (c + a * b) % p))
 
     def _table_kernels(self):
         p, q, elems = self.p, self.cardinality, self._elems
         n = q - 1
         exp, log = _exp_log(p, self.e, self.modulus)
         # log 0 is 2n, so any sum of logs with it lands in the zero half of
-        # exp_e; exp_e is doubled, so a sum of two unit logs needs no mod n
-        log[0] = 2 * n
-        exp_e = [elems[v] for v in exp] * 2 + [elems[0]] * (2 * n + 1)
+        # exp_v (values) and exp_e (elements); both are doubled, so a sum of
+        # two unit logs needs no mod n
+        n2 = log[0] = 2 * n
+        exp_v = exp * 2 + [0] * (n2 + 1)
+        exp_e = [elems[v] for v in exp] * 2 + [elems[0]] * (n2 + 1)
 
         def mul(a, b):
             return exp_e[log[a] + log[b]]
@@ -581,15 +613,43 @@ class FiniteField(FieldCtx):
 
         self._mul, self._inv, self._pow = mul, inv, power
         if p == 2:
+
+            def mul_root(cs, a):
+                la = log[a]
+                return [c ^ exp_v[la + log[b]] for b, c in zip((0, *cs), (*cs, 0))]
+
             self._add = self._sub = lambda a, b: elems[a ^ b]
             self._neg = elems.__getitem__
+            self._mul_root = mul_root
+            self._div_root = lambda cs, a: list(
+                accumulate(cs[:-1], lambda b, c: c ^ exp_v[log[a] + log[b]])
+            )
             return
-        # zech[k] = log(1 + g^k): adding 1 increments the lowest digit
-        zech = [log[v + 1 - p if v % p == p - 1 else v + 1] for v in exp]
+        # zech[k] = log(1 + g^k): adding 1 increments the lowest digit.  It is
+        # doubled, so zech[k - i] is log(1 + g^(k-i)) for any -n < k - i < 2n
+        zech = [log[v + 1 - p if v % p == p - 1 else v + 1] for v in exp] * 2
         # -1 = g^(n/2)
         negv = [0] * q
         for k, v in enumerate(exp):
             negv[v] = exp[(k + n // 2) % n]
+
+        def plus(c, k):
+            """The value c + g^k, where g^k is 0 for k >= 2n (a sum of logs with log 0)."""
+            if k >= n2:
+                return c
+            if not c:
+                return exp_v[k]
+            i = log[c]
+            return exp_v[i + zech[k - i]]
+
+        def mul_root(cs, a):
+            la = log[negv[a]]  # log of -a, so la + log[b] is the log of -ab
+            return [plus(c, la + log[b]) for b, c in zip((0, *cs), (*cs, 0))]
+
+        self._mul_root = mul_root
+        self._div_root = lambda cs, a: list(
+            accumulate(cs[:-1], lambda b, c: plus(c, log[a] + log[b]))
+        )
 
         def add(a, b):
             if not a:

@@ -119,21 +119,21 @@ def additive_coset(ctx: FieldCtx, generators, shift=None) -> FiniteSet:
 
     The span is enumerated by coefficient vectors in product order, so the
     result's element order is deterministic; dependent generators collapse
-    by deduplication and the size is a power of the characteristic.
+    by deduplication and the size is a power of the characteristic.  Each
+    generator's multiples 0, g, ..., (p-1)g are added to every element so
+    far by the context's add kernel on values, one kernel call per element.
     """
     if ctx.kind == "rationals":
         raise CharacteristicZero("additive cosets need positive characteristic")
-    p = ctx.characteristic
+    add = ctx._add
     gens = [ctx.element(g) for g in generators]
-    shift = ctx.zero if shift is None else ctx.element(shift)
-    elements = []
-    for coeffs in itertools.product(range(p), repeat=len(gens)):
-        acc = shift
-        for c, g in zip(coeffs, gens):
-            if c:
-                acc = acc + ctx.from_int(c) * g
-        elements.append(acc)
-    return FiniteSet(ctx, elements)
+    span = [ctx.zero if shift is None else ctx.element(shift)]
+    for g in gens:
+        multiples = [ctx.zero]
+        for _ in range(ctx.characteristic - 1):
+            multiples.append(add(multiples[-1].value, g.value))
+        span = [add(s.value, m.value) for s in span for m in multiples]
+    return FiniteSet(ctx, span)
 
 
 def trace_zero_set(ctx: FieldCtx) -> FiniteSet:

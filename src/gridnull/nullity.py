@@ -29,9 +29,12 @@ from .poly import UniPoly, parse_element
 
 
 def _leading_zeros(table) -> int:
-    """How many entries from table[1] on are zero before the first nonzero one."""
+    """How many entries from table[1] on are zero before the first nonzero one.
+
+    The entries are elements or raw values: an element is false exactly when
+    its value is."""
     r = 1
-    while r < len(table) and table[r].is_zero:
+    while r < len(table) and not table[r]:
         r += 1
     return r - 1
 
@@ -68,17 +71,11 @@ class FiniteSet:
     __slots__ = ("ctx", "elements", "_set", "_char", "_e", "_h", "_p", "_weights", "_cols", "_sums")
 
     def __init__(self, ctx: FieldCtx, elements):
-        elems = []
-        seen = set()
-        for v in elements:
-            x = ctx.element(v)
-            if x not in seen:
-                seen.add(x)
-                elems.append(x)
+        elems = tuple(dict.fromkeys(map(ctx.element, elements)))
         if not elems:
             raise EmptySet("a finite set of field elements must be non-empty")
         self.ctx = ctx
-        self.elements = tuple(elems)
+        self.elements = elems
         self._set = frozenset(elems)
         self._char = None
         self._e = None

@@ -30,7 +30,7 @@ from .errors import (
 from .field import ExtensionField, FieldCtx, FieldElement, PrimeField, _is_prime, _prime_factors
 from .grids import Grid, additive_coset
 from .nullity import FiniteSet, MomentTable, _leading_zeros
-from .poly import MultiPoly, Monomial
+from .poly import MultiPoly, Monomial, UniPoly
 from .reports import ScanReport
 
 
@@ -150,28 +150,38 @@ def _field_for_order(q: int) -> FieldCtx:
     return PrimeField(p) if e == 1 else ExtensionField(p, e)
 
 
+def char_poly_bruteforce(ctx: FieldCtx, roots) -> UniPoly:
+    """prod (X - a) over the roots by element operators: top coefficient
+    first, each factor multiplied in place by c_j -= a * c_(j-1) from the
+    last entry down.  The reference for the contexts' list kernels."""
+    coeffs = [ctx.one]
+    for a in map(ctx.element, roots):
+        coeffs.append(ctx.zero)
+        for j in range(len(coeffs) - 1, 0, -1):
+            coeffs[j] = coeffs[j] - a * coeffs[j - 1]
+    return UniPoly(ctx, reversed(coeffs))
+
+
 def _subset_nullities(ctx: FieldCtx, elements):
     """(mask, nullity) for each nonempty subset of elements, in Gray-code order.
 
     Bit i of mask stands for elements[i].  prod (X - a) over the subset is kept
-    top coefficient first; each step multiplies it by one root factor or
-    divides it exactly by one, O(|A|) field operations.  The nullity counts the
-    vanishing coefficients just below the top, capped at |A|, as in FiniteSet.
+    as raw values, top coefficient first; each step multiplies it by one root
+    factor or divides it exactly by one, one list kernel call of O(|A|).  The
+    nullity counts the vanishing coefficients just below the top, capped at
+    |A|, as in FiniteSet.
     """
-    zero = ctx.zero
-    coeffs = [ctx.one]
+    mul_root, div_root = ctx._mul_root, ctx._div_root
+    values = [x.value for x in elements]
+    coeffs = [ctx.one.value]
     mask = 0
-    for step in range(1, 1 << len(elements)):
+    for step in range(1, 1 << len(values)):
         bit = (step & -step).bit_length() - 1
-        a = elements[bit]
         mask ^= 1 << bit
         if mask >> bit & 1:
-            coeffs = [c - a * b for b, c in zip([zero, *coeffs], [*coeffs, zero])]
+            coeffs = mul_root(coeffs, values[bit])
         else:
-            quotient = [coeffs[0]]
-            for c in coeffs[1:-1]:
-                quotient.append(c + a * quotient[-1])
-            coeffs = quotient
+            coeffs = div_root(coeffs, values[bit])
         yield mask, _leading_zeros(coeffs)
 
 
@@ -193,18 +203,21 @@ def _necklace_nullities(ctx: FieldCtx, units):
     worth of sets, all of one nullity since e_r(cA) = c^r e_r(A).  Necklaces
     come in lex order from the FKM prenecklace walk (Fredricksen, Kessler and
     Maiorana; Ruskey, Combinatorial Generation, cited only); prods[j] is
-    prod (X - a) over the set letters among the first j, top coefficient first,
-    so each prefix node that sets a letter costs one root factor, O(|A|).
+    prod (X - a) over the set letters among the first j, as raw values top
+    coefficient first, so each prefix node that sets a letter costs one call
+    of the context's root-factor kernel, O(|A|).
     """
     n = len(units)
-    zero = ctx.zero
+    mul_root = ctx._mul_root
+    values = [x.value for x in units]
     letters = [0] * (n + 1)  # letters[1..n]; letters[0] = 0 roots the tree
-    prods = [[ctx.one]] * (n + 1)
+    prods = [[ctx.one.value]] * (n + 1)
     word, period = 0, 1
     while True:
         if n % period == 0:
             coeffs = prods[n]
-            yield word, period, _leading_zeros(coeffs), _leading_zeros([*coeffs, zero])
+            # adding 0 to the set multiplies by X: one more 0 at the end
+            yield word, period, _leading_zeros(coeffs), _leading_zeros([*coeffs, 0])
         i = n
         while letters[i]:
             i -= 1
@@ -217,8 +230,7 @@ def _necklace_nullities(ctx: FieldCtx, units):
             letter = letters[j] = 1 if j == i else letters[j - i]
             coeffs = prods[j - 1]
             if letter:
-                a = units[j - 1]
-                coeffs = [c - a * b for b, c in zip([zero, *coeffs], [*coeffs, zero])]
+                coeffs = mul_root(coeffs, values[j - 1])
                 word |= 1 << j - 1
             prods[j] = coeffs
 
@@ -374,7 +386,7 @@ def ore_form_check(ctx: FieldCtx, generators, shift=None) -> bool:
     while power <= n:
         p_powers.add(power)
         power *= p
-    support = {k for k in range(n + 1) if not cp.coefficient(k).is_zero}
+    support = {k for k, c in enumerate(cp.coeffs) if c}
     if not support <= p_powers | {0}:
         return False
 
@@ -387,7 +399,8 @@ def ore_form_check(ctx: FieldCtx, generators, shift=None) -> bool:
     first = A.elements[0]
     c = next((b for b in basis if b + first not in A), None)
     if c is not None:
-        translated = FiniteSet(ctx, [c + a for a in A])
+        add = ctx._add
+        translated = FiniteSet(ctx, [add(c.value, a.value) for a in A])
         # the coefficients of X, ..., X^n are +-e_(n-1), ..., e_0
         if translated.char_poly.coeffs[1:] != cp.coeffs[1:]:
             return False
@@ -447,12 +460,26 @@ def enumerate_additive_subgroups(ctx: FieldCtx, config: OracleConfig = None) -> 
 
 
 def additive_subgroups_bruteforce(ctx: FieldCtx) -> list:
-    """First generator subset, by size then lex order, spanning each subgroup; unbounded."""
+    """First generator subset, by size then lex order, spanning each subgroup; unbounded.
+
+    Each span is {0} closed by element operators under adding each generator
+    in turn: a generator already in the span adds nothing and is skipped, any
+    other adds the p - 1 translates of the span by its multiples.
+    """
+    p = ctx.characteristic
     nonzero = [x for x in ctx.elements() if not x.is_zero]
     found = {}
     for size in range(ctx.e + 1):
         for gens in itertools.combinations(nonzero, size):
-            span = frozenset(additive_coset(ctx, list(gens)).elements)
+            span = {ctx.zero}
+            for gen in gens:
+                if gen in span:
+                    continue
+                layer = span
+                for _ in range(p - 1):
+                    layer = {x + gen for x in layer}
+                    span = span | layer
+            span = frozenset(span)
             if span not in found:
                 found[span] = gens
     return list(found.values())

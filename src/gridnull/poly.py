@@ -75,15 +75,15 @@ class UniPoly:
 
     @classmethod
     def from_roots(cls, ctx: FieldCtx, roots: Sequence[FieldElement]) -> "UniPoly":
-        """prod (X - a) over the roots; top coefficient first, each factor is
-        multiplied in place by c_j -= a * c_(j-1) from the last entry down."""
-        coeffs = [ctx.one]
+        """prod (X - a) over the roots, one root factor at a time by the
+        context's list kernel on raw values, top coefficient first; the
+        monic result is wrapped without coercing its values again."""
+        values = [ctx.one.value]
         for a in map(ctx.element, roots):
-            coeffs.append(ctx.zero)
-            for j in range(len(coeffs) - 1, 0, -1):
-                coeffs[j] = coeffs[j] - a * coeffs[j - 1]
-        coeffs.reverse()
-        return cls(ctx, coeffs)
+            values = ctx._mul_root(values, a.value)
+        poly = object.__new__(cls)
+        poly.ctx, poly.coeffs = ctx, tuple(map(ctx._wrap, reversed(values)))
+        return poly
 
     @property
     def degree(self):

@@ -1,5 +1,5 @@
-"""Finite-field kernels against the polynomial-arithmetic reference, and
-context interning."""
+"""Finite-field kernels against the polynomial-arithmetic reference, the
+root-factor list kernels against element operators, and context interning."""
 
 import copy
 import pickle
@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 import gridnull as g
 from gridnull.field import _PRIME_BOUND, _TABLE_CAP, _is_prime
-from gridnull.oracle import field_element_bruteforce, field_op_bruteforce
-from support import F4, F7, F8, F9, F27
+from gridnull.oracle import char_poly_bruteforce, field_element_bruteforce, field_op_bruteforce
+from support import F4, F7, F8, F9, F13, F27, Q
 
 # Table fields: F9's default modulus X^2 + 1 has t of order 4, so its tables
 # come from another primitive element.  Above the cap: polynomial
@@ -70,6 +70,69 @@ def test_kernels_match_polynomial_reference(fidx, data):
             st.lists(st.integers(min_value=-50, max_value=50), max_size=2 * ctx.e + 2)
         )
         assert ctx.element(coeffs) == field_element_bruteforce(ctx, coeffs)
+
+
+# One field or more per list-kernel kind: Fractions, residues, p = 2 tables,
+# odd-p tables, and the fallback on the scalar kernels above the cap
+_ROOT_FIELDS = [
+    Q,
+    F7,
+    F13,
+    g.PrimeField(65537),
+    g.parse_field("F2^4"),
+    g.parse_field("F2^8/1,0,1,1,1,0,0,0,1"),
+    F9,
+    g.parse_field("F5^2"),
+    F27,
+    g.parse_field("F2^12/1,0,0,1,0,0,0,0,0,0,0,0,1"),
+    g.parse_field("F3^9/1,0,1,2,0,0,0,0,0,1"),
+]
+
+
+def _root(ctx):
+    """A root as an element, or as an int to be coerced; 0 comes up often."""
+    if ctx.kind == "rationals":
+        value = st.fractions(min_value=-9, max_value=9, max_denominator=5)
+    else:
+        value = st.integers(min_value=0, max_value=ctx.cardinality - 1)
+    return st.just(0) | st.integers(-9, 9) | value.map(lambda v: g.FieldElement(ctx, v))
+
+
+def _top_first(poly):
+    return [c.value for c in reversed(poly.coeffs)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_ROOT_FIELDS), st.data())
+def test_root_factor_kernels_match_element_operators(ctx, data):
+    pool = data.draw(st.lists(_root(ctx), min_size=1, max_size=4))
+    # drawn from a small pool, so roots repeat
+    roots = data.draw(st.lists(st.sampled_from(pool), max_size=9))
+    values = [ctx.element(a).value for a in roots]
+    coeffs = [ctx.one.value]
+    for k, a in enumerate(values):
+        coeffs = ctx._mul_root(coeffs, a)
+        assert coeffs == _top_first(char_poly_bruteforce(ctx, roots[: k + 1]))
+    assert g.UniPoly.from_roots(ctx, roots) == char_poly_bruteforce(ctx, roots)
+    # exact division takes the roots out again, in any order
+    order = data.draw(st.permutations(range(len(roots))))
+    left = list(range(len(roots)))
+    for i in order:
+        coeffs = ctx._div_root(coeffs, values[i])
+        left.remove(i)
+        assert coeffs == _top_first(char_poly_bruteforce(ctx, [roots[j] for j in left]))
+    assert coeffs == [ctx.one.value]
+    # divide after multiply gives the list back for any root, in it or not
+    full = _top_first(char_poly_bruteforce(ctx, roots))
+    extra = ctx.element(data.draw(_root(ctx))).value
+    assert ctx._div_root(ctx._mul_root(full, extra), extra) == full
+
+
+def test_root_factor_kernels_of_the_empty_product():
+    for ctx in _ROOT_FIELDS:
+        assert g.UniPoly.from_roots(ctx, []).coeffs == char_poly_bruteforce(ctx, []).coeffs
+        assert g.UniPoly.from_roots(ctx, []).coeffs == (ctx.one,)
+        assert ctx._div_root([ctx.one.value], ctx.one.value) == []
 
 
 def test_contexts_are_interned():
