@@ -11,11 +11,13 @@ lookups in exp/log tables built once from a primitive element, and sums are
 XOR (p = 2) or a Zech-log lookup; above the cap they are polynomial
 arithmetic on the digits.
 
-Besides these scalar kernels every context has two list kernels on raw
-values, which build and unbuild vanishing polynomials one root factor at a
-time without an element object per step: _mul_root multiplies a top-first
-coefficient list by (X - a), _div_root divides one exactly by (X - a).
-They come in one form per kind: residues mod p, p = 2 tables (XOR sums,
+Besides these scalar kernels every context has kernels on raw values, which
+the inner loops run on without an element object per step: scalar _vadd,
+_vmul and _vpow; the list kernels _outer (the products x*y for x in xs, y in
+ys, flattened), _vsum (elementwise sums) and _dot (the sum of the products
+x*y over zip(xs, ys)); and _mul_root and _div_root, which multiply a
+top-first coefficient list by (X - a) and divide one exactly by it.  They
+come in one form per kind: residues mod p, p = 2 tables (XOR sums,
 exp[log a + log b] products), odd-p tables (log and Zech), Fractions over Q,
 and a fallback on the scalar kernels for the digits above the cap.  Contexts
 are interned, one object per field, so context equality is identity.  All
@@ -26,9 +28,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from itertools import accumulate
-from operator import mul
+from math import gcd
+from operator import add, mul, xor
 from typing import Optional, Sequence
 
 from .errors import (
@@ -418,8 +421,10 @@ class FieldCtx:
     field, and copies and pickles come back as that same object.  Every
     context has the elements ``zero`` and ``one`` and the kernels _add,
     _sub, _mul, _neg, _inv and _pow (exponent >= 0), which take element
-    values and return elements.  The list kernels _mul_root(cs, a) and
-    _div_root(cs, a) take and return lists of values, top coefficient first:
+    values and return elements.  The value kernels take and return values:
+    _vadd(a, b), _vmul(a, b), _vpow(a, k) (k >= 0), _outer(xs, ys),
+    _vsum(xs, ys) and _dot(xs, ys) as in the module docstring, and
+    _mul_root(cs, a) and _div_root(cs, a) on lists top coefficient first:
     the coefficients of (X - a) times cs, and of cs divided exactly by
     (X - a).  Each field kind sets its own; the methods here are the
     fallback on the scalar kernels.
@@ -430,6 +435,25 @@ class FieldCtx:
     cardinality: Optional[int]
     zero: FieldElement
     one: FieldElement
+
+    def _vadd(self, a, b):
+        return self._add(a, b).value
+
+    def _vmul(self, a, b):
+        return self._mul(a, b).value
+
+    def _vpow(self, a, k):
+        return self._pow(a, k).value
+
+    def _outer(self, xs, ys) -> list:
+        mul = self._vmul
+        return [mul(x, y) for x in xs for y in ys]
+
+    def _vsum(self, xs, ys) -> list:
+        return list(map(self._vadd, xs, ys))
+
+    def _dot(self, xs, ys):
+        return reduce(self._vadd, map(self._vmul, xs, ys), self.zero.value)
 
     def _mul_root(self, cs: list, a) -> list:
         mul, sub = self._mul, self._sub
@@ -518,6 +542,18 @@ class Rationals(FieldCtx):
     def _pow(self, a, k):
         return FieldElement(self, a**k)
 
+    _vadd, _vmul, _vpow = add, mul, pow
+
+    def _dot(self, xs, ys):
+        # one Fraction at the end: the partial sums are n/d over the lcm d
+        # of the denominators so far
+        n, d = 0, 1
+        for x, y in zip(xs, ys):
+            e = x.denominator * y.denominator
+            g = gcd(d, e)
+            n, d = n * (e // g) + x.numerator * y.numerator * (d // g), d // g * e
+        return Fraction(n, d)
+
     def _mul_root(self, cs, a):
         return [c - a * b for b, c in zip((0, *cs), (*cs, 0))]
 
@@ -584,6 +620,12 @@ class FiniteField(FieldCtx):
         self._neg = lambda a: new(-a % p)
         self._inv = inv
         self._pow = lambda a, k: new(pow(a, k, p))
+        self._vadd = lambda a, b: (a + b) % p
+        self._vmul = lambda a, b: a * b % p
+        self._vpow = lambda a, k: pow(a, k, p)
+        self._outer = lambda xs, ys: [x * y % p for x in xs for y in ys]
+        self._vsum = lambda xs, ys: [(x + y) % p for x, y in zip(xs, ys)]
+        self._dot = lambda xs, ys: sum(map(mul, xs, ys)) % p
         self._mul_root = lambda cs, a: [(c - a * b) % p for b, c in zip((0, *cs), (*cs, 0))]
         self._div_root = lambda cs, a: list(accumulate(cs[:-1], lambda b, c: (c + a * b) % p))
 
@@ -598,6 +640,8 @@ class FiniteField(FieldCtx):
         exp_v = exp * 2 + [0] * (n2 + 1)
         exp_e = [elems[v] for v in exp] * 2 + [elems[0]] * (n2 + 1)
 
+        logs = partial(map, log.__getitem__)
+
         def mul(a, b):
             return exp_e[log[a] + log[b]]
 
@@ -611,7 +655,20 @@ class FiniteField(FieldCtx):
                 return exp_e[log[a] * k % n]
             return elems[0] if k else elems[1]
 
+        def vpow(a, k):
+            return exp_v[log[a] * k % n] if a else (0 if k else 1)
+
+        def outer(xs, ys):
+            ls = list(logs(ys))
+            return [exp_v[lx + ly] for lx in logs(xs) for ly in ls]
+
+        def products(xs, ys):
+            """The logs of the products x*y over zip(xs, ys)."""
+            return map(add, logs(xs), logs(ys))
+
         self._mul, self._inv, self._pow = mul, inv, power
+        self._vmul = lambda a, b: exp_v[log[a] + log[b]]
+        self._vpow, self._outer = vpow, outer
         if p == 2:
 
             def mul_root(cs, a):
@@ -620,6 +677,8 @@ class FiniteField(FieldCtx):
 
             self._add = self._sub = lambda a, b: elems[a ^ b]
             self._neg = elems.__getitem__
+            self._vadd = xor
+            self._dot = lambda xs, ys: reduce(xor, map(exp_v.__getitem__, products(xs, ys)), 0)
             self._mul_root = mul_root
             self._div_root = lambda cs, a: list(
                 accumulate(cs[:-1], lambda b, c: c ^ exp_v[log[a] + log[b]])
@@ -651,17 +710,19 @@ class FiniteField(FieldCtx):
             accumulate(cs[:-1], lambda b, c: plus(c, log[a] + log[b]))
         )
 
-        def add(a, b):
+        def vadd(a, b):
             if not a:
-                return elems[b]
+                return b
             if not b:
-                return elems[a]
+                return a
             i = log[a]
-            return exp_e[i + zech[log[b] - i]]
+            return exp_v[i + zech[log[b] - i]]
 
-        self._add = add
-        self._sub = lambda a, b: add(a, negv[b])
+        self._add = lambda a, b: elems[vadd(a, b)]
+        self._sub = lambda a, b: elems[vadd(a, negv[b])]
         self._neg = lambda a: elems[negv[a]]
+        self._vadd = vadd
+        self._dot = lambda xs, ys: reduce(plus, products(xs, ys), 0)
 
     def _digit_kernels(self):
         p, e, m, new = self.p, self.e, list(self.modulus), self._wrap

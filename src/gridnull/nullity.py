@@ -14,7 +14,6 @@ sum over A of a^d/P'(a) collapses to 0, 1, or a complete moment.
 
 from __future__ import annotations
 
-from operator import mul
 from typing import NamedTuple
 
 from .errors import (
@@ -65,7 +64,9 @@ class FiniteSet:
     fills replace whole tuples, so readers see either the old table or the
     extended one.  For the grid engines, the power column (a^k for a in A),
     the weighted column (a^k/P'(a) for a in A) and the sums of both are kept
-    per exponent k for the set's lifetime, each built on first use.
+    per exponent k for the set's lifetime, each built on first use.  These
+    caches, the weights and the complete and power-sum tables hold raw
+    values, built by the context's value kernels; the public reads wrap them.
     """
 
     __slots__ = ("ctx", "elements", "_set", "_char", "_e", "_h", "_p", "_weights", "_cols", "_sums")
@@ -79,10 +80,10 @@ class FiniteSet:
         self._set = frozenset(elems)
         self._char = None
         self._e = None
-        self._h = (ctx.one,)
-        self._p = (ctx.from_int(len(elems)),)
+        self._h = (ctx.one.value,)
+        self._p = (ctx.from_int(len(elems)).value,)
         self._weights = None
-        self._cols, self._sums = {(0, False): (ctx.one,) * len(elems)}, {}
+        self._cols, self._sums = {(0, False): (ctx.one.value,) * len(elems)}, {}
 
     @property
     def char_poly(self) -> UniPoly:
@@ -98,31 +99,45 @@ class FiniteSet:
         return self._e
 
     def _ensure_h(self, R: int) -> tuple:
-        """(h_0, ..., h_R), growing the cached table from the elementary one."""
+        """(h_0, ..., h_R) as values, growing the cached table by
+        h_r = -(c_1 h_(r-1) + ... + c_n h_(r-n)), where X^n + c_1 X^(n-1) +
+        ... + c_n is the char poly, so that h_r = sum (-1)^(i+1) e_i h_(r-i)."""
         _check_order(R)
-        if len(self._h) > R:
-            return self._h[: R + 1]
-        e, h = self._elementary(), list(self._h)
-        for r in range(len(h), R + 1):
-            acc = self.ctx.zero
-            for i in range(1, min(r, len(e) - 1) + 1):
-                term = e[i] * h[r - i]
-                acc = acc - term if i % 2 == 0 else acc + term
-            h.append(acc)
-        self._h = tuple(h)
-        return self._h
+        if len(self._h) <= R:
+            c = [(-x).value for x in reversed(self.char_poly.coeffs[:-1])]
+            h, dot = list(self._h), self.ctx._dot
+            for r in range(len(h), R + 1):
+                m = min(r, len(c))
+                h.append(dot(c[:m], h[r - m : r][::-1]))
+            self._h = tuple(h)
+        return self._h[: R + 1]
 
     def _ensure_p(self, R: int) -> tuple:
-        """(p_0, ..., p_R), growing the cached table from the power column at its top."""
+        """(p_0, ..., p_R) as values, growing the cached table.  Over F_q of
+        characteristic c, a^r for r >= 1 depends only on r mod (q - 1), and
+        (sum a^t)^(c^i) = sum a^(t c^i); so p_r = p_t^(c^i) for any t < r with
+        t c^i = r mod (q - 1).  Any other p_r, r = 32j + s, is the dot product
+        of the columns a^(32j) and a^s: only the 32 columns a^s and one column
+        a^(32j) per block of 32 are built."""
         _check_order(R)
-        if len(self._p) > R:
-            return self._p[: R + 1]
-        p, pows = list(self._p), self._cols[len(self._p) - 1, False]
-        for _ in range(len(p), R + 1):
-            pows = [w * a for w, a in zip(pows, self.elements)]
-            p.append(sum(pows, self.ctx.zero))
-        self._cols[R, False], self._p = tuple(pows), tuple(p)
-        return self._p
+        if len(self._p) <= R:
+            ctx, p, q = self.ctx, list(self._p), self.ctx.cardinality
+            steps = [] if q is None else [ctx.characteristic**i for i in range(ctx.e)]
+            a, low = self._column(1), [self._column(s) for s in range(min(R + 1, 32))]
+            high = (None, None)
+            for r in range(len(p), R + 1):
+                for ci in steps:
+                    t = (r * (q // ci) - 1) % (q - 1) + 1  # q // ci inverts ci mod q - 1
+                    if t < r:
+                        p.append(ctx._vpow(p[t], ci))
+                        break
+                else:
+                    j, s = divmod(r, 32)
+                    if high[0] != j:
+                        high = (j, [ctx._vpow(x, 32 * j) for x in a])
+                    p.append(ctx._dot(high[1], low[s]))
+            self._p = tuple(p)
+        return self._p[: R + 1]
 
     def _elementary_to(self, R: int) -> tuple:
         _check_order(R)
@@ -130,7 +145,8 @@ class FiniteSet:
         return e + (self.ctx.zero,) * (R + 1 - len(e))
 
     def moments(self, R: int) -> MomentTable:
-        return MomentTable(self._elementary_to(R), self._ensure_h(R), self._ensure_p(R))
+        h, p, wrap = self._ensure_h(R), self._ensure_p(R), self.ctx._wrap
+        return MomentTable(self._elementary_to(R), tuple(map(wrap, h)), tuple(map(wrap, p)))
 
     @property
     def nullity(self) -> int:
@@ -141,37 +157,50 @@ class FiniteSet:
         return _leading_zeros(self._ensure_p(len(self.elements)))
 
     def _weight_table(self) -> dict:
-        """{a: 1/P'(a)} in element order; distinct roots keep P'(a) nonzero."""
+        """{a: the value of 1/P'(a)} in element order, P' by Horner on values;
+        distinct roots keep P'(a) nonzero."""
         if self._weights is None:
-            deriv = self.char_poly.derivative()
-            self._weights = {x: deriv(x).inv() for x in self.elements}
+            ctx = self.ctx
+            vadd, vmul = ctx._vadd, ctx._vmul
+            deriv = [c.value for c in reversed(self.char_poly.derivative().coeffs)]
+            self._weights = {}
+            for x in self.elements:
+                acc = ctx.zero.value
+                for c in deriv:
+                    acc = vadd(vmul(acc, x.value), c)
+                self._weights[x] = ctx._inv(acc).value
         return self._weights
 
     def weight_at(self, a) -> FieldElement:
         """1/P'(a) for a in the set."""
         a = self.ctx.element(a)
         try:
-            return self._weight_table()[a]
+            return self.ctx._wrap(self._weight_table()[a])
         except KeyError:
             raise PointNotOnGrid(f"{a} is not in the set") from None
 
-    def column(self, k: int, weighted: bool = False) -> tuple:
-        """(a^k for a in A), or (a^k/P'(a) for a in A) when weighted."""
+    def _column(self, k: int, weighted: bool = False) -> tuple:
+        """column(k, weighted) as values, built once by the value kernels."""
         key = (k, weighted)
         if key not in self._cols:
             if weighted:
-                col = map(mul, self._weight_table().values(), self.column(k))
+                col = map(self.ctx._vmul, self._weight_table().values(), self._column(k))
             else:
-                col = (a**k for a in self.elements)
+                vpow = self.ctx._vpow
+                col = (vpow(a.value, k) for a in self.elements)
             self._cols[key] = tuple(col)
         return self._cols[key]
+
+    def column(self, k: int, weighted: bool = False) -> tuple:
+        """(a^k for a in A), or (a^k/P'(a) for a in A) when weighted."""
+        return tuple(map(self.ctx._wrap, self._column(k, weighted)))
 
     def column_sum(self, k: int, weighted: bool = False) -> FieldElement:
         """The sum of column(k, weighted)."""
         key = (k, weighted)
         if key not in self._sums:
-            self._sums[key] = sum(self.column(k, weighted), self.ctx.zero)
-        return self._sums[key]
+            self._sums[key] = self.ctx._dot(self._cols[0, False], self._column(k, weighted))
+        return self.ctx._wrap(self._sums[key])
 
     def sylvester_sum(self, d: int) -> FieldElement:
         """Sum of a^d/P'(a) over A; 0 for d < |A| - 1 and 1 for d = |A| - 1."""
@@ -213,12 +242,12 @@ def elementary_moments(A: FiniteSet, R: int) -> list:
 
 def complete_moments(A: FiniteSet, R: int) -> list:
     """[h_0, ..., h_R] via h_r = sum_{i=1}^{r} (-1)^(i+1) e_i h_{r-i}."""
-    return list(A._ensure_h(R))
+    return list(map(A.ctx._wrap, A._ensure_h(R)))
 
 
 def power_sums(A: FiniteSet, R: int) -> list:
     """[p_0, ..., p_R] with p_r the sum of r-th powers; p_0 = |A|; no char poly."""
-    return list(A._ensure_p(R))
+    return list(map(A.ctx._wrap, A._ensure_p(R)))
 
 
 def weight(grid, a) -> FieldElement:

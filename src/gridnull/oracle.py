@@ -558,17 +558,38 @@ def coefficient_oracle(f: MultiPoly, k: Monomial) -> FieldElement:
     return f.ctx.zero
 
 
+def _evaluate_bruteforce(f: MultiPoly, point) -> FieldElement:
+    """f at one point, term by term through the element operators."""
+    total = f.ctx.zero
+    for m, c in f.terms.items():
+        v = c
+        for x, k in zip(point, m):
+            if k:
+                v = v * x**k
+        total = total + v
+    return total
+
+
+def _weights_bruteforce(A: FiniteSet) -> dict:
+    """{a: prod over b != a of (a - b)^(-1)} through the element operators."""
+    return {a: math.prod((a - b for b in A if b != a), start=A.ctx.one).inv() for a in A}
+
+
 def grid_values_bruteforce(f: MultiPoly, grid: Grid) -> list:
     """f at each point of the grid, one evaluation per point."""
-    return [f.evaluate(a) for a in grid.points()]
+    return [_evaluate_bruteforce(f, a) for a in grid.points()]
 
 
 def grid_sum_bruteforce(f: MultiPoly, grid: Grid, mode: str = "plain") -> FieldElement:
     """Sum of f over the grid, plain or weighted, one evaluation per point."""
+    weights = [_weights_bruteforce(A) for A in grid.factors]
     acc = grid.ctx.zero
     for a in grid.points():
-        v = f.evaluate(a)
-        acc = acc + (grid.weight(a) * v if mode == "weighted" else v)
+        v = _evaluate_bruteforce(f, a)
+        if mode == "weighted":
+            for w, x in zip(weights, a):
+                v = v * w[x]
+        acc = acc + v
     return acc
 
 
@@ -598,7 +619,7 @@ def interpolate_bruteforce(grid: Grid, values, lam: int) -> MultiPoly:
     weight_tables = []
     for A in grid.factors:
         pow_tables.append({a: [a**k for k in range(len(A))] for a in A})
-        weight_tables.append({a: A.weight_at(a) for a in A})
+        weight_tables.append(_weights_bruteforce(A))
     ks = [
         k
         for k in itertools.product(*(range(min(lam, s - 1) + 1) for s in grid.sizes))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import zip_longest
+from operator import index
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -59,6 +60,14 @@ class _MinusInfinity:
 MINUS_INFINITY = _MinusInfinity()
 
 Monomial = tuple[int, ...]
+
+
+def _exponent(k) -> int:
+    """k as an int exponent; a value that is no integer (2.0, 1.9) is refused."""
+    try:
+        return index(k)
+    except TypeError:
+        raise ExponentOutOfRange(f"exponent {k!r} is not an integer") from None
 
 
 class UniPoly:
@@ -156,7 +165,7 @@ class MultiPoly:
         clean: dict[Monomial, FieldElement] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for m, c in items:
-            m = tuple(int(k) for k in m)
+            m = tuple(map(_exponent, m))
             if len(m) != n:
                 raise DimensionMismatch(
                     f"exponent tuple {m} has length {len(m)}, expected {n}"
@@ -206,19 +215,23 @@ class MultiPoly:
         return self.terms.get(m, self.ctx.zero)
 
     def evaluate(self, point: Sequence) -> FieldElement:
-        pt = tuple(map(self.ctx.element, point))
+        """f at the point: each monomial's value by the context's _vmul and
+        _vpow, and their sum against the coefficients by _dot, on raw values."""
+        ctx = self.ctx
+        pt = [ctx.element(x).value for x in point]
         if len(pt) != self.n:
             raise DimensionMismatch(
                 f"point has {len(pt)} coordinates, expected {self.n}"
             )
-        total = self.ctx.zero
-        for m, c in self.terms.items():
-            v = c
+        vmul, vpow = ctx._vmul, ctx._vpow
+        monomials = []
+        for m in self.terms:
+            v = None
             for x, k in zip(pt, m):
                 if k:
-                    v = v * x**k
-            total = total + v
-        return total
+                    v = vpow(x, k) if v is None else vmul(v, vpow(x, k))
+            monomials.append(ctx.one.value if v is None else v)
+        return ctx._wrap(ctx._dot([c.value for c in self.terms.values()], monomials))
 
     def _compat(self, other):
         if other.ctx is not self.ctx:
@@ -308,7 +321,7 @@ def raise_degree(f: MultiPoly, grid, k: Sequence[int]) -> MultiPoly:
     sizes.  This moves the monomial k of f onto the top monomial
     (s_1 - 1, ..., s_n - 1) of the product.
     """
-    k = tuple(int(x) for x in k)
+    k = tuple(map(_exponent, k))
     if len(k) != f.n or grid.n != f.n:
         raise DimensionMismatch("sizes, exponents, and variables disagree")
     for ki, si in zip(k, grid.sizes):

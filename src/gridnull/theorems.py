@@ -10,8 +10,6 @@ joint nullity of the grid.
 from __future__ import annotations
 
 import itertools
-from functools import reduce
-from operator import add, mul
 
 from .errors import (
     DegreeBoundViolated,
@@ -29,7 +27,7 @@ from .errors import (
 from .field import FieldElement
 from .grids import Grid
 from .nullity import FiniteSet
-from .poly import MultiPoly, raise_degree
+from .poly import MultiPoly, _exponent, raise_degree
 from .reports import CoefficientReport, ScanReport, WitnessReport
 
 
@@ -45,7 +43,8 @@ def _check_shape(f: MultiPoly, grid: Grid) -> None:
 def _fold(f: MultiPoly, grid: Grid, column):
     """sum_m c_m C_1(m_1) (x) ... (x) C_n(m_n) over f's terms, in product
     order, last axis fastest, where C_j(k) = column(A_j, k); yielded one row
-    per entry of C_1.
+    per entry of C_1.  Columns, folds and rows are lists of raw values,
+    combined by the context's _outer and _vsum kernels.
 
     Each column is built once per (axis, exponent).  The terms sit in a trie
     keyed by their exponents axis by axis; the subtree under exponent k on
@@ -55,13 +54,13 @@ def _fold(f: MultiPoly, grid: Grid, column):
     held.  With the columns [a^k for a in A_j] the rows are f's values at
     ``grid.points()``; with one-entry columns the single row is a grid sum.
     """
-    n = grid.n
+    n, outer, vsum = grid.n, grid.ctx._outer, grid.ctx._vsum
     trie = {}  # exponents m_1, ..., m_(n-1) lead to {m_n: [c_m]}
     for m, c in (f.terms or {(0,) * n: grid.ctx.zero}).items():
         node = trie
         for k in m[:-1]:
             node = node.setdefault(k, {})
-        node[m[-1]] = [c]
+        node[m[-1]] = [c.value]
     columns = {}
 
     def fold(node, j):
@@ -71,8 +70,8 @@ def _fold(f: MultiPoly, grid: Grid, column):
                 inner = fold(inner, j + 1)
             if (j, k) not in columns:
                 columns[j, k] = column(grid.factors[j], k)
-            part = [x * y for x in columns[j, k] for y in inner]
-            acc = part if acc is None else list(map(add, acc, part))
+            part = outer(columns[j, k], inner)
+            acc = part if acc is None else vsum(acc, part)
         return acc
 
     A = grid.factors[0]
@@ -80,23 +79,28 @@ def _fold(f: MultiPoly, grid: Grid, column):
         (column(A, k), fold(inner, 1) if n > 1 else inner) for k, inner in trie.items()
     ]
     for i, x in enumerate(c1):
-        row = list(map(x.__mul__, first))
+        row = outer((x,), first)
         for c, fk in rest:
-            row = list(map(add, row, map(c[i].__mul__, fk)))
+            row = vsum(row, outer((c[i],), fk))
         yield row
 
 
+def _point_values(f: MultiPoly, grid: Grid):
+    """Iterator over the values of f at the grid points, in ``grid.points()`` order."""
+    return itertools.chain.from_iterable(_fold(f, grid, FiniteSet._column))
+
+
 def _grid_values(f: MultiPoly, grid: Grid):
-    """Iterator over f at each point of the grid, in ``grid.points()`` order."""
-    return itertools.chain.from_iterable(_fold(f, grid, FiniteSet.column))
+    """Iterator over f at each point of the grid as elements, in ``grid.points()`` order."""
+    return map(grid.ctx._wrap, _point_values(f, grid))
 
 
 def _zero_scan(f: MultiPoly, grid: Grid):
     """(number of grid zeros of f, first non-vanishing point or None)."""
     zeros = 0
     first = None
-    for a, v in zip(grid.points(), _grid_values(f, grid)):
-        if v.is_zero:
+    for a, v in zip(grid.points(), _point_values(f, grid)):
+        if not v:
             zeros += 1
         elif first is None:
             first = a
@@ -162,7 +166,7 @@ def cct_coefficient(f: MultiPoly, grid: Grid) -> CoefficientReport:
 def extract_coefficient(f: MultiPoly, grid: Grid, k) -> FieldElement:
     """Coefficient of the monomial k via degree raising and the weighted sum."""
     _check_shape(f, grid)
-    k = tuple(int(x) for x in k)
+    k = tuple(map(_exponent, k))
     if len(k) != grid.n:
         raise DimensionMismatch("target monomial has wrong arity")
     for ki, s in zip(k, grid.sizes):
@@ -181,7 +185,8 @@ def interpolate(grid: Grid, values, lam: int) -> MultiPoly:
     The coefficient of x^k, |k| <= lam, is sum_a v(a) prod_i w_i(a_i)
     a_i^(s_i-1-k_i) with w_i = 1/P_i'.  The kernel separates, so the values
     are contracted one axis at a time against the matrix w_i(a) a^(s_i-1-k),
-    dropping every prefix k_1..k_i whose degree passes lam.
+    dropping every prefix k_1..k_i whose degree passes lam.  Values and
+    matrix rows are raw values, contracted by the context's _dot kernel.
     """
     if grid.has_singleton:
         raise SingletonFactor("interpolation needs every factor of size > 1")
@@ -198,19 +203,19 @@ def interpolate(grid: Grid, values, lam: int) -> MultiPoly:
             v = values[a]
         except KeyError:
             raise MissingValue(f"no value supplied for grid point {a}") from None
-        flat.append(ctx.element(v))
+        flat.append(ctx.element(v).value)
     layer = {(): flat}
     rest = grid.size
     for A, s in zip(grid.factors, grid.sizes):
         rest //= s
-        matrix = [A.column(s - 1 - k, weighted=True) for k in range(min(lam, s - 1) + 1)]
+        matrix = [A._column(s - 1 - k, weighted=True) for k in range(min(lam, s - 1) + 1)]
         nxt = {}
         for prefix, t in layer.items():
             lines = [t[r::rest] for r in range(rest)]
             for k in range(min(lam - sum(prefix), s - 1) + 1):
-                nxt[prefix + (k,)] = [reduce(add, map(mul, v, matrix[k])) for v in lines]
+                nxt[prefix + (k,)] = [ctx._dot(v, matrix[k]) for v in lines]
         layer = nxt
-    return MultiPoly(ctx, grid.n, {k: t[0] for k, t in layer.items()})
+    return MultiPoly(ctx, grid.n, {k: ctx._wrap(t[0]) for k, t in layer.items()})
 
 
 def grid_sum(f: MultiPoly, grid: Grid, mode: str = "plain") -> FieldElement:
@@ -224,8 +229,10 @@ def grid_sum(f: MultiPoly, grid: Grid, mode: str = "plain") -> FieldElement:
     if mode not in ("plain", "weighted"):
         raise ValueError(f"mode must be 'plain' or 'weighted', got {mode!r}")
     if mode == "weighted":
-        return next(_fold(f, grid, lambda A, k: [A.sylvester_sum(k)]))[0]
-    return next(_fold(f, grid, lambda A, k: [A.column_sum(k)]))[0]
+        row = next(_fold(f, grid, lambda A, k: [A.sylvester_sum(k).value]))
+    else:
+        row = next(_fold(f, grid, lambda A, k: [A.column_sum(k).value]))
+    return grid.ctx._wrap(row[0])
 
 
 def punctured_check(f: MultiPoly, grid: Grid) -> ScanReport:
@@ -318,24 +325,25 @@ def _plane_conditions(grid: Grid) -> dict:
 def _plane_counter(head, grid: Grid):
     """Grid points on the plane c.x = 0 as a function of c_n, c = head + (c_n,).
 
-    A histogram H over (F_q, +) counts the values of c_1 x_1 + ... +
-    c_(n-1) x_(n-1) on the first n-1 factors; it is built one axis at a time
-    by convolving with c_i A_i, and an axis with c_i = 0 scales every count by
-    |A_i|.  The count is then sum_(a in A_n) H[-c_n a].
+    A histogram H over (F_q, +), keyed by raw values, counts the values of
+    c_1 x_1 + ... + c_(n-1) x_(n-1) on the first n-1 factors; it is built one
+    axis at a time by convolving with c_i A_i, and an axis with c_i = 0 scales
+    every count by |A_i|.  The count is then sum_(a in A_n) H[-c_n a].
     """
-    hist, scale = {grid.ctx.zero: 1}, 1
+    ctx = grid.ctx
+    hist, scale = {ctx.zero.value: 1}, 1
     for c, A in zip(head, grid.factors):
         if c.is_zero:
             scale *= len(A)
             continue
-        shifts = [c * a for a in A]
+        shifts = ctx._outer((c.value,), A._column(1))
         nxt = {}
         for h, k in hist.items():
-            for d in shifts:
-                t = h + d
+            for t in ctx._vsum((h,) * len(shifts), shifts):
                 nxt[t] = nxt.get(t, 0) + k
         hist = nxt
-    return lambda c: scale * sum(hist.get(x, 0) for x in map((-c).__mul__, grid.factors[-1]))
+    last = grid.factors[-1]._column(1)
+    return lambda c: scale * sum(hist.get(x, 0) for x in ctx._outer(((-c).value,), last))
 
 
 def plane_grid_count(c, grid: Grid) -> ScanReport:

@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 
 import gridnull as g
+from gridnull.field import _TABLE_CAP
 
 Q = g.Rationals()
 F2 = g.PrimeField(2)
@@ -35,6 +36,8 @@ def random_rational(rng) -> Fraction:
 def random_element(rng, ctx):
     if ctx.kind == "rationals":
         return ctx.element(random_rational(rng))
+    if ctx.cardinality > _TABLE_CAP:  # by value, without enumerating the field
+        return g.FieldElement(ctx, rng.randrange(ctx.cardinality))
     return rng.choice(ctx.elements())
 
 
@@ -53,6 +56,9 @@ def random_rational_set(rng, size: int) -> g.FiniteSet:
 
 
 def random_subset(rng, ctx, size: int) -> g.FiniteSet:
+    if ctx.cardinality > _TABLE_CAP:  # by value, without enumerating the field
+        values = rng.sample(range(ctx.cardinality), size)
+        return g.FiniteSet(ctx, [g.FieldElement(ctx, v) for v in values])
     return g.FiniteSet(ctx, rng.sample(ctx.elements(), size))
 
 

@@ -1,5 +1,6 @@
 """Finite-field kernels against the polynomial-arithmetic reference, the
-root-factor list kernels against element operators, and context interning."""
+value kernels (scalar, list and root-factor) against element operators, and
+context interning."""
 
 import copy
 import pickle
@@ -126,6 +127,37 @@ def test_root_factor_kernels_match_element_operators(ctx, data):
     full = _top_first(char_poly_bruteforce(ctx, roots))
     extra = ctx.element(data.draw(_root(ctx))).value
     assert ctx._div_root(ctx._mul_root(full, extra), extra) == full
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_ROOT_FIELDS), st.data())
+def test_value_kernels_match_element_operators(ctx, data):
+    # a small pool with zero in it, so entries repeat; lists may be empty
+    drawn = data.draw(st.lists(_root(ctx), min_size=1, max_size=4))
+    pool = [ctx.zero] + [ctx.element(a) for a in drawn]
+    xs = data.draw(st.lists(st.sampled_from(pool), max_size=6))
+    ys = data.draw(st.lists(st.sampled_from(pool), min_size=len(xs), max_size=len(xs)))
+    zs = data.draw(st.lists(st.sampled_from(pool), max_size=4))
+    xv, yv, zv = ([x.value for x in v] for v in (xs, ys, zs))
+    assert ctx._outer(xv, zv) == [(x * z).value for x in xs for z in zs]
+    assert ctx._outer(zv, xv) == [(z * x).value for z in zs for x in xs]
+    assert ctx._vsum(xv, yv) == [(x + y).value for x, y in zip(xs, ys)]
+    assert ctx._dot(xv, yv) == sum((x * y for x, y in zip(xs, ys)), ctx.zero).value
+    assert ctx._dot(xv, yv) == ctx._dot(yv, xv)
+    k = data.draw(st.integers(min_value=0, max_value=3 * (ctx.cardinality or 4)))
+    for x, y in zip(xs, ys):
+        assert ctx._vadd(x.value, y.value) == (x + y).value
+        assert ctx._vmul(x.value, y.value) == (x * y).value
+        assert ctx._vpow(x.value, k) == (x**k).value
+        assert ctx._vpow(x.value, 0) == ctx.one.value
+
+
+def test_list_kernels_of_empty_lists():
+    for ctx in _ROOT_FIELDS:
+        assert ctx._outer([], [ctx.one.value]) == ctx._outer([ctx.one.value], []) == []
+        assert ctx._vsum([], []) == []
+        assert ctx._dot([], []) == ctx.zero.value
+        assert type(ctx._dot([], [])) is type(ctx.zero.value)
 
 
 def test_root_factor_kernels_of_the_empty_product():

@@ -306,3 +306,19 @@ def test_power_sums_grow_from_the_cached_column():
     assert [str(v) for v in g.power_sums(a, 2)] == ["3", "6", "0"]
     assert a.column(2) == (F7.one, F7.element(4), F7.element(2))
     assert [str(v) for v in g.power_sums(a, 4)] == ["3", "6", "0", "1", "0"]
+
+
+_ABOVE_CAP = [g.PrimeField(65537), g.parse_field("F2^12/1,0,0,1,0,0,0,0,0,0,0,0,1")]
+
+
+@pytest.mark.parametrize("ctx", _MEMO_FIELDS + _ABOVE_CAP, ids=str)
+def test_power_sums_across_blocks_match_element_sums(ctx):
+    """Orders up to 100 cross several 32-column blocks and, in characteristic
+    c, the p_(ck) = p_k^c step; the table also grows from mid-block."""
+    rng = make_rng(len(str(ctx)))
+    for size in (1, 2, 5):
+        a = random_set(rng, ctx, size)
+        want = [sum((x**r for x in a), ctx.zero) for r in range(101)]
+        assert g.power_sums(a, 45) == want[:46]
+        assert g.power_sums(a, 100) == want
+        assert g.power_sums(g.FiniteSet(ctx, a), 100) == want

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import gridnull as g
 from gridnull import oracle
-from gridnull.field import FiniteField
+from gridnull.field import _TABLE_CAP, FiniteField
 from gridnull.oracle import (
     _field_for_order,
     _necklace_nullities,
@@ -445,7 +445,20 @@ def test_oracle_config_validation():
         cfg._replace(max_degree=0)
 
 
-_KERNEL_FIELDS = [Q, F7, F9, F27]
+# One field or more per value-kernel kind: Fractions (Q), residues (F7, and
+# F65537 above the table cap), odd-p tables (F9, F27), p = 2 tables (F16) and
+# the fallback on the scalar kernels above the cap (F2^12).  Above the cap
+# factors are small explicit sets, drawn without enumerating the field.
+_KERNEL_FIELDS = [
+    Q,
+    F7,
+    F9,
+    F27,
+    g.parse_field("F2^4"),
+    g.PrimeField(65537),
+    g.parse_field("F2^12/1,0,0,1,0,0,0,0,0,0,0,0,1"),
+]
+_FINITE_KERNEL_FIELDS = _KERNEL_FIELDS[1:]
 
 
 def _kernel_instance(rng, ctx):
@@ -467,9 +480,8 @@ def _kernel_instance(rng, ctx):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=10**9))
-def test_grid_engines_match_pointwise_evaluation(fidx, seed):
-    ctx = _KERNEL_FIELDS[fidx]
+@given(st.sampled_from(_KERNEL_FIELDS), st.integers(min_value=0, max_value=10**9))
+def test_grid_engines_match_pointwise_evaluation(ctx, seed):
     f, grid = _kernel_instance(make_rng(seed), ctx)
     values = grid_values_bruteforce(f, grid)
     assert list(_grid_values(f, grid)) == values
@@ -487,9 +499,8 @@ def test_grid_engines_match_pointwise_evaluation(fidx, seed):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=10**9))
-def test_punctured_count_matches_pointwise_evaluation(fidx, seed):
-    ctx = _KERNEL_FIELDS[fidx]
+@given(st.sampled_from(_KERNEL_FIELDS), st.integers(min_value=0, max_value=10**9))
+def test_punctured_count_matches_pointwise_evaluation(ctx, seed):
     f, grid = _kernel_instance(make_rng(seed), ctx)
     top = tuple(s - 1 for s in grid.sizes)
     bound = sum(top) + grid.joint_nullity
@@ -502,19 +513,13 @@ def test_punctured_count_matches_pointwise_evaluation(fidx, seed):
     assert details["zero_count"] == grid.size - nonzero
 
 
-# F2^12 is above the table cap: sums are fresh element objects, so the plane
-# histograms must key on element values, not on object identity.
-_PLANE_FIELDS = [F7, F9, F27, g.parse_field("F2^12/1,0,0,1,0,0,0,0,0,0,0,0,1")]
-
-
 @settings(max_examples=80, deadline=None)
 @given(
-    st.integers(min_value=0, max_value=3),
+    st.sampled_from(_FINITE_KERNEL_FIELDS),
     st.integers(min_value=0, max_value=10**9),
     st.sampled_from(["pp", "ppp"]),
 )
-def test_plane_counts_match_dot_products(fidx, seed, mode):
-    ctx = _PLANE_FIELDS[fidx]
+def test_plane_counts_match_dot_products(ctx, seed, mode):
     rng = make_rng(seed)
     n = rng.randint(1, 3)
     grid = g.grid_make([random_set(rng, ctx, rng.randint(1, 4)) for _ in range(n)])
@@ -544,18 +549,23 @@ def _interpolation_factor(rng, ctx):
     if ctx.kind == "rationals":
         return rng.choice([random_rational_set, zero_sum_rational_set])(rng, size)
     if ctx.kind == "extension" and rng.random() < 0.3:
-        return g.additive_coset(ctx, [nonzero_element(rng, ctx)], random_element(rng, ctx))
+        gens = [nonzero_element(rng, ctx) for _ in range(rng.randint(1, 2))]
+        return g.additive_coset(ctx, gens, random_element(rng, ctx))
+    if ctx.cardinality > _TABLE_CAP:
+        if ctx.kind == "prime" and rng.random() < 0.4:  # {a, -a}: nullity 1
+            a = nonzero_element(rng, ctx)
+            return g.FiniteSet(ctx, [a, -a])
+        return random_set(rng, ctx, size)
     return random_structured_factor(rng, ctx, 4)
 
 
 @settings(max_examples=80, deadline=None)
 @given(
-    st.integers(min_value=0, max_value=3),
+    st.sampled_from(_KERNEL_FIELDS),
     st.integers(min_value=0, max_value=10**9),
     st.booleans(),
 )
-def test_interpolate_matches_pointwise_sums(fidx, seed, as_ints):
-    ctx = _KERNEL_FIELDS[fidx]
+def test_interpolate_matches_pointwise_sums(ctx, seed, as_ints):
     rng = make_rng(seed)
     grid = g.grid_make([_interpolation_factor(rng, ctx) for _ in range(rng.randint(1, 3))])
     points = list(grid.points())
@@ -578,3 +588,33 @@ def test_interpolate_matches_pointwise_sums(fidx, seed, as_ints):
         interpolate_bruteforce(grid, values, lam)
     expected = f"no value supplied for grid point {points[min(gone)]}"
     assert str(fast_error.value) == str(slow_error.value) == expected
+
+
+_VALUE_KERNELS = ("_vadd", "_vmul", "_vpow", "_outer", "_vsum", "_dot")
+
+
+@pytest.mark.parametrize("ctx", _KERNEL_FIELDS, ids=str)
+def test_engine_references_reach_no_value_kernel(monkeypatch, ctx):
+    """The engines, MultiPoly.evaluate and the set weights run on the value
+    kernels; the references they are checked against must not, or each
+    comparison would test a kernel against itself."""
+    rng = make_rng(sum(map(ord, str(ctx))))
+    f, grid = _kernel_instance(rng, ctx)
+    igrid = g.grid_make([_interpolation_factor(rng, ctx) for _ in range(2)])
+    ivalues = {a: random_element(rng, ctx) for a in igrid.points()}
+    lam = igrid.joint_nullity
+    values = list(_grid_values(f, grid))
+    plain, weighted = g.grid_sum(f, grid), g.grid_sum(f, grid, "weighted")
+    rebuilt = g.interpolate(igrid, ivalues, lam)
+
+    def refuse(*args):
+        raise AssertionError("a value kernel was reached")
+
+    for name in _VALUE_KERNELS:
+        monkeypatch.setattr(ctx, name, refuse)
+    with pytest.raises(AssertionError, match="value kernel"):
+        f.evaluate(next(grid.points()))
+    assert grid_values_bruteforce(f, grid) == values
+    assert grid_sum_bruteforce(f, grid) == plain
+    assert grid_sum_bruteforce(f, grid, "weighted") == weighted
+    assert interpolate_bruteforce(igrid, ivalues, lam) == rebuilt

@@ -1,5 +1,6 @@
 """Polynomial types, parsing, formatting, and the degree-raising shift."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -161,6 +162,17 @@ def test_raise_degree_shifts_onto_top_monomial():
         g.raise_degree(f, grid, (3, 0))
     with pytest.raises(g.DimensionMismatch):
         g.raise_degree(f, g.grid_make(grid.factors[:1]), (1,))
+
+
+def test_multipoly_refuses_non_integer_exponents():
+    """{(1.7,): 1} is not read as x1: the exponent is named, not truncated."""
+    for m, bad in (((1.7,), "1.7"), ((2.0,), "2.0"), ((Fraction(3),), "Fraction(3, 1)")):
+        message = re.escape(f"exponent {bad} is not an integer")
+        with pytest.raises(g.ExponentOutOfRange, match=message):
+            g.MultiPoly(F7, 1, {m: 1})
+    with pytest.raises(g.ExponentOutOfRange, match="exponent 0.5 is not an integer"):
+        g.MultiPoly.monomial(Q, 2, (1, 0.5))
+    assert g.MultiPoly(F7, 1, {(True,): 1}) == g.MultiPoly.variable(F7, 1, 1)
 
 
 @settings(max_examples=50, deadline=None)

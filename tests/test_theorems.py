@@ -149,6 +149,16 @@ def test_extract_coefficient_errors():
         g.extract_coefficient(quartic, grid, (0, 0))
 
 
+def test_extract_coefficient_refuses_non_integer_exponents():
+    """(1.9, 1) is not read as (1, 1): the exponent is named, not truncated."""
+    f = g.parse_poly("2*x1*x2 + 3", 2, F7)
+    grid = g.grid_make([_mu3(), _mu3()])
+    for k, bad in (((1.9, 1), "1.9"), ((1, 1.0), "1.0"), (("1", 1), "'1'")):
+        with pytest.raises(g.ExponentOutOfRange, match=f"exponent {bad} is not an integer"):
+            g.extract_coefficient(f, grid, k)
+    assert g.extract_coefficient(f, grid, (True, 1)) == F7.element(2)
+
+
 def test_interpolate_round_trip():
     grid = g.grid_make([_mu3(), _mu3()])
     f = g.parse_poly("2*x1*x2 + 3", 2, F7)
@@ -229,17 +239,20 @@ def test_grid_values_stream_one_row_per_first_axis_entry():
     values = _grid_values(f, grid)
     assert iter(values) is values
     assert list(values) == [f.evaluate(a) for a in grid.points()]
-    rows = _fold(f, grid, lambda S, k: [a**k for a in S])
+    rows = _fold(f, grid, lambda S, k: [(a**k).value for a in S])
     assert [len(row) for row in rows] == [len(B)] * len(A)
 
 
 def test_fold_builds_each_column_once(monkeypatch):
-    """One column per (axis, exponent): x2^2 sits under three exponents of x1."""
+    """One column per (axis, exponent): x2^2 sits under three exponents of x1.
+
+    A power column is built by one value-kernel power per element, so the
+    count of F7._vpow calls pins the builds."""
     f = g.parse_poly("x1*x2^2 + x1^2*x2^2 + x1^3*x2^2", 2, F7)
     A, B = _mu3(), g.FiniteSet(F7, [0, 1, 2, 5])
     grid = g.grid_make([A, B])
     counts = {"pow": 0, "sylvester": 0}
-    pow_, sylvester = g.FieldElement.__pow__, g.FiniteSet.sylvester_sum
+    pow_, sylvester = F7._vpow, g.FiniteSet.sylvester_sum
 
     def counted_pow(x, k):
         counts["pow"] += 1
@@ -249,7 +262,7 @@ def test_fold_builds_each_column_once(monkeypatch):
         counts["sylvester"] += 1
         return sylvester(self, d)
 
-    monkeypatch.setattr(g.FieldElement, "__pow__", counted_pow)
+    monkeypatch.setattr(F7, "_vpow", counted_pow)
     monkeypatch.setattr(g.FiniteSet, "sylvester_sum", counted_sylvester)
     values = list(_grid_values(f, grid))
     assert counts["pow"] == 3 * len(A) + len(B)
@@ -265,7 +278,7 @@ def test_repeated_engine_calls_reuse_the_set_caches(monkeypatch):
     low = g.parse_poly("x1^2 + 3*x1*x2 + 5", 2, F7)
     values = _points_values(low, grid)
     counts = {"pow": 0, "weight_at": 0}
-    pow_, weight_at = g.FieldElement.__pow__, g.FiniteSet.weight_at
+    pow_, weight_at = F7._vpow, g.FiniteSet.weight_at
 
     def counted_pow(x, k):
         counts["pow"] += 1
@@ -275,7 +288,7 @@ def test_repeated_engine_calls_reuse_the_set_caches(monkeypatch):
         counts["weight_at"] += 1
         return weight_at(self, a)
 
-    monkeypatch.setattr(g.FieldElement, "__pow__", counted_pow)
+    monkeypatch.setattr(F7, "_vpow", counted_pow)
     monkeypatch.setattr(g.FiniteSet, "weight_at", counted_weight_at)
     calls = (
         lambda: g.grid_sum(f, grid, "weighted"),
