@@ -77,8 +77,10 @@ def _grid_of(args, ctx):
     return parse_grid(_resolve_source(args.grid, args.grid_file, "--grid"), ctx)
 
 
-def _poly_of(args, ctx, n):
-    return parse_poly(_resolve_source(args.poly, args.poly_file, "--poly"), n, ctx)
+def _grid_and_poly(args):
+    ctx = parse_field(args.field)
+    grid = _grid_of(args, ctx)
+    return grid, parse_poly(_resolve_source(args.poly, args.poly_file, "--poly"), grid.n, ctx)
 
 
 def _monomial_of(text: str):
@@ -125,18 +127,14 @@ def _cmd_analyze_grid(args):
 
 
 def _cmd_cn_check(args):
-    ctx = parse_field(args.field)
-    grid = _grid_of(args, ctx)
-    f = _poly_of(args, ctx, grid.n)
+    grid, f = _grid_and_poly(args)
     report = gcn_check(f, grid)
     verdict = (not report.hypothesis_ok) or report.witness is not None
     return {**report._asdict(), "verdict": verdict}, verdict
 
 
 def _cmd_coeff(args):
-    ctx = parse_field(args.field)
-    grid = _grid_of(args, ctx)
-    f = _poly_of(args, ctx, grid.n)
+    grid, f = _grid_and_poly(args)
     if args.k is not None:
         k = _monomial_of(args.k)
         extracted = extract_coefficient(f, grid, k)
@@ -156,9 +154,7 @@ def _cmd_coeff(args):
 
 
 def _cmd_interpolate(args):
-    ctx = parse_field(args.field)
-    grid = _grid_of(args, ctx)
-    f = _poly_of(args, ctx, grid.n)
+    grid, f = _grid_and_poly(args)
     lam = args.lam if args.lam is not None else grid.joint_nullity
     values = dict(zip(grid.points(), _grid_values(f, grid)))
     g = interpolate(grid, values, lam)
@@ -173,9 +169,7 @@ def _cmd_interpolate(args):
 
 
 def _cmd_grid_sum(args):
-    ctx = parse_field(args.field)
-    grid = _grid_of(args, ctx)
-    f = _poly_of(args, ctx, grid.n)
+    grid, f = _grid_and_poly(args)
     return {"mode": args.mode, "sum": grid_sum(f, grid, args.mode)}, True
 
 

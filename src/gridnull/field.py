@@ -16,12 +16,14 @@ the inner loops run on without an element object per step: scalar _vadd,
 _vmul and _vpow; the list kernels _outer (the products x*y for x in xs, y in
 ys, flattened), _vsum (elementwise sums) and _dot (the sum of the products
 x*y over zip(xs, ys)); and _mul_root and _div_root, which multiply a
-top-first coefficient list by (X - a) and divide one exactly by it.  They
-come in one form per kind: residues mod p, p = 2 tables (XOR sums,
-exp[log a + log b] products), odd-p tables (log and Zech), Fractions over Q,
-and a fallback on the scalar kernels for the digits above the cap.  Contexts
-are interned, one object per field, so context equality is identity.  All
-arithmetic is exact; floating point never appears.
+top-first coefficient list by (X - a) and divide one exactly by it.  Each
+kind supplies its own scalar value kernels: residues mod p, p = 2 tables
+(XOR sums, exp[log a + log b] products), odd-p tables (log and Zech),
+Fractions over Q, and polynomial arithmetic on the digits above the cap.
+The list kernels are generic, in FieldCtx on the scalar value kernels,
+wherever a kind has no faster form of its own.  Contexts are interned, one
+object per field, so context equality is identity.  All arithmetic is
+exact; floating point never appears.
 """
 
 from __future__ import annotations
@@ -419,15 +421,17 @@ class FieldCtx:
 
     Contexts are interned: a constructor returns the one context of its
     field, and copies and pickles come back as that same object.  Every
-    context has the elements ``zero`` and ``one`` and the kernels _add,
-    _sub, _mul, _neg, _inv and _pow (exponent >= 0), which take element
-    values and return elements.  The value kernels take and return values:
-    _vadd(a, b), _vmul(a, b), _vpow(a, k) (k >= 0), _outer(xs, ys),
-    _vsum(xs, ys) and _dot(xs, ys) as in the module docstring, and
-    _mul_root(cs, a) and _div_root(cs, a) on lists top coefficient first:
-    the coefficients of (X - a) times cs, and of cs divided exactly by
-    (X - a).  Each field kind sets its own; the methods here are the
-    fallback on the scalar kernels.
+    context has the elements ``zero`` and ``one``, _wrap, which makes the
+    element of a value, and the kernels _add, _sub, _mul, _neg, _inv and
+    _pow (exponent >= 0), which take element values and return elements.
+    The value kernels take and return values: _vadd(a, b), _vmul(a, b),
+    _vpow(a, k) (k >= 0), _outer(xs, ys), _vsum(xs, ys) and _dot(xs, ys)
+    as in the module docstring, and _mul_root(cs, a) and _div_root(cs, a)
+    on lists top coefficient first: the coefficients of (X - a) times cs,
+    and of cs divided exactly by (X - a).  Each field kind sets its own
+    element kernels and scalar value kernels; the list kernels here are the
+    generic form on the scalar value kernels, for the kinds without their
+    own.
     """
 
     kind: str
@@ -435,15 +439,6 @@ class FieldCtx:
     cardinality: Optional[int]
     zero: FieldElement
     one: FieldElement
-
-    def _vadd(self, a, b):
-        return self._add(a, b).value
-
-    def _vmul(self, a, b):
-        return self._mul(a, b).value
-
-    def _vpow(self, a, k):
-        return self._pow(a, k).value
 
     def _outer(self, xs, ys) -> list:
         mul = self._vmul
@@ -456,13 +451,14 @@ class FieldCtx:
         return reduce(self._vadd, map(self._vmul, xs, ys), self.zero.value)
 
     def _mul_root(self, cs: list, a) -> list:
-        mul, sub = self._mul, self._sub
-        return [sub(c, mul(a, b).value).value for b, c in zip((0, *cs), (*cs, 0))]
+        # each coefficient is c - a * b, the sum of c and (-a) * b
+        mul, add, na = self._vmul, self._vadd, self._neg(a).value
+        return [add(c, mul(na, b)) for b, c in zip((0, *cs), (*cs, 0))]
 
     def _div_root(self, cs: list, a) -> list:
         # the quotient's top coefficient is cs[0], each next one c + a * the last
-        mul, add = self._mul, self._add
-        return list(accumulate(cs[:-1], lambda b, c: add(c, mul(a, b).value).value))
+        mul, add = self._vmul, self._vadd
+        return list(accumulate(cs[:-1], lambda b, c: add(c, mul(a, b))))
 
     def element(self, v) -> FieldElement:
         if isinstance(v, FieldElement):
@@ -554,12 +550,6 @@ class Rationals(FieldCtx):
             n, d = n * (e // g) + x.numerator * y.numerator * (d // g), d // g * e
         return Fraction(n, d)
 
-    def _mul_root(self, cs, a):
-        return [c - a * b for b, c in zip((0, *cs), (*cs, 0))]
-
-    def _div_root(self, cs, a):
-        return list(accumulate(cs[:-1], lambda b, c: c + a * b))
-
     def elements(self):
         raise InfiniteField("the rationals cannot be enumerated")
 
@@ -634,26 +624,16 @@ class FiniteField(FieldCtx):
         n = q - 1
         exp, log = _exp_log(p, self.e, self.modulus)
         # log 0 is 2n, so any sum of logs with it lands in the zero half of
-        # exp_v (values) and exp_e (elements); both are doubled, so a sum of
-        # two unit logs needs no mod n
+        # exp_v; it is doubled, so a sum of two unit logs needs no mod n
         n2 = log[0] = 2 * n
         exp_v = exp * 2 + [0] * (n2 + 1)
-        exp_e = [elems[v] for v in exp] * 2 + [elems[0]] * (n2 + 1)
 
         logs = partial(map, log.__getitem__)
-
-        def mul(a, b):
-            return exp_e[log[a] + log[b]]
 
         def inv(a):
             if not a:
                 raise DivisionByZero("cannot invert 0")
-            return exp_e[n - log[a]]
-
-        def power(a, k):
-            if a:
-                return exp_e[log[a] * k % n]
-            return elems[0] if k else elems[1]
+            return elems[exp_v[n - log[a]]]
 
         def vpow(a, k):
             return exp_v[log[a] * k % n] if a else (0 if k else 1)
@@ -666,7 +646,8 @@ class FiniteField(FieldCtx):
             """The logs of the products x*y over zip(xs, ys)."""
             return map(add, logs(xs), logs(ys))
 
-        self._mul, self._inv, self._pow = mul, inv, power
+        self._mul = lambda a, b: elems[exp_v[log[a] + log[b]]]
+        self._inv, self._pow = inv, lambda a, k: elems[vpow(a, k)]
         self._vmul = lambda a, b: exp_v[log[a] + log[b]]
         self._vpow, self._outer = vpow, outer
         if p == 2:
@@ -730,19 +711,25 @@ class FiniteField(FieldCtx):
         def digits(v):
             return _digits(v, p, e)
 
+        def vadd(a, b):
+            return _index([(x + y) % p for x, y in zip(digits(a), digits(b))], p)
+
+        def vmul(a, b):
+            return _index(_px_mod(_px_mul(digits(a), digits(b), p), m, p), p)
+
+        def vpow(a, k):
+            return _index(_px_powmod(digits(a), k, m, p), p)
+
         def inv(a):
             if not a:
                 raise DivisionByZero("cannot invert 0")
             return new(_index(_px_invmod(digits(a), m, p), p))
 
-        self._mul = lambda a, b: new(
-            _index(_px_mod(_px_mul(digits(a), digits(b), p), m, p), p)
-        )
+        self._vadd, self._vmul, self._vpow = vadd, vmul, vpow
+        self._add = lambda a, b: new(vadd(a, b))
+        self._mul = lambda a, b: new(vmul(a, b))
+        self._pow = lambda a, k: new(vpow(a, k))
         self._inv = inv
-        self._pow = lambda a, k: new(_index(_px_powmod(digits(a), k, m, p), p))
-        self._add = lambda a, b: new(
-            _index([(x + y) % p for x, y in zip(digits(a), digits(b))], p)
-        )
         self._sub = lambda a, b: new(
             _index([(x - y) % p for x, y in zip(digits(a), digits(b))], p)
         )

@@ -363,15 +363,17 @@ def ore_form_check(ctx: FieldCtx, generators, shift=None) -> bool:
     """Structural checks for a coset A = shift + V of an additive subgroup V.
 
     Verifies that the vanishing polynomial P_A is supported on p-power
-    degrees (plus a constant), the binomial relations on the elementary
-    moments e_0, ..., e_(n-1) read from P_A, that translating A by an element
-    outside V keeps those moments, and, when A is V, that the coefficient of
-    X is the product of the nonzero elements.
+    degrees (plus a constant), which by Lucas' theorem is the binomial
+    relations C(n-r, k-r) e_r = 0 for r < k < n on its elementary moments
+    (k is 0 or a power of p exactly when p divides every C(k, j), 0 < j < k;
+    tests/test_oracle.py::test_p_power_degrees_are_the_binomial_zeros), that
+    translating A by an element outside V keeps those moments, and, when A
+    is V, that the coefficient of X is the product of the nonzero elements.
 
     P_A(X - c) - P_A(X) = -L_V(c) is constant for every c in the field, so
     a translate by c outside V (a set other than A) keeps the coefficients of
     X, ..., X^n.  One of 1, t, ..., t^(e-1) lies outside V unless V is the
-    field; the first such is the translate, a fresh set whose char poly is
+    field; the first such is the translate, a fresh coset whose char poly is
     built from its own roots, never shifted from P_A.
     """
     if ctx.kind == "rationals":
@@ -381,26 +383,16 @@ def ore_form_check(ctx: FieldCtx, generators, shift=None) -> bool:
     n = len(A)
     cp = A.char_poly
 
-    p_powers = set()
-    power = 1
-    while power <= n:
-        p_powers.add(power)
-        power *= p
+    # p^i <= n needs i < n.bit_length(), and larger powers never meet the support
     support = {k for k, c in enumerate(cp.coeffs) if c}
-    if not support <= p_powers | {0}:
+    if not support <= {0} | {p**i for i in range(n.bit_length())}:
         return False
-
-    # C(n-r, k-r) e_r = 0 for r < k < n, where e_r = +-cp.coeffs[n - r]
-    for r in range(n):
-        if not cp.coeffs[n - r].is_zero and any(math.comb(n - r, j) % p for j in range(1, n - r)):
-            return False
 
     basis = [ctx.one] + [ctx.generator**i for i in range(1, ctx.e)]
     first = A.elements[0]
     c = next((b for b in basis if b + first not in A), None)
     if c is not None:
-        add = ctx._add
-        translated = FiniteSet(ctx, [add(c.value, a.value) for a in A])
+        translated = additive_coset(ctx, generators, first + c)
         # the coefficients of X, ..., X^n are +-e_(n-1), ..., e_0
         if translated.char_poly.coeffs[1:] != cp.coeffs[1:]:
             return False

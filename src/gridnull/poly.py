@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import zip_longest
-from operator import index
+from operator import add, index
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -155,11 +155,14 @@ def char_poly(A) -> UniPoly:
 
 
 class MultiPoly:
-    """Sparse polynomial in n variables; keys are exponent tuples."""
+    """Sparse polynomial in n variables; keys are exponent tuples.  The one
+    term merger is the constructor: given a mapping or (monomial,
+    coefficient) pairs, it sums a repeated monomial where first seen and
+    drops zero sums."""
 
     __slots__ = ("ctx", "n", "terms")
 
-    def __init__(self, ctx: FieldCtx, n: int, terms: Mapping[Monomial, object] = ()):
+    def __init__(self, ctx: FieldCtx, n: int, terms: Mapping | Iterable = ()):
         if n < 0:
             raise DimensionMismatch("variable count must be non-negative")
         clean: dict[Monomial, FieldElement] = {}
@@ -245,14 +248,7 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._compat(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, self.ctx.zero) + c
-            if s.is_zero:
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return MultiPoly(self.ctx, self.n, out)
+        return MultiPoly(self.ctx, self.n, [*self.terms.items(), *other.terms.items()])
 
     __radd__ = __add__
 
@@ -279,16 +275,12 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._compat(other)
-        out: dict[Monomial, FieldElement] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                s = out.get(m, self.ctx.zero) + c1 * c2
-                if s.is_zero:
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-        return MultiPoly(self.ctx, self.n, out)
+        products = [
+            (tuple(map(add, m1, m2)), c1 * c2)
+            for m1, c1 in self.terms.items()
+            for m2, c2 in other.terms.items()
+        ]
+        return MultiPoly(self.ctx, self.n, products)
 
     __rmul__ = __mul__
 

@@ -14,7 +14,6 @@ import itertools
 from .errors import (
     DegreeBoundViolated,
     DimensionMismatch,
-    ExponentOutOfRange,
     InfiniteField,
     LambdaExceedsNullity,
     MissingValue,
@@ -169,14 +168,12 @@ def extract_coefficient(f: MultiPoly, grid: Grid, k) -> FieldElement:
     k = tuple(map(_exponent, k))
     if len(k) != grid.n:
         raise DimensionMismatch("target monomial has wrong arity")
-    for ki, s in zip(k, grid.sizes):
-        if not 0 <= ki <= s - 1:
-            raise ExponentOutOfRange(f"exponent {ki} outside 0..{s - 1}")
+    raised = raise_degree(f, grid, k)  # checks 0 <= k_i <= s_i - 1 first
     if not f.total_degree <= sum(k) + grid.joint_nullity:
         raise DegreeBoundViolated(
             f"degree {f.total_degree} exceeds {sum(k)} + {grid.joint_nullity}"
         )
-    return grid_sum(raise_degree(f, grid, k), grid, "weighted")
+    return grid_sum(raised, grid, "weighted")
 
 
 def interpolate(grid: Grid, values, lam: int) -> MultiPoly:

@@ -4,6 +4,7 @@ context interning."""
 
 import copy
 import pickle
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -73,8 +74,8 @@ def test_kernels_match_polynomial_reference(fidx, data):
         assert ctx.element(coeffs) == field_element_bruteforce(ctx, coeffs)
 
 
-# One field or more per list-kernel kind: Fractions, residues, p = 2 tables,
-# odd-p tables, and the fallback on the scalar kernels above the cap
+# One field or more per kernel kind: Fractions, residues, p = 2 tables, odd-p
+# tables, and digits above the cap, whose list kernels are FieldCtx's generic ones
 _ROOT_FIELDS = [
     Q,
     F7,
@@ -165,6 +166,29 @@ def test_root_factor_kernels_of_the_empty_product():
         assert g.UniPoly.from_roots(ctx, []).coeffs == char_poly_bruteforce(ctx, []).coeffs
         assert g.UniPoly.from_roots(ctx, []).coeffs == (ctx.one,)
         assert ctx._div_root([ctx.one.value], ctx.one.value) == []
+
+
+_KERNELS = (
+    "_add", "_sub", "_mul", "_neg", "_inv", "_pow", "_vadd", "_vmul", "_vpow",
+    "_outer", "_vsum", "_dot", "_mul_root", "_div_root", "_wrap",
+)
+
+
+@pytest.mark.parametrize("ctx", [*_ROOT_FIELDS, F4], ids=str)
+def test_every_named_kernel_is_callable_on_every_kind(ctx):
+    """FieldCtx supplies only the generic list kernels, so each kind must set
+    the rest; without this a missing one fails only when an engine needs it."""
+    assert set(re.findall(r"\b_[a-z_]+", g.FieldCtx.__doc__)) == set(_KERNELS)
+    x = (ctx.generator if ctx.kind == "extension" else ctx.element(2)).value  # neither 0 nor 1
+    for name in ("_add", "_sub", "_mul"):
+        assert getattr(ctx, name)(x, x).ctx is ctx
+    assert ctx._neg(x).ctx is ctx._inv(x).ctx is ctx._pow(x, 3).ctx is ctx
+    assert ctx._wrap(ctx._vadd(x, x)) == ctx._add(x, x)
+    assert ctx._wrap(ctx._vmul(x, x)) == ctx._mul(x, x)
+    assert ctx._wrap(ctx._vpow(x, 3)) == ctx._pow(x, 3)
+    assert ctx._outer([x], [x]) == ctx._vsum([0], [ctx._vmul(x, x)])
+    assert ctx._wrap(ctx._dot([x], [x])) == ctx._mul(x, x)
+    assert ctx._div_root(ctx._mul_root([ctx.one.value], x), x) == [ctx.one.value]
 
 
 def test_contexts_are_interned():

@@ -1,5 +1,6 @@
 """Brute-force cross-checks and exhaustive small scans."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -223,6 +224,18 @@ def test_ore_form_check():
     assert g.ore_form_check(F8, [F8.one, F8.generator])
     with pytest.raises(g.CharacteristicZero):
         g.ore_form_check(Q, [1])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_p_power_degrees_are_the_binomial_zeros(p):
+    """Lucas' theorem, which lets ore_form_check's support test stand for the
+    binomial relations C(n-r, k-r) e_r = 0 on the elementary moments: a
+    degree k is 0 or a power of p exactly when p divides C(k, j) for every
+    0 < j < k.  k <= 256 covers every |V| the scans and the tests reach."""
+    powers = {p**i for i in range(9)}
+    for k in range(257):
+        binomial_zero = all(math.comb(k, j) % p == 0 for j in range(1, k))
+        assert (k == 0 or k in powers) == binomial_zero, k
 
 
 def test_enumerate_additive_subgroups():

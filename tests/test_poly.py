@@ -84,6 +84,88 @@ def test_multipoly_arithmetic_and_pow():
     assert (f - f) == g.MultiPoly.zero(Q, 2)
 
 
+def _merged(ctx, pairs):
+    """Reference merger: a plain dict, term by term, a cancelled term deleted."""
+    out = {}
+    for m, c in pairs:
+        s = out.get(m, ctx.zero) + c
+        if s.is_zero:
+            out.pop(m, None)
+        else:
+            out[m] = s
+    return out
+
+
+def _product(ctx, f, h):
+    pairs = [
+        (tuple(a + b for a, b in zip(m1, m2)), c1 * c2)
+        for m1, c1 in f.items()
+        for m2, c2 in h.items()
+    ]
+    return _merged(ctx, pairs)
+
+
+def _power(ctx, f, k, n):
+    """By the same square-and-multiply ladder as MultiPoly.__pow__, so that
+    the term order is comparable."""
+    result, base = {(0,) * n: ctx.one}, f
+    while k:
+        if k & 1:
+            result = _product(ctx, result, base)
+        k >>= 1
+        if k:
+            base = _product(ctx, base, base)
+    return result
+
+
+def _pool_terms(ctx):
+    """(monomial, coefficient) lists from a small pool of both, so that
+    monomials repeat and coefficients cancel (c and -c, and zero)."""
+    if ctx.kind == "rationals":
+        coeffs = [Fraction(1), Fraction(1, 2), Fraction(3)]
+    elif ctx.kind == "extension":
+        coeffs = [ctx.one, ctx.generator, ctx.generator + 1]
+    else:
+        coeffs = [ctx.one, ctx.element(3)]
+    coeffs = [ctx.element(c) for c in coeffs]
+    coeffs += [-c for c in coeffs] + [ctx.zero]
+    monomials = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0)]
+    return st.lists(st.tuples(st.sampled_from(monomials), st.sampled_from(coeffs)), max_size=7)
+
+
+def _items(f):
+    return list(f.terms.items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([Q, F7, F9]), st.data())
+def test_multipoly_arithmetic_merges_like_a_plain_dict(ctx, data):
+    """+, -, * and ** against the reference merger: the same coefficients
+    and the same term order, where a term that cancels and comes back goes
+    to the end."""
+    fs, hs = data.draw(_pool_terms(ctx)), data.draw(_pool_terms(ctx))
+    f, h = g.MultiPoly(ctx, 2, fs), g.MultiPoly(ctx, 2, hs)
+    rf, rh = _merged(ctx, fs), _merged(ctx, hs)
+    assert _items(f) == list(rf.items()) and _items(h) == list(rh.items())
+    assert _items(f + h) == list(_merged(ctx, [*rf.items(), *rh.items()]).items())
+    negated = [(m, -c) for m, c in rh.items()]
+    assert _items(f - h) == list(_merged(ctx, [*rf.items(), *negated]).items())
+    assert _items(f * h) == list(_product(ctx, rf, rh).items())
+    k = data.draw(st.integers(min_value=0, max_value=3))
+    assert _items(f**k) == list(_power(ctx, rf, k, 2).items())
+
+
+def test_multipoly_cancelled_term_comes_back_last():
+    x1, x2 = g.MultiPoly.variable(F7, 2, 1), g.MultiPoly.variable(F7, 2, 2)
+    f = x1 + x2 - x1
+    assert _items(f) == [((0, 1), F7.one)]
+    assert _items(f + x1) == [((0, 1), F7.one), ((1, 0), F7.one)]
+    assert _items(g.MultiPoly(F7, 2, [((1, 0), 1), ((0, 1), 2), ((1, 0), 6), ((1, 0), 3)])) == [
+        ((0, 1), F7.element(2)),
+        ((1, 0), F7.element(3)),
+    ]
+
+
 def test_multipoly_evaluate_zero_to_the_zero():
     f = g.parse_poly("x1^2 + 1", 2, F7)
     assert f.evaluate((F7.zero, F7.zero)) == 1

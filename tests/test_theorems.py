@@ -138,15 +138,18 @@ def test_extract_coefficient_values():
 def test_extract_coefficient_errors():
     f = g.parse_poly("2*x1*x2 + 3", 2, F7)
     grid = g.grid_make([_mu3(), _mu3()])
-    with pytest.raises(g.DimensionMismatch):
+    with pytest.raises(g.DimensionMismatch, match="^target monomial has wrong arity$"):
         g.extract_coefficient(f, grid, (1,))
-    with pytest.raises(g.ExponentOutOfRange):
+    with pytest.raises(g.ExponentOutOfRange, match=r"^exponent 3 outside 0\.\.2$"):
         g.extract_coefficient(f, grid, (3, 0))
-    with pytest.raises(g.ExponentOutOfRange):
+    with pytest.raises(g.ExponentOutOfRange, match=r"^exponent -1 outside 0\.\.2$"):
         g.extract_coefficient(f, grid, (-1, 0))
     quartic = g.parse_poly("x1^2*x2^2 + x1*x2", 2, F7)
-    with pytest.raises(g.DegreeBoundViolated):
+    with pytest.raises(g.DegreeBoundViolated, match=r"^degree 4 exceeds 0 \+ 2$"):
         g.extract_coefficient(quartic, grid, (0, 0))
+    # (-1, 0) breaks both the range and the degree bound (4 > -1 + 2): the range wins
+    with pytest.raises(g.ExponentOutOfRange, match=r"^exponent -1 outside 0\.\.2$"):
+        g.extract_coefficient(quartic, grid, (-1, 0))
 
 
 def test_extract_coefficient_refuses_non_integer_exponents():
