@@ -120,7 +120,7 @@ class LambdaExceedsNullity(GridNullError):
     """The requested degree cap exceeds the joint nullity of the grid."""
 
 
-class PreconditionViolated(GridNullError):
+class PreconditionViolated(GridNullError, ValueError):
     """An engine hypothesis does not hold for the given input."""
 
 

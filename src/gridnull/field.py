@@ -7,9 +7,9 @@ whose digits c_0, ..., c_{e-1} (c_{e-1} most significant) are the
 coefficients of c_0 + c_1 t + ... + c_{e-1} t^(e-1) modulo a monic
 irreducible polynomial of degree e; a prime field is the case e = 1.  Up to
 _TABLE_CAP elements, extension-field products, inverses and powers are
-lookups in exp/log tables built once from a primitive element, and sums are
-XOR (p = 2) or a Zech-log lookup; above the cap they are polynomial
-arithmetic on the digits.
+lookups in exp/log tables built once from the first primitive element, which
+_unit_of_order finds; sums are XOR (p = 2) or a Zech-log lookup.  Above the
+cap they are polynomial arithmetic on the digits.
 
 Besides these scalar kernels every context has kernels on raw values, which
 the inner loops run on without an element object per step: scalar _vadd,
@@ -169,10 +169,7 @@ def _px_gcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     b = _px_trim(list(b))
     while b:
         a, b = b, _px_mod(a, b, p)
-    if a and a[-1] != 1:
-        inv = pow(a[-1], p - 2, p)
-        a = [(c * inv) % p for c in a]
-    return a
+    return a  # up to a unit factor: Rabin's test reads only its length
 
 
 def _px_powmod(base: Sequence[int], exp: int, m: Sequence[int], p: int) -> list[int]:
@@ -249,23 +246,18 @@ def _index(c: Sequence[int], p: int) -> int:
     return v
 
 
-def _exp_log(p: int, e: int, m: Sequence[int]) -> tuple[list[int], list[int]]:
+def _exp_log(p: int, e: int, m: Sequence[int], g: int) -> tuple[list[int], list[int]]:
     """(exp, log): exp[k] is the index of g^k for 0 <= k < p^e - 1 and log
-    inverts it on the units, for g the first primitive element in
-    enumeration order (t itself need not be primitive).
+    inverts it on the units, for g the index of a primitive element: a table
+    field's first, found on its digit kernels (t itself need not be one).
 
     Each step multiplies by g with one shift, reduction by m and
     multiply-add per digit of g: O(e) for g = a t + b.
     """
-    q = p**e
-    n = q - 1
-    rs = _prime_factors(n)
-    g = next(
-        d for d in (_px_trim(_digits(v, p, e)) for v in range(p, q))
-        if all(_px_powmod(d, n // r, m, p) != [1] for r in rs)
-    )
+    n = p**e - 1
+    g = _px_trim(_digits(g, p, e))
     g.reverse()  # Horner order: x * g = (...(g_d x) t + g_{d-1} x) t + ...
-    exp, log = [0] * n, [0] * q
+    exp, log = [0] * n, [0] * (n + 1)
     shifts = [[-h * c % p for c in m[:e]] for h in range(p)]  # h t^e as digits
     weights = [p**j for j in range(e)]
     x = [1] + [0] * (e - 1)
@@ -278,6 +270,19 @@ def _exp_log(p: int, e: int, m: Sequence[int]) -> tuple[list[int], list[int]]:
             y = [(s + r + gj * b) % p for s, r, b in zip((0, *y), shifts[y[-1]], x)]
         x = y
     return exp, log
+
+
+def _unit_of_order(ctx: FiniteField, d: int) -> int:
+    """The value w = v^((q-1)/d) for the first unit v, in enumeration order,
+    whose w has order exactly d; d must divide q - 1.  Only the prime
+    factors r of d are tested, by w^(d/r) != 1, so d = q - 1 gives the first
+    primitive element, and the powers of w are the subgroup of order d.
+    """
+    vpow, k, rs = ctx._vpow, (ctx.cardinality - 1) // d, _prime_factors(d)
+    for v in range(1, ctx.cardinality):
+        w = vpow(v, k)
+        if all(vpow(w, d // r) != 1 for r in rs):
+            return w
 
 
 # ---------------------------------------------------------------------------
@@ -467,9 +472,6 @@ class FieldCtx:
             return v
         return self._wrap(self._canon(v))
 
-    def from_int(self, n: int) -> FieldElement:
-        raise NotImplementedError
-
     def elements(self) -> tuple[FieldElement, ...]:
         """All elements in canonical enumeration order; finite fields only."""
         raise NotImplementedError
@@ -507,16 +509,13 @@ class Rationals(FieldCtx):
     def _setup(self):
         self._hash = hash("Q")
         self._wrap = partial(FieldElement, self)
-        self.zero, self.one = self.from_int(0), self.from_int(1)
+        self.zero, self.one = self.element(0), self.element(1)
         return self
 
     def _canon(self, v):
         if isinstance(v, (int, Fraction)):
             return Fraction(v)
         raise TypeError(f"cannot build a rational from {v!r}")
-
-    def from_int(self, n: int) -> FieldElement:
-        return FieldElement(self, Fraction(n))
 
     def _add(self, a, b):
         return FieldElement(self, a + b)
@@ -570,9 +569,10 @@ class FiniteField(FieldCtx):
 
     Values are element indices (see the module docstring).  The kernels are
     chosen once, from e and the cardinality q: residues mod p when e = 1,
-    exp/log/Zech tables when q <= _TABLE_CAP, polynomial arithmetic on the
-    digits above it.  Up to the cap each element object exists once and the
-    kernels return it from a table.
+    else digit arithmetic, which exp/log/Zech tables replace wholesale when
+    q <= _TABLE_CAP (their primitive element is found on the digits).  Up to
+    the cap each element object exists once and the kernels return it from
+    a table.
     """
 
     def _setup(self, p: int, e: int, modulus, spec: str):
@@ -590,10 +590,10 @@ class FiniteField(FieldCtx):
         self.zero, self.one = self._wrap(0), self._wrap(1)
         if e == 1:
             self._residue_kernels()
-        elif q <= _TABLE_CAP:
+            return self
+        self._digit_kernels()
+        if q <= _TABLE_CAP:
             self._table_kernels()
-        else:
-            self._digit_kernels()
         return self
 
     def _residue_kernels(self):
@@ -622,7 +622,7 @@ class FiniteField(FieldCtx):
     def _table_kernels(self):
         p, q, elems = self.p, self.cardinality, self._elems
         n = q - 1
-        exp, log = _exp_log(p, self.e, self.modulus)
+        exp, log = _exp_log(p, self.e, self.modulus, _unit_of_order(self, n))
         # log 0 is 2n, so any sum of logs with it lands in the zero half of
         # exp_v; it is doubled, so a sum of two unit logs needs no mod n
         n2 = log[0] = 2 * n
@@ -661,9 +661,6 @@ class FiniteField(FieldCtx):
             self._vadd = xor
             self._dot = lambda xs, ys: reduce(xor, map(exp_v.__getitem__, products(xs, ys)), 0)
             self._mul_root = mul_root
-            self._div_root = lambda cs, a: list(
-                accumulate(cs[:-1], lambda b, c: c ^ exp_v[log[a] + log[b]])
-            )
             return
         # zech[k] = log(1 + g^k): adding 1 increments the lowest digit.  It is
         # doubled, so zech[k - i] is log(1 + g^(k-i)) for any -n < k - i < 2n
@@ -687,9 +684,6 @@ class FiniteField(FieldCtx):
             return [plus(c, la + log[b]) for b, c in zip((0, *cs), (*cs, 0))]
 
         self._mul_root = mul_root
-        self._div_root = lambda cs, a: list(
-            accumulate(cs[:-1], lambda b, c: plus(c, log[a] + log[b]))
-        )
 
         def vadd(a, b):
             if not a:
@@ -746,9 +740,6 @@ class FiniteField(FieldCtx):
             return _index(_px_mod(c, list(self.modulus), self.p), self.p)
         what = "a residue" if self.e == 1 else "an extension element"
         raise TypeError(f"cannot build {what} from {v!r}")
-
-    def from_int(self, n: int) -> FieldElement:
-        return self._wrap(n % self.p)
 
     def elements(self):
         if self._elems is None:

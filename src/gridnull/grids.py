@@ -10,7 +10,7 @@ characteristic, and the kernel of the absolute trace.
 
 from __future__ import annotations
 
-import itertools
+from itertools import accumulate, product, repeat
 from math import prod
 
 from .errors import (
@@ -23,7 +23,7 @@ from .errors import (
     ParseError,
     ZeroShift,
 )
-from .field import FieldCtx, FieldElement, _int_literal, trace
+from .field import FieldCtx, FieldElement, _int_literal, _unit_of_order, trace
 from .nullity import FiniteSet, _split_top_level, parse_set, weight as _weight
 from .poly import parse_element
 
@@ -67,7 +67,7 @@ class Grid:
     def points(self):
         """Lexicographic product order over each factor's insertion order,
         last coordinate fastest."""
-        return itertools.product(*(A.elements for A in self.factors))
+        return product(*(A.elements for A in self.factors))
 
     def weight(self, a) -> FieldElement:
         return _weight(self, a)
@@ -98,8 +98,9 @@ def grid_make(factors) -> Grid:
 def multiplicative_coset(ctx: FieldCtx, d: int, shift=None) -> FiniteSet:
     """shift * {x : x^d = 1}, for d dividing the number of units.
 
-    Elements are listed with the subgroup in field enumeration order, then
-    multiplied by the shift.
+    The subgroup is the d powers of one element of order d, from
+    field._unit_of_order, listed in field enumeration order, then multiplied
+    by the shift.
     """
     if ctx.kind == "rationals":
         raise InfiniteField("multiplicative cosets need a finite field")
@@ -109,9 +110,8 @@ def multiplicative_coset(ctx: FieldCtx, d: int, shift=None) -> FiniteSet:
     shift = ctx.one if shift is None else ctx.element(shift)
     if shift.is_zero:
         raise ZeroShift("the shift must be a unit")
-    one = ctx.one
-    subgroup = [x for x in ctx.elements() if not x.is_zero and x**d == one]
-    return FiniteSet(ctx, [shift * x for x in subgroup])
+    powers = accumulate(repeat(_unit_of_order(ctx, d), d - 1), ctx._vmul, initial=1)
+    return FiniteSet(ctx, [ctx._mul(shift.value, v) for v in sorted(powers)])
 
 
 def additive_coset(ctx: FieldCtx, generators, shift=None) -> FiniteSet:

@@ -81,7 +81,7 @@ class FiniteSet:
         self._char = None
         self._e = None
         self._h = (ctx.one.value,)
-        self._p = (ctx.from_int(len(elems)).value,)
+        self._p = (ctx.element(len(elems)).value,)
         self._weights = None
         self._cols, self._sums = {(0, False): (ctx.one.value,) * len(elems)}, {}
 

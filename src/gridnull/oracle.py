@@ -27,7 +27,8 @@ from .errors import (
     ScanTooLarge,
     SizeBoundExceeded,
 )
-from .field import ExtensionField, FieldCtx, FieldElement, PrimeField, _is_prime, _prime_factors
+from .field import ExtensionField, FieldCtx, FieldElement, PrimeField
+from .field import _is_prime, _prime_factors, _unit_of_order
 from .grids import Grid, additive_coset
 from .nullity import FiniteSet, MomentTable, _leading_zeros
 from .poly import MultiPoly, Monomial, UniPoly
@@ -83,7 +84,7 @@ def moments_bruteforce(A: FiniteSet, R: int, config: OracleConfig = None) -> Mom
     """Moments by raw enumeration: r-subsets, weak compositions, power sums."""
     _check_caps(A, R, config, "order")
     ctx, elems = A.ctx, A.elements
-    e, h, p = [ctx.one], [ctx.one], [ctx.from_int(len(elems))]
+    e, h, p = [ctx.one], [ctx.one], [ctx.element(len(elems))]
     for r in range(1, R + 1):
         subsets = itertools.combinations(elems, r)
         e.append(sum((math.prod(s, start=ctx.one) for s in subsets), ctx.zero))
@@ -185,16 +186,6 @@ def _subset_nullities(ctx: FieldCtx, elements):
         yield mask, _leading_zeros(coeffs)
 
 
-def _primitive_element(ctx: FieldCtx) -> FieldElement:
-    """The first unit, in enumeration order, whose powers are all the units."""
-    n = ctx.cardinality - 1
-    rs = _prime_factors(n)
-    return next(
-        x for x in ctx.elements()
-        if not x.is_zero and all(x ** (n // r) != ctx.one for r in rs)
-    )
-
-
 def _necklace_nullities(ctx: FieldCtx, units):
     """(word, period, N(A), N(A + {0})) for each binary necklace of length |units|.
 
@@ -264,7 +255,7 @@ def redei_scan(q: int, config: OracleConfig = None) -> ScanReport:
     ctx = _field_for_order(q)
     elements = ctx.elements()
     lam = (q - 1) // 2
-    g = _primitive_element(ctx)
+    g = ctx._wrap(_unit_of_order(ctx, q - 1))
     units = [g**i for i in range(q - 1)]
     zero_bit = 1 << ctx.zero.value
     masks = []
@@ -449,6 +440,11 @@ def enumerate_additive_subgroups(ctx: FieldCtx, config: OracleConfig = None) -> 
     bases.sort(key=lambda rows: (len(rows), rows))
     elems = ctx.elements()
     return [tuple(elems[v] for v in rows) for rows in bases]
+
+
+def multiplicative_subgroup_bruteforce(ctx: FieldCtx, d: int) -> list:
+    """{x : x^d = 1} by a power of every unit, in field enumeration order."""
+    return [x for x in ctx.elements() if not x.is_zero and x**d == ctx.one]
 
 
 def additive_subgroups_bruteforce(ctx: FieldCtx) -> list:

@@ -21,6 +21,7 @@ from .errors import (
     ExponentOutOfRange,
     MixedFields,
     ParseError,
+    PreconditionViolated,
     UnknownVariable,
 )
 from .field import FieldCtx, FieldElement, _int_literal
@@ -111,11 +112,7 @@ class UniPoly:
         return acc
 
     def derivative(self) -> "UniPoly":
-        cs = [
-            self.ctx.from_int(k) * c
-            for k, c in enumerate(self.coeffs)
-            if k >= 1
-        ]
+        cs = [self.ctx.element(k) * c for k, c in enumerate(self.coeffs) if k >= 1]
         return UniPoly(self.ctx, cs)
 
     def __sub__(self, other):
@@ -150,7 +147,7 @@ def char_poly(A) -> UniPoly:
         raise EmptySet("cannot build the characteristic polynomial of nothing")
     ctx = elements[0].ctx
     if len(set(elements)) != len(elements):
-        raise ValueError("elements must be distinct")
+        raise PreconditionViolated("elements must be distinct")
     return UniPoly.from_roots(ctx, elements)
 
 
@@ -267,7 +264,7 @@ class MultiPoly:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            other = self.ctx.from_int(other)
+            other = self.ctx.element(other)
         if isinstance(other, FieldElement):
             return MultiPoly(
                 self.ctx, self.n, {m: c * other for m, c in self.terms.items()}

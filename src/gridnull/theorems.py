@@ -224,7 +224,7 @@ def grid_sum(f: MultiPoly, grid: Grid, mode: str = "plain") -> FieldElement:
     """
     _check_shape(f, grid)
     if mode not in ("plain", "weighted"):
-        raise ValueError(f"mode must be 'plain' or 'weighted', got {mode!r}")
+        raise PreconditionViolated(f"mode must be 'plain' or 'weighted', got {mode!r}")
     if mode == "weighted":
         row = next(_fold(f, grid, lambda A, k: [A.sylvester_sum(k).value]))
     else:
@@ -386,7 +386,7 @@ def plane_scan(grid: Grid, mode: str = "pp") -> ScanReport:
     if grid.ctx.kind == "rationals":
         raise InfiniteField("plane scans need a finite field")
     if mode not in ("pp", "ppp"):
-        raise ValueError(f"mode must be 'pp' or 'ppp', got {mode!r}")
+        raise PreconditionViolated(f"mode must be 'pp' or 'ppp', got {mode!r}")
     ctx = grid.ctx
     p = ctx.characteristic
     instances = 0

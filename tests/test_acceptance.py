@@ -50,7 +50,7 @@ def test_criterion_01_nullity_ground_truths():
         ok = ok and units.nullity == q - 2
     for ctx in (F7, F9, F11):
         q = ctx.cardinality
-        shifts = (ctx.one, ctx.from_int(2))
+        shifts = (ctx.one, ctx.element(2))
         for d in range(1, q):
             if (q - 1) % d:
                 continue
@@ -267,7 +267,7 @@ def test_criterion_07_structured_grid_sums():
         lam = grid.joint_vandermonde
         f = random_varbounded_poly(rng, ctx, grid.n, lam)
         origin = tuple(ctx.zero for _ in range(grid.n))
-        want = f.evaluate(origin) * ctx.from_int(grid.size)
+        want = f.evaluate(origin) * ctx.element(grid.size)
         ok = ok and g.grid_sum(f, grid) == want
     for _ in range(200):
         ctx = rng.choice([F4, F8, F9])
@@ -309,7 +309,7 @@ def test_criterion_07_structured_grid_sums():
                 prod = prod * x
             acc = acc + prod * f.evaluate(a)
         top = tuple(s - 1 for s in grid.sizes)
-        ok = ok and acc == ctx.from_int(grid.size) * f.coefficient(top)
+        ok = ok and acc == ctx.element(grid.size) * f.coefficient(top)
     ok = ok and _subfield_rationality_holds(rng)
     _verdict(7, "structured grid sum formulas and subfield rationality", ok)
 
@@ -317,7 +317,7 @@ def test_criterion_07_structured_grid_sums():
 def _subfield_rationality_holds(rng) -> bool:
     """Interpolation over prime-subfield grids with prime-subfield values
     must land in the prime subfield coefficientwise."""
-    base = [F9.from_int(0), F9.from_int(1), F9.from_int(2)]
+    base = [F9.element(0), F9.element(1), F9.element(2)]
     ok = True
     for _ in range(50):
         n = rng.randint(1, 3)
@@ -326,12 +326,12 @@ def _subfield_rationality_holds(rng) -> bool:
         ]
         grid = g.grid_make(factors)
         lam = grid.joint_nullity
-        values = {a: F9.from_int(rng.randint(0, 2)) for a in grid.points()}
+        values = {a: F9.element(rng.randint(0, 2)) for a in grid.points()}
         rebuilt = g.interpolate(grid, values, lam)
         ok = ok and all(c.in_prime_subfield for c in rebuilt.terms.values())
         terms = []
         for k in _low_monomials(n, lam, grid.sizes):
-            terms.append((k, F9.from_int(rng.randint(0, 2))))
+            terms.append((k, F9.element(rng.randint(0, 2))))
         f = g.MultiPoly(F9, n, terms)
         again = g.interpolate(grid, {a: f.evaluate(a) for a in grid.points()}, lam)
         ok = ok and again == f

@@ -512,7 +512,7 @@ def test_unreadable_grid_file_exits_2(capsys, tmp_path):
     assert err.startswith("error: ") and "missing.txt" in err
 
 
-def _run_with_stdout(argv, stdout):
+def _run_with_stdout(argv, stdout, timeout=60):
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -522,8 +522,17 @@ def _run_with_stdout(argv, stdout):
         stderr=subprocess.PIPE,
         text=True,
         env=env,
-        timeout=60,
+        timeout=timeout,
     )
+
+
+def test_mul_over_a_huge_prime_field_takes_no_walk_over_the_field():
+    """mul(d) is the d powers of one element of order d, so mul(2) over a
+    field of about 10^18 elements is two elements at once."""
+    argv = ["analyze-set", "--field", "F1000000000000000003", "--set", "mul(2)"]
+    proc = _run_with_stdout(argv, subprocess.PIPE, timeout=20)
+    assert proc.returncode == 0
+    assert "set: {1, 1000000000000000002}\n" in proc.stdout
 
 
 _VERDICTS = [

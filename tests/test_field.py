@@ -109,7 +109,7 @@ def test_rationals_arithmetic_and_coercion():
 def test_int_equality_only_in_prime_subfield_range():
     assert F7.element(3) == 3 and F7.element(3) != 10
     assert F7.element(6) != -1 and F7.element(6) == F7.element(-1)
-    assert F9.generator != 3 and F9.from_int(2) == 2
+    assert F9.generator != 3 and F9.element(2) == 2
     assert Q.element(-1) == -1 and Q.element(Fraction(1, 2)) == Fraction(1, 2)
     assert F7.element(3) != Fraction(3)
     # arithmetic and membership still reduce ints mod p
@@ -119,7 +119,7 @@ def test_int_equality_only_in_prime_subfield_range():
 
 @pytest.mark.parametrize("ctx", [F7, F9, Q])
 def test_equal_elements_and_ints_hash_alike(ctx):
-    elements = [ctx.from_int(n) for n in range(-20, 21)]
+    elements = [ctx.element(n) for n in range(-20, 21)]
     elements += list(ctx.elements()) if ctx.cardinality else []
     for x in elements:
         for n in range(-20, 21):
@@ -180,7 +180,7 @@ def test_trace_lands_in_prime_subfield_and_is_additive():
 def test_frobenius_fixes_prime_subfield():
     p = F9.characteristic
     for k in range(p):
-        x = F9.from_int(k)
+        x = F9.element(k)
         assert x ** p == x
         assert x.in_prime_subfield
 

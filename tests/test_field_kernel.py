@@ -5,12 +5,14 @@ context interning."""
 import copy
 import pickle
 import re
+from itertools import accumulate, repeat
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import gridnull as g
-from gridnull.field import _PRIME_BOUND, _TABLE_CAP, _is_prime
+from gridnull.field import _PRIME_BOUND, _TABLE_CAP, _is_prime, _prime_factors, _unit_of_order
 from gridnull.oracle import char_poly_bruteforce, field_element_bruteforce, field_op_bruteforce
 from support import F4, F7, F8, F9, F13, F27, Q
 
@@ -189,6 +191,44 @@ def test_every_named_kernel_is_callable_on_every_kind(ctx):
     assert ctx._outer([x], [x]) == ctx._vsum([0], [ctx._vmul(x, x)])
     assert ctx._wrap(ctx._dot([x], [x])) == ctx._mul(x, x)
     assert ctx._div_root(ctx._mul_root([ctx.one.value], x), x) == [ctx.one.value]
+
+
+def _primitive_reference(ctx):
+    """The first unit, in enumeration order, whose powers are all the units,
+    by element operators."""
+    n = ctx.cardinality - 1
+    rs = _prime_factors(n)
+    units = (g.FieldElement(ctx, v) for v in range(1, ctx.cardinality))
+    return next(x for x in units if all(x ** (n // r) != ctx.one for r in rs))
+
+
+@pytest.mark.parametrize("ctx", [*_FIELDS, F13, g.parse_field("F43^2")], ids=str)
+def test_unit_of_order_of_the_unit_group_order_is_its_first_generator(ctx):
+    assert ctx._wrap(_unit_of_order(ctx, ctx.cardinality - 1)) == _primitive_reference(ctx)
+
+
+@pytest.mark.parametrize(
+    "ctx", [F7, F13, F4, F9, F27, _TABLE_FIELDS[5], _ABOVE_CAP[1], _ABOVE_CAP[3]], ids=str
+)
+def test_unit_of_order_has_order_exactly_d(ctx):
+    n = ctx.cardinality - 1
+    for d in (d for d in range(1, n + 1) if n % d == 0):
+        powers = list(accumulate(repeat(ctx._wrap(_unit_of_order(ctx, d)), d), mul))
+        assert powers[-1] == ctx.one and ctx.one not in powers[:-1]
+
+
+@pytest.mark.parametrize("ctx", [F9, g.ExtensionField(2, 4), F27], ids=str)
+def test_table_fields_keep_no_digit_kernel(ctx):
+    """A table field finds its primitive element on the digit kernels, then
+    replaces every one of them; its _div_root is the generic form."""
+
+    def digit_closures(c):
+        names = {k: getattr(v, "__qualname__", "") for k, v in vars(c).items()}
+        return [k for k, name in names.items() if "_digit_kernels" in name]
+
+    assert digit_closures(ctx) == []
+    assert digit_closures(_ABOVE_CAP[1]) != []
+    assert ctx._div_root.__func__ is g.FieldCtx._div_root
 
 
 def test_contexts_are_interned():

@@ -3,6 +3,7 @@
 import pytest
 
 import gridnull as g
+from gridnull.oracle import multiplicative_subgroup_bruteforce
 from support import F4, F5, F7, F8, F9, F27, Q
 
 
@@ -100,6 +101,27 @@ def test_multiplicative_coset_nullity_is_order_minus_one():
                 continue
             assert g.multiplicative_coset(ctx, d).nullity == d - 1
             assert g.multiplicative_coset(ctx, d, shift=ctx.elements()[2]).nullity == d - 1
+
+
+@pytest.mark.parametrize(
+    "spec, orders",
+    [
+        *((spec, None) for spec in ("F2", "F3", "F7", "F13", "F2^2", "F3^2", "F2^4", "F3^3")),
+        ("F2^8/1,0,1,1,1,0,0,0,1", None),
+        ("F2^12/1,0,0,1,0,0,0,0,0,0,0,0,1", (1, 3, 91)),
+        ("F65537", (2, 256, 65536)),
+    ],
+)
+def test_multiplicative_coset_is_the_shifted_subgroup_reference(spec, orders):
+    """Every d | q - 1 below the table cap, a few above it, with and without
+    a shift, element by element and in order."""
+    ctx = g.parse_field(spec)
+    n = ctx.cardinality - 1
+    shift = g.FieldElement(ctx, n)  # the last element, a unit
+    for d in orders or [d for d in range(1, n + 1) if n % d == 0]:
+        subgroup = multiplicative_subgroup_bruteforce(ctx, d)
+        assert list(g.multiplicative_coset(ctx, d)) == subgroup
+        assert list(g.multiplicative_coset(ctx, d, shift)) == [shift * x for x in subgroup]
 
 
 def test_multiplicative_coset_rejections():

@@ -54,6 +54,47 @@ def test_unused_import_detector():
     assert unused_imports(source) == ["Union (line 3)"]
 
 
+def raised_names(source: str) -> list[tuple[str, int]]:
+    """(name, line) of the exception each raise statement names; a bare
+    re-raise names none."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            found.append((getattr(exc, "id", ast.unparse(exc)), node.lineno))
+    return sorted(found, key=lambda item: item[1])
+
+
+def test_every_raise_names_a_library_error():
+    """errors.py promises that every library error derives from GridNullError.
+    TypeError (``_canon`` on a wrong Python type, which ``FiniteSet.__contains__``
+    catches) and NotImplementedError (the FieldCtx stubs) are the exceptions."""
+    errors = importlib.import_module("gridnull.errors")
+    allowed = {"TypeError", "NotImplementedError"}
+    stray = [
+        f"{path.name}:{line} {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name, line in raised_names(path.read_text(encoding="utf-8"))
+        if name not in allowed
+        and not (
+            isinstance(getattr(errors, name, None), type)
+            and issubclass(getattr(errors, name), errors.GridNullError)
+        )
+    ]
+    assert stray == []
+
+
+def test_raised_name_detector():
+    source = (
+        "try:\n"
+        "    raise ValueError('x') from None\n"
+        "except ValueError:\n"
+        "    raise\n"
+        "raise errors.ParseError\n"
+    )
+    assert raised_names(source) == [("ValueError", 2), ("errors.ParseError", 5)]
+
+
 def imported_modules(source: str) -> set[str]:
     """Top-level names of the modules a source imports, relative imports left out."""
     found = set()

@@ -202,7 +202,7 @@ def test_newton_identity(fidx, seed):
     a = _sized(make_rng(seed), ctx)
     table = a.moments(len(a))
     for r in range(1, len(a) + 1):
-        acc = ctx.from_int(r) * table.e[r]
+        acc = ctx.element(r) * table.e[r]
         for i in range(1, r + 1):
             term = table.e[r - i] * table.p[i]
             acc = acc + (-term if i % 2 else term)

@@ -66,8 +66,9 @@ def test_from_roots_matches_bruteforce_elementary_moments(ctx, seed):
 
 
 def test_char_poly_rejects_duplicates_and_empty():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         g.char_poly([Q.element(1), Q.element(1)])
+    assert isinstance(info.value, g.GridNullError)
     with pytest.raises(g.EmptySet):
         g.char_poly([])
 

@@ -231,8 +231,9 @@ def test_grid_sum_modes():
     f = g.parse_poly("x1^2", 1, F7)
     assert g.grid_sum(f, grid, mode="weighted") == F7.one
     assert g.grid_sum(g.MultiPoly.zero(F7, 1), grid) == F7.zero
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         g.grid_sum(f, grid, mode="twisted")
+    assert isinstance(info.value, g.GridNullError)
 
 
 def test_grid_values_stream_one_row_per_first_axis_entry():
@@ -406,8 +407,9 @@ def test_plane_scan_unstructured_grid_fails():
 
 def test_plane_scan_mode_validation():
     grid = g.grid_make([g.FiniteSet(F7, [1, 2])] * 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         g.plane_scan(grid, mode="qq")
+    assert isinstance(info.value, g.GridNullError)
 
 
 def test_weighted_sum_matches_cct_on_random_mul_grids():
