@@ -1,7 +1,7 @@
 """Exact arithmetic over the rationals and the finite fields F_p and F_{p^e}.
 
 A field context owns the arithmetic kernels and the canonical representation
-of its elements.  A rational is a reduced fraction.  A finite-field element
+of its elements.  A rational is an int or a Fraction.  A finite-field element
 is an int: its index in the field's enumeration order, the base-p number
 whose digits c_0, ..., c_{e-1} (c_{e-1} most significant) are the
 coefficients of c_0 + c_1 t + ... + c_{e-1} t^(e-1) modulo a monic
@@ -19,7 +19,7 @@ x*y over zip(xs, ys)); and _mul_root and _div_root, which multiply a
 top-first coefficient list by (X - a) and divide one exactly by it.  Each
 kind supplies its own scalar value kernels: residues mod p, p = 2 tables
 (XOR sums, exp[log a + log b] products), odd-p tables (log and Zech),
-Fractions over Q, and polynomial arithmetic on the digits above the cap.
+ints and Fractions over Q, and digit polynomial arithmetic above the cap.
 The list kernels are generic, in FieldCtx on the scalar value kernels,
 wherever a kind has no faster form of its own.  Contexts are interned, one
 object per field, so context equality is identity.  All arithmetic is
@@ -433,7 +433,8 @@ class FieldCtx:
     _vpow(a, k) (k >= 0), _outer(xs, ys), _vsum(xs, ys) and _dot(xs, ys)
     as in the module docstring, and _mul_root(cs, a) and _div_root(cs, a)
     on lists top coefficient first: the coefficients of (X - a) times cs,
-    and of cs divided exactly by (X - a).  Each field kind sets its own
+    and of cs divided exactly by (X - a).  A value is an int, or over Q an
+    int or a Fraction (see Rationals).  Each field kind sets its own
     element kernels and scalar value kernels; the list kernels here are the
     generic form on the scalar value kernels, for the kinds without their
     own.
@@ -497,7 +498,10 @@ class FieldCtx:
 
 
 class Rationals(FieldCtx):
-    """The field of rational numbers with exact Fraction values."""
+    """The field of rational numbers.  _canon, _inv and _dot give an int for
+    an integral value and a reduced Fraction otherwise; the other kernels are
+    the int and Fraction operators, which never give a float but may give an
+    integral Fraction n/1, equal to n in value, hash and str."""
 
     kind = "rationals"
     characteristic = 0
@@ -513,8 +517,10 @@ class Rationals(FieldCtx):
         return self
 
     def _canon(self, v):
-        if isinstance(v, (int, Fraction)):
-            return Fraction(v)
+        if isinstance(v, int):
+            return int(v)
+        if isinstance(v, Fraction):
+            return v if v.denominator != 1 else v.numerator
         raise TypeError(f"cannot build a rational from {v!r}")
 
     def _add(self, a, b):
@@ -532,7 +538,7 @@ class Rationals(FieldCtx):
     def _inv(self, a):
         if a == 0:
             raise DivisionByZero("cannot invert 0")
-        return FieldElement(self, 1 / a)
+        return self.element(Fraction(1, a))  # 1 / a on an int is a float
 
     def _pow(self, a, k):
         return FieldElement(self, a**k)
@@ -547,7 +553,7 @@ class Rationals(FieldCtx):
             e = x.denominator * y.denominator
             g = gcd(d, e)
             n, d = n * (e // g) + x.numerator * y.numerator * (d // g), d // g * e
-        return Fraction(n, d)
+        return n if d == 1 else self._canon(Fraction(n, d))
 
     def elements(self):
         raise InfiniteField("the rationals cannot be enumerated")

@@ -428,6 +428,279 @@ def test_int_str_digit_limit_exits_2(capsys, argv, line):
     assert _run(capsys, argv) == (2, "", f"error: {line}\n")
 
 
+# Q grids on integer points and on fractions, recorded before integral
+# rationals became plain ints: a value prints as 2, never 2/1, and JSON holds
+# display strings.
+_Q_INT = "{-2,-1,0,1,2} x {-1,0,1}"
+_Q_FRAC = "{1/2,-1/3,3} x {1/2,-1/3,3}"
+_P_INT = "x1^4*x2^2 - 3*x1*x2 + 2"
+_P_FRAC = "1/2*x1^2*x2^2 - x1 + 2/3"
+_P_LINEAR = "1/2*x1 - 2/3*x2 + 5"
+_Q_GOLDENS = [
+    (
+        ["analyze-set", "--field", "Q", "--set", "{-2,-1,0,1,2}"],
+        0,
+        "field: Q\n"
+        "set: {-2, -1, 0, 1, 2}\n"
+        "size: 5\n"
+        "char_poly: X^5 - 5*X^3 + 4*X\n"
+        "nullity: 1\n"
+        "vandermonde_degree: 1\n"
+        "moments.e: [1, 0, -5, 0, 4, 0]\n"
+        "moments.h: [1, 0, 5, 0, 21, 0]\n"
+        "moments.p: [5, 0, 10, 0, 34, 0]\n",
+        {"field": "Q",
+         "set": "{-2, -1, 0, 1, 2}",
+         "size": 5,
+         "char_poly": "X^5 - 5*X^3 + 4*X",
+         "nullity": 1,
+         "vandermonde_degree": 1,
+         "moments": {"e": ["1", "0", "-5", "0", "4", "0"],
+                     "h": ["1", "0", "5", "0", "21", "0"],
+                     "p": ["5", "0", "10", "0", "34", "0"]}},
+    ),
+    (
+        ["analyze-set", "--field", "Q", "--set", "{1/2,-1/3,3}"],
+        0,
+        "field: Q\n"
+        "set: {1/2, -1/3, 3}\n"
+        "size: 3\n"
+        "char_poly: X^3 - 19/6*X^2 + 1/3*X + 1/2\n"
+        "nullity: 0\n"
+        "vandermonde_degree: 0\n"
+        "moments.e: [1, 19/6, 1/3, -1/2]\n"
+        "moments.h: [1, 19/6, 349/36, 6295/216]\n"
+        "moments.p: [3, 19/6, 337/36, 5851/216]\n",
+        {"field": "Q",
+         "set": "{1/2, -1/3, 3}",
+         "size": 3,
+         "char_poly": "X^3 - 19/6*X^2 + 1/3*X + 1/2",
+         "nullity": 0,
+         "vandermonde_degree": 0,
+         "moments": {"e": ["1", "19/6", "1/3", "-1/2"],
+                     "h": ["1", "19/6", "349/36", "6295/216"],
+                     "p": ["3", "19/6", "337/36", "5851/216"]}},
+    ),
+    (
+        ["analyze-grid", "--field", "Q", "--grid", "{-2,-1,0,1,2} x {1/2,-1/3,3}"],
+        0,
+        "field: Q\n"
+        "grid: {-2, -1, 0, 1, 2} x {1/2, -1/3, 3}\n"
+        "sizes: [5, 3]\n"
+        "size: 15\n"
+        "joint_nullity: 0\n"
+        "joint_vandermonde: 0\n"
+        "has_singleton: false\n"
+        "factor_nullities: [1, 0]\n",
+        {"field": "Q",
+         "grid": "{-2, -1, 0, 1, 2} x {1/2, -1/3, 3}",
+         "sizes": [5, 3],
+         "size": 15,
+         "joint_nullity": 0,
+         "joint_vandermonde": 0,
+         "has_singleton": False,
+         "factor_nullities": [1, 0]},
+    ),
+    (
+        ["cn-check", "--field", "Q", "--grid", _Q_INT, "--poly", _P_INT],
+        0,
+        "hypothesis_ok: true\n"
+        "qualifying_monomials: [(4, 2)]\n"
+        "witness: (-2, -1)\n"
+        "zero_count: 2\n"
+        "nonzero_count: 13\n"
+        "total_degree: 6\n"
+        "joint_nullity: 1\n"
+        "grid_sizes: (5, 3)\n"
+        "singleton_warning: false\n"
+        "verdict: true\n",
+        {"hypothesis_ok": True,
+         "qualifying_monomials": [[4, 2]],
+         "witness": ["-2", "-1"],
+         "zero_count": 2,
+         "nonzero_count": 13,
+         "total_degree": 6,
+         "joint_nullity": 1,
+         "grid_sizes": [5, 3],
+         "singleton_warning": False,
+         "verdict": True},
+    ),
+    (
+        ["cn-check", "--field", "Q", "--grid", _Q_FRAC, "--poly", _P_FRAC],
+        0,
+        "hypothesis_ok: true\n"
+        "qualifying_monomials: [(2, 2)]\n"
+        "witness: (1/2, 1/2)\n"
+        "zero_count: 0\n"
+        "nonzero_count: 9\n"
+        "total_degree: 4\n"
+        "joint_nullity: 0\n"
+        "grid_sizes: (3, 3)\n"
+        "singleton_warning: false\n"
+        "verdict: true\n",
+        {"hypothesis_ok": True,
+         "qualifying_monomials": [[2, 2]],
+         "witness": ["1/2", "1/2"],
+         "zero_count": 0,
+         "nonzero_count": 9,
+         "total_degree": 4,
+         "joint_nullity": 0,
+         "grid_sizes": [3, 3],
+         "singleton_warning": False,
+         "verdict": True},
+    ),
+    (
+        ["coeff", "--field", "Q", "--grid", _Q_INT, "--poly", _P_INT],
+        0,
+        "target: (4, 2)\n"
+        "weighted_sum: 1\n"
+        "direct_coefficient: 1\n"
+        "degree_bound_ok: true\n"
+        "total_degree: 6\n"
+        "degree_bound: 7\n"
+        "joint_nullity: 1\n"
+        "singleton_warning: false\n"
+        "verdict: true\n",
+        {"target": [4, 2],
+         "weighted_sum": "1",
+         "direct_coefficient": "1",
+         "degree_bound_ok": True,
+         "total_degree": 6,
+         "degree_bound": 7,
+         "joint_nullity": 1,
+         "singleton_warning": False,
+         "verdict": True},
+    ),
+    (
+        ["coeff", "--field", "Q", "--grid", _Q_FRAC, "--poly", _P_FRAC],
+        0,
+        "target: (2, 2)\n"
+        "weighted_sum: 1/2\n"
+        "direct_coefficient: 1/2\n"
+        "degree_bound_ok: true\n"
+        "total_degree: 4\n"
+        "degree_bound: 4\n"
+        "joint_nullity: 0\n"
+        "singleton_warning: false\n"
+        "verdict: true\n",
+        {"target": [2, 2],
+         "weighted_sum": "1/2",
+         "direct_coefficient": "1/2",
+         "degree_bound_ok": True,
+         "total_degree": 4,
+         "degree_bound": 4,
+         "joint_nullity": 0,
+         "singleton_warning": False,
+         "verdict": True},
+    ),
+    (
+        ["coeff", "--field", "Q", "--grid", _Q_FRAC, "--poly", _P_FRAC, "--k", "2,2"],
+        0,
+        "target: (2, 2)\n"
+        "extracted: 1/2\n"
+        "direct_coefficient: 1/2\n"
+        "verdict: true\n",
+        {"target": [2, 2],
+         "extracted": "1/2",
+         "direct_coefficient": "1/2",
+         "verdict": True},
+    ),
+    (
+        ["interpolate", "--field", "Q", "--grid", _Q_INT, "--poly", _P_INT],
+        1,
+        "lambda: 1\n"
+        "joint_nullity: 1\n"
+        "input: x1^4*x2^2 - 3*x1*x2 + 2\n"
+        "reconstructed: 23\n"
+        "verdict: false\n",
+        {"lambda": 1,
+         "joint_nullity": 1,
+         "input": "x1^4*x2^2 - 3*x1*x2 + 2",
+         "reconstructed": "23",
+         "verdict": False},
+    ),
+    (
+        ["interpolate", "--field", "Q", "--grid", _Q_INT, "--poly", _P_LINEAR],
+        0,
+        "lambda: 1\n"
+        "joint_nullity: 1\n"
+        "input: 1/2*x1 - 2/3*x2 + 5\n"
+        "reconstructed: 1/2*x1 - 2/3*x2 + 5\n"
+        "verdict: true\n",
+        {"lambda": 1,
+         "joint_nullity": 1,
+         "input": "1/2*x1 - 2/3*x2 + 5",
+         "reconstructed": "1/2*x1 - 2/3*x2 + 5",
+         "verdict": True},
+    ),
+    (
+        ["interpolate", "--field", "Q", "--grid", _Q_FRAC, "--poly", _P_FRAC],
+        1,
+        "lambda: 0\n"
+        "joint_nullity: 0\n"
+        "input: 1/2*x1^2*x2^2 - x1 + 2/3\n"
+        "reconstructed: 115321/2592\n"
+        "verdict: false\n",
+        {"lambda": 0,
+         "joint_nullity": 0,
+         "input": "1/2*x1^2*x2^2 - x1 + 2/3",
+         "reconstructed": "115321/2592",
+         "verdict": False},
+    ),
+    (
+        ["interpolate", "--field", "Q", "--grid", _Q_FRAC, "--poly=-7/3"],
+        0,
+        "lambda: 0\n"
+        "joint_nullity: 0\n"
+        "input: -7/3\n"
+        "reconstructed: -7/3\n"
+        "verdict: true\n",
+        {"lambda": 0,
+         "joint_nullity": 0,
+         "input": "-7/3",
+         "reconstructed": "-7/3",
+         "verdict": True},
+    ),
+    (
+        ["grid-sum", "--field", "Q", "--grid", _Q_INT, "--poly", _P_INT],
+        0,
+        "mode: plain\n"
+        "sum: 98\n",
+        {"mode": "plain", "sum": "98"},
+    ),
+    (
+        ["grid-sum", "--field", "Q", "--grid", _Q_INT, "--poly", _P_INT,
+         "--mode", "weighted"],
+        0,
+        "mode: weighted\n"
+        "sum: 1\n",
+        {"mode": "weighted", "sum": "1"},
+    ),
+    (
+        ["grid-sum", "--field", "Q", "--grid", _Q_FRAC, "--poly", _P_FRAC],
+        0,
+        "mode: plain\n"
+        "sum: 104497/2592\n",
+        {"mode": "plain", "sum": "104497/2592"},
+    ),
+    (
+        ["grid-sum", "--field", "Q", "--grid", _Q_FRAC, "--poly", _P_FRAC,
+         "--mode", "weighted"],
+        0,
+        "mode: weighted\n"
+        "sum: 1/2\n",
+        {"mode": "weighted", "sum": "1/2"},
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, code, text, body", _Q_GOLDENS)
+def test_q_goldens(capsys, argv, code, text, body):
+    assert _run(capsys, argv) == (code, text, "")
+    envelope = {"schema_version": "1", **body}
+    assert _run(capsys, [*argv, "--json"]) == (code, json.dumps(envelope, indent=2) + "\n", "")
+
+
 def test_oracle_suite_missing_parameter(capsys):
     code, _, err = _run(capsys, ["oracle-suite", "--scan", "scd"])
     assert code == 2

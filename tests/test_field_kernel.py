@@ -5,6 +5,7 @@ context interning."""
 import copy
 import pickle
 import re
+from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import mul
 
@@ -153,6 +154,59 @@ def test_value_kernels_match_element_operators(ctx, data):
         assert ctx._vmul(x.value, y.value) == (x * y).value
         assert ctx._vpow(x.value, k) == (x**k).value
         assert ctx._vpow(x.value, 0) == ctx.one.value
+
+
+# Every input form a rational takes: ints, bools, Fractions, integral ones too
+_RATIONALS = (
+    st.sampled_from([0, 1, -1, True, False, Fraction(0), Fraction(1), Fraction(-6, 3)])
+    | st.integers(-50, 50)
+    | st.integers(-50, 50).map(Fraction)
+    | st.fractions(min_value=-20, max_value=20, max_denominator=6)
+)
+
+
+def _exact(v, ref: Fraction, canonical=False):
+    """v is ref as an int or a Fraction, never a float or a bool; canonical
+    values are ints exactly when integral."""
+    assert type(v) in (int, Fraction)
+    assert v == ref and hash(v) == hash(ref) and str(v) == str(ref)
+    if canonical:
+        assert type(v) is (int if ref.denominator == 1 else Fraction)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_RATIONALS, min_size=1, max_size=5), st.integers(0, 6), st.data())
+def test_q_kernels_return_ints_or_fractions(raw, k, data):
+    refs = [Fraction(v) for v in raw]
+    values = [Q._canon(v) for v in raw]
+    for v, r in zip(values, refs):
+        _exact(v, r, canonical=True)
+        _exact(Q.element(v).value, r, canonical=True)
+        assert str(Q.element(v)) == str(r)
+    # arithmetic may also hand a kernel an integral Fraction
+    xs = [data.draw(st.sampled_from([v, Fraction(v)])) for v in values]
+    a, b, ra, rb = xs[0], xs[-1], refs[0], refs[-1]
+    _exact(Q._add(a, b).value, ra + rb)
+    _exact(Q._sub(a, b).value, ra - rb)
+    _exact(Q._mul(a, b).value, ra * rb)
+    _exact(Q._neg(a).value, -ra)
+    _exact(Q._pow(a, k).value, ra**k)
+    if ra:
+        _exact(Q._inv(a).value, 1 / ra, canonical=True)
+    _exact(Q._vadd(a, b), ra + rb)
+    _exact(Q._vmul(a, b), ra * rb)
+    _exact(Q._vpow(a, k), ra**k)
+    for v, r in zip(Q._outer(xs, xs), [x * y for x in refs for y in refs]):
+        _exact(v, r)
+    for v, r in zip(Q._vsum(xs, xs[::-1]), map(sum, zip(refs, refs[::-1]))):
+        _exact(v, r)
+    _exact(Q._dot(xs, xs[::-1]), sum(map(mul, refs, refs[::-1])), canonical=True)
+    coeffs = Q._mul_root(xs, a)
+    ref_coeffs = [c - ra * d for d, c in zip((0, *refs), (*refs, 0))]
+    for v, r in zip(coeffs, ref_coeffs, strict=True):
+        _exact(v, r)
+    for v, r in zip(Q._div_root(coeffs, a), refs, strict=True):
+        _exact(v, r)
 
 
 def test_list_kernels_of_empty_lists():

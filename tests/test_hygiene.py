@@ -191,3 +191,49 @@ def test_every_cli_option_is_read():
         if dests - reads:
             unread[command] = sorted(dests - reads)
     assert unread == {}
+
+
+def float_uses(source: str) -> list[tuple[str, int]]:
+    """(what, line) of each float constant, call to float, and true division
+    of an int literal, as in 1 / a, which is a float when a is an int."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            found.append(("float constant", node.lineno))
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float":
+            found.append(("float call", node.lineno))
+        elif (
+            isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.Div)
+            and isinstance(node.left, ast.Constant)
+            and type(node.left.value) is int
+        ):
+            found.append(("int literal divided", node.lineno))
+    return sorted(found, key=lambda item: item[1])
+
+
+def test_library_arithmetic_has_no_floats():
+    """Arithmetic stays exact.  The only float in the library is the CLI's
+    elapsed time, a difference of monotonic clock readings, which none of
+    these forms spells."""
+    assert {
+        path.name: uses
+        for path in sorted(SRC.glob("*.py"))
+        if (uses := float_uses(path.read_text(encoding="utf-8")))
+    } == {}
+
+
+def test_float_use_detector():
+    source = (
+        "x = 0.5\n"
+        "y = float(x)\n"
+        "z = 1 / y\n"
+        "w = y / 2 + 3 // 2 + True / 2 + isinstance(y, float) + x ** -1\n"
+        "v = 3 / 4\n"
+    )
+    assert float_uses(source) == [
+        ("float constant", 1),
+        ("float call", 2),
+        ("int literal divided", 3),
+        ("int literal divided", 5),
+    ]

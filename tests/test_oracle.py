@@ -510,6 +510,56 @@ def test_grid_engines_match_pointwise_evaluation(ctx, seed):
     assert g.cct_coefficient(f, grid).weighted_sum == weighted
 
 
+# An integral rational is held as a plain int and any other as a Fraction, so
+# integer points run the engines on ints and fractional points on both forms.
+_Q_POINTS = [[-2, -1, 0, 1, 2], [Fraction(1, 2), Fraction(-1, 3), 3]]
+
+
+def _fraction_value(f, point) -> Fraction:
+    """f at a point by plain Fraction arithmetic on the coefficient values."""
+    return sum(
+        Fraction(c.value) * math.prod(Fraction(x.value) ** k for x, k in zip(point, m))
+        for m, c in f.terms.items()
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_Q_POINTS), st.data())
+def test_q_engines_match_references_on_integer_and_fractional_points(pool, data):
+    factor = st.lists(st.sampled_from(pool), min_size=2, max_size=len(pool), unique=True)
+    factors = data.draw(st.lists(factor, min_size=1, max_size=3))
+    grid = g.grid_make([g.FiniteSet(Q, s) for s in factors])
+    monomial = st.tuples(*(st.integers(0, s + 1) for s in grid.sizes))
+    coeff = st.integers(-5, 5) | st.fractions(-5, 5, max_denominator=3)
+    f = g.MultiPoly(Q, grid.n, data.draw(st.lists(st.tuples(monomial, coeff), max_size=5)))
+    points = list(grid.points())
+    values = grid_values_bruteforce(f, grid)
+    assert values == [_fraction_value(f, a) for a in points]
+    nonzero = [a for a, v in zip(points, values) if not v.is_zero]
+    report = g.gcn_check(f, grid)
+    assert report.witness == (nonzero[0] if nonzero else None)
+    assert report.zero_count == grid.size - len(nonzero)
+    plain = sum(Fraction(v.value) for v in values)
+    assert g.grid_sum(f, grid) == grid_sum_bruteforce(f, grid) == plain
+    assert g.grid_sum(f, grid, "weighted") == grid_sum_bruteforce(f, grid, "weighted")
+    k = data.draw(st.tuples(*(st.integers(0, s - 1) for s in grid.sizes)))
+    bound = sum(k) + grid.joint_nullity
+    h = g.MultiPoly(Q, grid.n, {m: c for m, c in f.terms.items() if sum(m) <= bound})
+    assert g.extract_coefficient(h, grid, k) == g.coefficient_oracle(h, k)
+    table = dict(zip(points, values))
+    for lam in range(grid.joint_nullity + 1):
+        assert g.interpolate(grid, table, lam) == interpolate_bruteforce(grid, table, lam)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(-4, 4), min_size=2, max_size=5, unique=True), st.integers(0, 12))
+def test_q_oracles_take_int_values(elements, D):
+    A = g.FiniteSet(Q, elements)
+    assert all(type(a.value) is int for a in A)
+    assert g.exp_series_check(A, D)
+    assert g.moments_bruteforce(A, D) == A.moments(D)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(_KERNEL_FIELDS), st.integers(min_value=0, max_value=10**9))
 def test_punctured_count_matches_pointwise_evaluation(ctx, seed):
