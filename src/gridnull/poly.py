@@ -151,35 +151,54 @@ def char_poly(A) -> UniPoly:
     return UniPoly.from_roots(ctx, elements)
 
 
+def _merge(ctx: FieldCtx, pairs) -> dict:
+    """The one term merger: (monomial, raw value) pairs to a terms map.  A
+    repeated monomial is added by ctx._vadd where it was first seen, a sum
+    that reaches zero is deleted at once, so a cancelled term that comes back
+    goes last, and each survivor is wrapped once."""
+    vadd, acc = ctx._vadd, {}
+    for m, v in pairs:
+        if m in acc:
+            v = vadd(acc[m], v)
+            if not v:
+                del acc[m]
+                continue
+        elif not v:
+            continue
+        acc[m] = v
+    wrap = ctx._wrap
+    return {m: wrap(v) for m, v in acc.items()}
+
+
 class MultiPoly:
-    """Sparse polynomial in n variables; keys are exponent tuples.  The one
-    term merger is the constructor: given a mapping or (monomial,
-    coefficient) pairs, it sums a repeated monomial where first seen and
-    drops zero sums."""
+    """Sparse polynomial in n variables; keys are exponent tuples.  The
+    constructor is the validating boundary: given a mapping or (monomial,
+    coefficient) pairs, it checks each exponent tuple, coerces each
+    coefficient by ctx.element and hands the raw values to _merge.
+    Arithmetic, the parser, raise_degree and theorems.interpolate hold
+    valid terms already and build through _of_values, on _merge alone."""
 
     __slots__ = ("ctx", "n", "terms")
 
     def __init__(self, ctx: FieldCtx, n: int, terms: Mapping | Iterable = ()):
         if n < 0:
             raise DimensionMismatch("variable count must be non-negative")
-        clean: dict[Monomial, FieldElement] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for m, c in items:
+        pairs = []
+        for m, c in terms.items() if isinstance(terms, Mapping) else terms:
             m = tuple(map(_exponent, m))
             if len(m) != n:
-                raise DimensionMismatch(
-                    f"exponent tuple {m} has length {len(m)}, expected {n}"
-                )
+                raise DimensionMismatch(f"exponent tuple {m} has length {len(m)}, expected {n}")
             if any(k < 0 for k in m):
                 raise ExponentOutOfRange("negative exponent")
-            c = ctx.element(c)
-            if not c.is_zero:
-                clean[m] = clean[m] + c if m in clean else c
-                if clean[m].is_zero:
-                    del clean[m]
-        self.ctx = ctx
-        self.n = n
-        self.terms = clean
+            pairs.append((m, ctx.element(c).value))
+        self.ctx, self.n, self.terms = ctx, n, _merge(ctx, pairs)
+
+    @classmethod
+    def _of_values(cls, ctx: FieldCtx, n: int, pairs) -> "MultiPoly":
+        """The polynomial of trusted (exponent tuple, raw value) pairs."""
+        f = object.__new__(cls)
+        f.ctx, f.n, f.terms = ctx, n, _merge(ctx, pairs)
+        return f
 
     @classmethod
     def zero(cls, ctx: FieldCtx, n: int) -> "MultiPoly":
@@ -198,9 +217,7 @@ class MultiPoly:
         """The variable x<index>, 1-based."""
         if not 1 <= index <= n:
             raise UnknownVariable(f"x{index} is outside 1..{n}")
-        exps = [0] * n
-        exps[index - 1] = 1
-        return cls(ctx, n, {tuple(exps): 1})
+        return cls.monomial(ctx, n, (0,) * (index - 1) + (1,) + (0,) * (n - index))
 
     @property
     def total_degree(self):
@@ -239,20 +256,21 @@ class MultiPoly:
         if other.n != self.n:
             raise DimensionMismatch("polynomials in different variable counts")
 
+    def _values(self) -> list:
+        return [(m, c.value) for m, c in self.terms.items()]
+
     def __add__(self, other):
         if isinstance(other, (int, FieldElement)):
             other = MultiPoly.constant(self.ctx, self.n, other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._compat(other)
-        return MultiPoly(self.ctx, self.n, [*self.terms.items(), *other.terms.items()])
+        return MultiPoly._of_values(self.ctx, self.n, self._values() + other._values())
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, FieldElement)):
-            other = MultiPoly.constant(self.ctx, self.n, other)
-        if not isinstance(other, MultiPoly):
+        if not isinstance(other, (int, FieldElement, MultiPoly)):
             return NotImplemented
         return self + (-other)
 
@@ -260,31 +278,37 @@ class MultiPoly:
         return (-self) + other
 
     def __neg__(self):
-        return MultiPoly(self.ctx, self.n, {m: -c for m, c in self.terms.items()})
+        return self * -1
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            other = self.ctx.element(other)
-        if isinstance(other, FieldElement):
-            return MultiPoly(
-                self.ctx, self.n, {m: c * other for m, c in self.terms.items()}
-            )
-        if not isinstance(other, MultiPoly):
+        vmul = self.ctx._vmul
+        if isinstance(other, (int, FieldElement)):
+            v = self.ctx.element(other).value
+            pairs = [(m, vmul(c.value, v)) for m, c in self.terms.items()]
+        elif isinstance(other, MultiPoly):
+            self._compat(other)
+            ys = other._values()
+            pairs = [
+                (tuple(map(add, m1, m2)), vmul(c1.value, c2))
+                for m1, c1 in self.terms.items()
+                for m2, c2 in ys
+            ]
+        else:
             return NotImplemented
-        self._compat(other)
-        products = [
-            (tuple(map(add, m1, m2)), c1 * c2)
-            for m1, c1 in self.terms.items()
-            for m2, c2 in other.terms.items()
-        ]
-        return MultiPoly(self.ctx, self.n, products)
+        return MultiPoly._of_values(self.ctx, self.n, pairs)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
+        """By squaring and multiplying; a single term (m, c) gives (k*m, c^k)
+        at once."""
         if not isinstance(k, int) or k < 0:
             raise ExponentOutOfRange("polynomial exponents must be integers >= 0")
-        result = MultiPoly.constant(self.ctx, self.n, 1)
+        ctx, n = self.ctx, self.n
+        if len(self.terms) == 1:
+            ((m, c),) = self.terms.items()
+            return MultiPoly._of_values(ctx, n, [(tuple(e * k for e in m), ctx._vpow(c.value, k))])
+        result = MultiPoly._of_values(ctx, n, [((0,) * n, ctx.one.value)])
         base = self
         while k:
             if k & 1:
@@ -317,102 +341,72 @@ def raise_degree(f: MultiPoly, grid, k: Sequence[int]) -> MultiPoly:
         if not 0 <= ki <= si - 1:
             raise ExponentOutOfRange(f"exponent {ki} outside 0..{si - 1}")
     shifts = tuple(si - ki - 1 for ki, si in zip(k, grid.sizes))
-    shifted = {
-        tuple(e + s for e, s in zip(m, shifts)): c for m, c in f.terms.items()
-    }
-    return MultiPoly(f.ctx, f.n, shifted)
+    shifted = [(tuple(map(add, m, shifts)), c) for m, c in f._values()]
+    return MultiPoly._of_values(f.ctx, f.n, shifted)
 
 
 # ---------------------------------------------------------------------------
 # Parsing and formatting
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|(x\d+)|(t)|([+\-*^()/]))")
+# A token is (kind, value, position), and an operator's kind is its character
+_TOKEN_RE = re.compile(r"(?P<int>\d+)|x(?P<var>\d+)|(?P<gen>t)|(?P<op>[-+*^()/])|(?P<bad>\S)")
 
 
 def _tokenize(text: str):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            bad = pos + (len(text) - pos - len(stripped))
-            raise ParseError(f"unexpected character {stripped[0]!r}", bad)
-        if m.group(1) is not None:
-            tokens.append(("int", _int_literal(m.group(1), m.start(1)), m.start(1)))
-        elif m.group(2) is not None:
-            tokens.append(("var", _int_literal(m.group(2)[1:], m.start(2)), m.start(2)))
-        elif m.group(3) is not None:
-            tokens.append(("gen", "t", m.start(3)))
-        else:
-            tokens.append(("op", m.group(4), m.start(4)))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        kind, pos = m.lastgroup, m.start()
+        val = m.group(kind)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {val!r}", pos)
+        if kind in ("int", "var"):  # a variable is at the position of its x
+            val = _int_literal(val, pos)
+        tokens.append((val if kind == "op" else kind, val, pos))
     tokens.append(("end", None, len(text)))
     return tokens
 
 
 class _Parser:
-    def __init__(self, text: str, n: int, ctx: FieldCtx):
-        self.tokens = _tokenize(text)
-        self.i = 0
-        self.n = n
-        self.ctx = ctx
+    """Recursive descent; the atoms are built by MultiPoly._of_values."""
 
-    def peek(self):
-        return self.tokens[self.i]
+    def __init__(self, text: str, n: int, ctx: FieldCtx):
+        self.text, self.n, self.ctx = text, n, ctx
+        self.tokens, self.i = _tokenize(text), 0
+
+    def peek(self) -> str:
+        return self.tokens[self.i][0]
 
     def take(self):
-        tok = self.tokens[self.i]
         self.i += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, val, pos = self.take()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}", pos)
+        return self.tokens[self.i - 1]
 
     def parse(self) -> MultiPoly:
         f = self.expr()
-        kind, val, pos = self.peek()
+        kind, _, pos = self.take()
         if kind != "end":
-            raise ParseError(f"unexpected trailing input {val!r}", pos)
+            source = _TOKEN_RE.match(self.text, pos).group()
+            raise ParseError(f"unexpected trailing input {source!r}", pos)
         return f
 
     def expr(self) -> MultiPoly:
-        sign = 1
-        kind, val, _ = self.peek()
-        if kind == "op" and val in "+-":
-            self.take()
-            sign = -1 if val == "-" else 1
-        f = self.term()
-        if sign < 0:
-            f = -f
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                g = self.term()
-                f = f + g if val == "+" else f - g
-            else:
-                return f
+        op = self.take()[0] if self.peek() in ("+", "-") else "+"
+        f = self.term() if op == "+" else -self.term()
+        while self.peek() in ("+", "-"):
+            op = self.take()[0]
+            f = f + self.term() if op == "+" else f - self.term()
+        return f
 
     def term(self) -> MultiPoly:
         f = self.factor()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val == "*":
-                self.take()
-                f = f * self.factor()
-            else:
-                return f
+        while self.peek() == "*":
+            self.take()
+            f = f * self.factor()
+        return f
 
     def factor(self) -> MultiPoly:
         base = self.atom()
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "^":
+        if self.peek() == "^":
             self.take()
             kind, exp, pos = self.take()
             if kind != "int":
@@ -422,33 +416,39 @@ class _Parser:
 
     def atom(self) -> MultiPoly:
         kind, val, pos = self.take()
+        ctx, n, m = self.ctx, self.n, (0,) * self.n
+        if kind == "(":
+            f = self.expr()
+            kind, _, pos = self.take()
+            if kind != ")":
+                raise ParseError("expected ')'", pos)
+            return f
         if kind == "int":
-            nxt_kind, nxt_val, _ = self.peek()
-            if nxt_kind == "op" and nxt_val == "/":
-                if self.ctx.kind != "rationals":
+            if self.peek() == "/":
+                if ctx.kind != "rationals":
                     raise ParseError("fraction literals need the rationals", pos)
                 self.take()
                 dkind, den, dpos = self.take()
                 if dkind != "int" or den == 0:
                     raise ParseError("expected a nonzero denominator", dpos)
-                return MultiPoly.constant(self.ctx, self.n, Fraction(val, den))
-            return MultiPoly.constant(self.ctx, self.n, val)
-        if kind == "var":
-            if not 1 <= val <= self.n:
-                raise UnknownVariable(f"x{val} is outside 1..{self.n}", pos)
-            return MultiPoly.variable(self.ctx, self.n, val)
-        if kind == "gen":
-            if self.ctx.kind != "extension":
+                val = Fraction(val, den)
+            v = ctx._canon(val)
+        elif kind == "var":
+            if not 1 <= val <= n:
+                raise UnknownVariable(f"x{val} is outside 1..{n}", pos)
+            m, v = m[: val - 1] + (1,) + m[val:], ctx.one.value
+        elif kind == "gen":
+            if ctx.kind != "extension":
                 raise UnknownVariable(
                     "t denotes the extension generator and needs an extension field",
                     pos,
                 )
-            return MultiPoly.constant(self.ctx, self.n, self.ctx.generator)
-        if kind == "op" and val == "(":
-            f = self.expr()
-            self.expect_op(")")
-            return f
-        raise ParseError(f"unexpected token {val!r}", pos)
+            v = ctx.generator.value
+        elif kind == "end":
+            raise ParseError("unexpected end of input", pos)
+        else:
+            raise ParseError(f"unexpected token {val!r}", pos)
+        return MultiPoly._of_values(ctx, n, [(m, v)])
 
 
 def parse_poly(text: str, n: int, ctx: FieldCtx) -> MultiPoly:

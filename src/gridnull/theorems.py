@@ -212,7 +212,7 @@ def interpolate(grid: Grid, values, lam: int) -> MultiPoly:
             for k in range(min(lam - sum(prefix), s - 1) + 1):
                 nxt[prefix + (k,)] = [ctx._dot(v, matrix[k]) for v in lines]
         layer = nxt
-    return MultiPoly(ctx, grid.n, {k: ctx._wrap(t[0]) for k, t in layer.items()})
+    return MultiPoly._of_values(ctx, grid.n, [(k, t[0]) for k, t in layer.items()])
 
 
 def grid_sum(f: MultiPoly, grid: Grid, mode: str = "plain") -> FieldElement:

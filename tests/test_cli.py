@@ -895,3 +895,43 @@ def test_to_dict_pins_report_json():
         '"zero_count": 9, "nonzero_count": 0, "total_degree": "-inf", '
         '"joint_nullity": 1, "grid_sizes": [3, 3], "singleton_warning": false}'
     )
+
+
+# --poly parse errors, recorded before the parser moved onto raw values.  Only
+# the last three changed then: input that ends too early names the end of
+# input, not a token None, and trailing input is quoted as written, not as a
+# variable's index.
+_POLY_ERRORS = [
+    ("Q", "x1 $ 2", "unexpected character '$' (at position 3)"),
+    ("Q", "x", "unexpected character 'x' (at position 0)"),
+    ("Q", "(x1", "expected ')' (at position 3)"),
+    ("Q", "x1^", "expected a non-negative integer exponent (at position 3)"),
+    ("Q", "x1^x2", "expected a non-negative integer exponent (at position 3)"),
+    ("Q", "1/0", "expected a nonzero denominator (at position 2)"),
+    ("Q", "1/", "expected a nonzero denominator (at position 2)"),
+    ("F7", "1/2", "fraction literals need the rationals (at position 0)"),
+    (
+        "Q",
+        "t",
+        "t denotes the extension generator and needs an extension field (at position 0)",
+    ),
+    (
+        "F7",
+        "x1 + t*x2",
+        "t denotes the extension generator and needs an extension field (at position 5)",
+    ),
+    ("Q", "x0", "x0 is outside 1..2 (at position 0)"),
+    ("Q", "x2 - x3", "x3 is outside 1..2 (at position 5)"),
+    ("F7", "x1)", "unexpected trailing input ')' (at position 2)"),
+    ("Q", "", "unexpected end of input (at position 0)"),
+    ("Q", "x1 +", "unexpected end of input (at position 4)"),
+    ("Q", "x1 x2", "unexpected trailing input 'x2' (at position 3)"),
+]
+
+
+@pytest.mark.parametrize(
+    "field, poly, line", _POLY_ERRORS, ids=[p or "empty" for _, p, _ in _POLY_ERRORS]
+)
+def test_poly_parse_errors(capsys, field, poly, line):
+    argv = ["cn-check", "--field", field, "--grid", "{0,1} x {0,1}", "--poly", poly]
+    assert _run(capsys, argv) == (2, "", f"error: {line}\n")

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gridnull as g
+import gridnull.poly as poly
 from gridnull.oracle import moments_bruteforce
-from support import F7, F9, F27, Q, make_rng, random_multipoly, random_set
+from support import F7, F9, F13, F27, Q, make_rng, random_multipoly, random_set
 
 
 def test_minus_infinity_ordering():
@@ -273,3 +274,95 @@ def test_multipoly_coefficient_reads_stored_terms():
     assert f.coefficient((2, 1)) == 1
     assert f.coefficient((0, 0)) == 4
     assert f.coefficient((5, 5)) == 0
+
+
+F16 = g.ExtensionField(2, 4)
+
+
+def _term_lists(ctx, n):
+    """Term lists over the monomials with exponents 0..2, so that terms
+    repeat and cancel; fractions over Q, any element (t-polynomials over an
+    extension field) otherwise."""
+    if ctx.kind == "rationals":
+        fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+        coeffs = fractions.map(ctx.element)
+    else:
+        coeffs = st.sampled_from(ctx.elements())
+    monomials = st.tuples(*[st.integers(0, 2)] * n)
+    return st.lists(st.tuples(monomials, coeffs), max_size=4)
+
+
+def _sum_text(ctx, n, terms):
+    """The terms one at a time through format_poly, each in parentheses."""
+    pieces = [f"({g.format_poly(g.MultiPoly(ctx, n, [t]))})" for t in terms]
+    return " + ".join(pieces) or "0"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([Q, F7, F13, F9, F27, F16]), st.integers(1, 3), st.data())
+def test_parse_poly_merges_like_the_reference(ctx, n, data):
+    """Signed sums of single terms, of parenthesised sums to a power and of
+    products whose terms cancel, as format_poly writes them: the parsed terms
+    and their order are the reference merger's."""
+    pieces, pairs = [], []
+    for _ in range(data.draw(st.integers(1, 3))):
+        ts = data.draw(_term_lists(ctx, n))
+        text, ref = _sum_text(ctx, n, ts), _merged(ctx, ts)
+        shape = data.draw(st.sampled_from(["sum", "power", "product"]))
+        if shape == "sum":
+            text = f"({text})"
+        elif shape == "power":
+            k = data.draw(st.integers(0, 3))
+            text, ref = f"({text})^{k}", _power(ctx, ref, k, n)
+        elif shape == "product":
+            # the same terms with some signs flipped, as in (x1 + x2)*(x1 - x2)
+            flips = data.draw(st.lists(st.booleans(), min_size=len(ts), max_size=len(ts)))
+            us = [(m, -c if flip else c) for (m, c), flip in zip(ts, flips)]
+            text = f"({text})*({_sum_text(ctx, n, us)})"
+            ref = _product(ctx, ref, _merged(ctx, us))
+        sign = data.draw(st.sampled_from("+-"))
+        pieces.append(f"{sign} {text}")
+        pairs += [(m, c if sign == "+" else -c) for m, c in ref.items()]
+    f = g.parse_poly(" ".join(pieces), n, ctx)
+    assert _items(f) == list(_merged(ctx, pairs).items())
+
+
+def test_parser_stays_off_the_validating_path(monkeypatch):
+    """The parser builds on terms it knows to be valid: an engines-shaped
+    polynomial (4 terms, 3 variables, t coefficients over F27) reaches
+    neither the exponent check nor the public constructor."""
+    text = "(t+1)*x1^4*x2^3*x3^4 + (t^2+t)*x1^7*x2*x3^3 - (t^2+1)*x1^3*x2^4*x3^4 + 2*x2^2"
+    expected = _items(g.parse_poly(text, 3, F27))
+    grid = g.grid_make([g.FiniteSet(F27, [0, 1])] * 3)
+
+    def refuse(*args):
+        raise AssertionError("the validating path was reached")
+
+    monkeypatch.setattr(poly, "_exponent", refuse)
+    monkeypatch.setattr(g.MultiPoly, "__init__", refuse)
+    f = g.parse_poly(text, 3, F27)
+    assert _items(f) == expected and len(expected) == 4
+    with pytest.raises(AssertionError, match="validating path"):
+        g.MultiPoly(F27, 3, {(1, 0, 0): 1})
+    with pytest.raises(AssertionError, match="validating path"):
+        g.raise_degree(f, grid, (0, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "ctx, text, n",
+    [(F7, "3*x1^2*x2", 2), (F27, "t", 1), (Q, "1/2*x1*x2^3", 2)],
+    ids=["F7", "F27", "Q"],
+)
+def test_single_term_power_matches_repeated_multiplication(ctx, text, n):
+    base = g.parse_poly(text, n, ctx)
+    ref = {(0,) * n: ctx.one}
+    for k in range(41):
+        assert _items(base**k) == list(ref.items())
+        assert _items(g.parse_poly(f"({text})^{k}", n, ctx)) == list(ref.items())
+        ref = _product(ctx, ref, base.terms)
+
+
+@pytest.mark.parametrize("text", ["0^0", "(x1 - x1)^0", "x1^0"])
+def test_zeroth_powers_are_one(text):
+    for ctx in (Q, F7, F27):
+        assert g.parse_poly(text, 1, ctx) == g.MultiPoly.constant(ctx, 1, 1)
