@@ -89,7 +89,7 @@ class PointNotOnGrid(GridNullError):
 
 
 class SizeBoundExceeded(GridNullError):
-    """An oracle input exceeds its configured brute-force bound."""
+    """An input exceeds a size bound: an oracle's, or a polynomial product's term pairs."""
 
 
 class FieldNotRationals(GridNullError):

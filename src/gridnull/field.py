@@ -13,17 +13,19 @@ cap they are polynomial arithmetic on the digits.
 
 Besides these scalar kernels every context has kernels on raw values, which
 the inner loops run on without an element object per step: scalar _vadd,
-_vmul and _vpow; the list kernels _outer (the products x*y for x in xs, y in
-ys, flattened), _vsum (elementwise sums) and _dot (the sum of the products
-x*y over zip(xs, ys)); and _mul_root and _div_root, which multiply a
-top-first coefficient list by (X - a) and divide one exactly by it.  Each
-kind supplies its own scalar value kernels: residues mod p, p = 2 tables
-(XOR sums, exp[log a + log b] products), odd-p tables (log and Zech),
-ints and Fractions over Q, and digit polynomial arithmetic above the cap.
-The list kernels are generic, in FieldCtx on the scalar value kernels,
-wherever a kind has no faster form of its own.  Contexts are interned, one
-object per field, so context equality is identity.  All arithmetic is
-exact; floating point never appears.
+_vsub, _vmul, _vneg, _vinv and _vpow; the list kernels _outer (the products
+x*y for x in xs, y in ys, flattened), _vsum (elementwise sums) and _dot (the
+sum of the products x*y over zip(xs, ys)); and _mul_root and _div_root,
+which multiply a top-first coefficient list by (X - a) and divide one
+exactly by it.  Each kind supplies its own scalar value kernels: residues
+mod p, p = 2 tables (XOR sums, exp[log a + log b] products), odd-p tables
+(log and Zech), ints and Fractions over Q, and digit polynomial arithmetic
+above the cap.  The list kernels, and the element kernels that wrap a value
+kernel's result, have one generic form in FieldCtx; residues and tables keep
+faster forms of their own (see FieldCtx).  Values become elements where they
+leave the library (the weights' P' aside, see nullity).  Contexts are
+interned, one object per field, so context equality is identity.  All
+arithmetic is exact; floating point never appears.
 """
 
 from __future__ import annotations
@@ -31,9 +33,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import gcd
-from operator import add, mul, xor
+from operator import add, mul, neg, pos, sub, xor
 from typing import Optional, Sequence
 
 from .errors import (
@@ -106,6 +108,10 @@ def _prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def _no_inverse():
+    raise DivisionByZero("cannot invert 0")
 
 
 # ---------------------------------------------------------------------------
@@ -427,17 +433,20 @@ class FieldCtx:
     Contexts are interned: a constructor returns the one context of its
     field, and copies and pickles come back as that same object.  Every
     context has the elements ``zero`` and ``one``, _wrap, which makes the
-    element of a value, and the kernels _add, _sub, _mul, _neg, _inv and
-    _pow (exponent >= 0), which take element values and return elements.
-    The value kernels take and return values: _vadd(a, b), _vmul(a, b),
-    _vpow(a, k) (k >= 0), _outer(xs, ys), _vsum(xs, ys) and _dot(xs, ys)
-    as in the module docstring, and _mul_root(cs, a) and _div_root(cs, a)
-    on lists top coefficient first: the coefficients of (X - a) times cs,
-    and of cs divided exactly by (X - a).  A value is an int, or over Q an
-    int or a Fraction (see Rationals).  Each field kind sets its own
-    element kernels and scalar value kernels; the list kernels here are the
-    generic form on the scalar value kernels, for the kinds without their
-    own.
+    element of a value, and kernels on values; a value is an int, or over Q
+    an int or a Fraction (see Rationals).  Each kind sets its scalar value
+    kernels _vadd(a, b), _vsub(a, b), _vmul(a, b), _vneg(a), _vinv(a) and
+    _vpow(a, k) (k >= 0).  The list kernels _outer(xs, ys), _vsum(xs, ys)
+    and _dot(xs, ys) are as in the module docstring; _mul_root(cs, a) and
+    _div_root(cs, a) take lists top coefficient first and give those of
+    (X - a) times cs and of cs divided exactly by (X - a).  The element
+    kernels _add, _sub, _mul, _neg, _inv and _pow return the element of the
+    matching value kernel's result.  The list and element kernels here are
+    the generic form on the scalar value kernels; set-up installs the element
+    ones once the value kernels are final.  A kind keeps its own form only
+    where the generic one would cost a Python call more: residues keep every
+    kernel, tables their products, inverses, negations, _outer, _dot and
+    _mul_root, and p = 2 tables their sums and differences as well.
     """
 
     kind: str
@@ -458,13 +467,28 @@ class FieldCtx:
 
     def _mul_root(self, cs: list, a) -> list:
         # each coefficient is c - a * b, the sum of c and (-a) * b
-        mul, add, na = self._vmul, self._vadd, self._neg(a).value
+        mul, add, na = self._vmul, self._vadd, self._vneg(a)
         return [add(c, mul(na, b)) for b, c in zip((0, *cs), (*cs, 0))]
 
     def _div_root(self, cs: list, a) -> list:
         # the quotient's top coefficient is cs[0], each next one c + a * the last
         mul, add = self._vmul, self._vadd
         return list(accumulate(cs[:-1], lambda b, c: add(c, mul(a, b))))
+
+    def _wrap_value_kernels(self):
+        """Install the generic element kernels the kind left unset; returns the context."""
+        wrap, elems = self._wrap, getattr(self, "_elems", None)
+        if elems is None:
+            binary = lambda f: lambda a, b: wrap(f(a, b))
+            unary = lambda f: lambda a: wrap(f(a))
+        else:  # up to the cap, indexing the elements costs less than calling _wrap
+            binary = lambda f: lambda a, b: elems[f(a, b)]
+            unary = lambda f: lambda a: elems[f(a)]
+        names = ("_add", "_sub", "_mul", "_pow", "_neg", "_inv")
+        for name, form in zip(names, [binary] * 4 + [unary] * 2):
+            if not hasattr(self, name):  # vars(self) would slow every attribute read
+                setattr(self, name, form(getattr(self, "_v" + name[1:])))
+        return self
 
     def element(self, v) -> FieldElement:
         if isinstance(v, FieldElement):
@@ -498,7 +522,7 @@ class FieldCtx:
 
 
 class Rationals(FieldCtx):
-    """The field of rational numbers.  _canon, _inv and _dot give an int for
+    """The field of rational numbers.  _canon, _vinv and _dot give an int for
     an integral value and a reduced Fraction otherwise; the other kernels are
     the int and Fraction operators, which never give a float but may give an
     integral Fraction n/1, equal to n in value, hash and str."""
@@ -514,7 +538,7 @@ class Rationals(FieldCtx):
         self._hash = hash("Q")
         self._wrap = partial(FieldElement, self)
         self.zero, self.one = self.element(0), self.element(1)
-        return self
+        return self._wrap_value_kernels()
 
     def _canon(self, v):
         if isinstance(v, int):
@@ -523,27 +547,10 @@ class Rationals(FieldCtx):
             return v if v.denominator != 1 else v.numerator
         raise TypeError(f"cannot build a rational from {v!r}")
 
-    def _add(self, a, b):
-        return FieldElement(self, a + b)
+    _vadd, _vsub, _vmul, _vneg, _vpow = add, sub, mul, neg, pow
 
-    def _sub(self, a, b):
-        return FieldElement(self, a - b)
-
-    def _mul(self, a, b):
-        return FieldElement(self, a * b)
-
-    def _neg(self, a):
-        return FieldElement(self, -a)
-
-    def _inv(self, a):
-        if a == 0:
-            raise DivisionByZero("cannot invert 0")
-        return self.element(Fraction(1, a))  # 1 / a on an int is a float
-
-    def _pow(self, a, k):
-        return FieldElement(self, a**k)
-
-    _vadd, _vmul, _vpow = add, mul, pow
+    def _vinv(self, a):
+        return self._canon(Fraction(1, a)) if a else _no_inverse()  # 1 / a on an int is a float
 
     def _dot(self, xs, ys):
         # one Fraction at the end: the partial sums are n/d over the lcm d
@@ -596,28 +603,25 @@ class FiniteField(FieldCtx):
         self.zero, self.one = self._wrap(0), self._wrap(1)
         if e == 1:
             self._residue_kernels()
-            return self
-        self._digit_kernels()
-        if q <= _TABLE_CAP:
-            self._table_kernels()
-        return self
+        else:
+            self._digit_kernels()
+            if q <= _TABLE_CAP:
+                self._table_kernels()
+        return self._wrap_value_kernels()
 
     def _residue_kernels(self):
         p, new = self.p, self._wrap
-
-        def inv(a):
-            if not a:
-                raise DivisionByZero("cannot invert 0")
-            return new(pow(a, p - 2, p))
-
         self._add = lambda a, b: new((a + b) % p)
         self._sub = lambda a, b: new((a - b) % p)
         self._mul = lambda a, b: new(a * b % p)
         self._neg = lambda a: new(-a % p)
-        self._inv = inv
+        self._inv = lambda a: new(pow(a, p - 2, p)) if a else _no_inverse()
         self._pow = lambda a, k: new(pow(a, k, p))
         self._vadd = lambda a, b: (a + b) % p
+        self._vsub = lambda a, b: (a - b) % p
         self._vmul = lambda a, b: a * b % p
+        self._vneg = lambda a: -a % p
+        self._vinv = lambda a: pow(a, p - 2, p) if a else _no_inverse()
         self._vpow = lambda a, k: pow(a, k, p)
         self._outer = lambda xs, ys: [x * y % p for x in xs for y in ys]
         self._vsum = lambda xs, ys: [(x + y) % p for x, y in zip(xs, ys)]
@@ -636,11 +640,6 @@ class FiniteField(FieldCtx):
 
         logs = partial(map, log.__getitem__)
 
-        def inv(a):
-            if not a:
-                raise DivisionByZero("cannot invert 0")
-            return elems[exp_v[n - log[a]]]
-
         def vpow(a, k):
             return exp_v[log[a] * k % n] if a else (0 if k else 1)
 
@@ -652,9 +651,11 @@ class FiniteField(FieldCtx):
             """The logs of the products x*y over zip(xs, ys)."""
             return map(add, logs(xs), logs(ys))
 
+        # own product and inverse: the generic ones would cost a Python call more
         self._mul = lambda a, b: elems[exp_v[log[a] + log[b]]]
-        self._inv, self._pow = inv, lambda a, k: elems[vpow(a, k)]
+        self._inv = lambda a: elems[exp_v[n - log[a]]] if a else _no_inverse()
         self._vmul = lambda a, b: exp_v[log[a] + log[b]]
+        self._vinv = lambda a: exp_v[n - log[a]] if a else _no_inverse()
         self._vpow, self._outer = vpow, outer
         if p == 2:
 
@@ -662,9 +663,9 @@ class FiniteField(FieldCtx):
                 la = log[a]
                 return [c ^ exp_v[la + log[b]] for b, c in zip((0, *cs), (*cs, 0))]
 
-            self._add = self._sub = lambda a, b: elems[a ^ b]
-            self._neg = elems.__getitem__
-            self._vadd = xor
+            self._add = self._sub = lambda a, b: elems[a ^ b]  # own: xor is a call more
+            self._vadd = self._vsub = xor
+            self._vneg, self._neg = pos, elems.__getitem__  # -a is a
             self._dot = lambda xs, ys: reduce(xor, map(exp_v.__getitem__, products(xs, ys)), 0)
             self._mul_root = mul_root
             return
@@ -689,51 +690,48 @@ class FiniteField(FieldCtx):
             la = log[negv[a]]  # log of -a, so la + log[b] is the log of -ab
             return [plus(c, la + log[b]) for b, c in zip((0, *cs), (*cs, 0))]
 
-        self._mul_root = mul_root
-
         def vadd(a, b):
-            if not a:
-                return b
-            if not b:
-                return a
+            if not (a and b):
+                return a or b
             i = log[a]
             return exp_v[i + zech[log[b] - i]]
 
-        self._add = lambda a, b: elems[vadd(a, b)]
-        self._sub = lambda a, b: elems[vadd(a, negv[b])]
-        self._neg = lambda a: elems[negv[a]]
-        self._vadd = vadd
+        def vsub(a, b):  # vadd(a, -b) in one frame
+            b = negv[b]
+            if not (a and b):
+                return a or b
+            i = log[a]
+            return exp_v[i + zech[log[b] - i]]
+
+        self._vadd, self._vsub, self._vneg = vadd, vsub, negv.__getitem__
+        self._neg = lambda a: elems[negv[a]]  # own: the generic one calls __getitem__
         self._dot = lambda xs, ys: reduce(plus, products(xs, ys), 0)
+        self._mul_root = mul_root
 
     def _digit_kernels(self):
-        p, e, m, new = self.p, self.e, list(self.modulus), self._wrap
-
-        def digits(v):
-            return _digits(v, p, e)
+        p, e, m = self.p, self.e, list(self.modulus)
+        digits = partial(_digits, p=p, e=e)
 
         def vadd(a, b):
             return _index([(x + y) % p for x, y in zip(digits(a), digits(b))], p)
 
+        def vsub(a, b):
+            return _index([(x - y) % p for x, y in zip(digits(a), digits(b))], p)
+
         def vmul(a, b):
             return _index(_px_mod(_px_mul(digits(a), digits(b), p), m, p), p)
+
+        def vneg(a):
+            return _index([-x % p for x in digits(a)], p)
+
+        def vinv(a):
+            return _index(_px_invmod(digits(a), m, p), p) if a else _no_inverse()
 
         def vpow(a, k):
             return _index(_px_powmod(digits(a), k, m, p), p)
 
-        def inv(a):
-            if not a:
-                raise DivisionByZero("cannot invert 0")
-            return new(_index(_px_invmod(digits(a), m, p), p))
-
-        self._vadd, self._vmul, self._vpow = vadd, vmul, vpow
-        self._add = lambda a, b: new(vadd(a, b))
-        self._mul = lambda a, b: new(vmul(a, b))
-        self._pow = lambda a, k: new(vpow(a, k))
-        self._inv = inv
-        self._sub = lambda a, b: new(
-            _index([(x - y) % p for x, y in zip(digits(a), digits(b))], p)
-        )
-        self._neg = lambda a: new(_index([-x % p for x in digits(a)], p))
+        self._vadd, self._vsub, self._vmul = vadd, vsub, vmul
+        self._vneg, self._vinv, self._vpow = vneg, vinv, vpow
 
     def _canon(self, v):
         if isinstance(v, int):
@@ -837,13 +835,8 @@ def trace(x: FieldElement) -> FieldElement:
     ctx = x.ctx
     if ctx.kind != "extension":
         raise NotExtensionField("trace requires an extension field")
-    p = ctx.characteristic
-    acc = x
-    frob = x
-    for _ in range(ctx.e - 1):
-        frob = frob**p
-        acc = acc + frob
-    return acc
+    frobenius = accumulate(repeat(ctx.p, ctx.e - 1), ctx._vpow, initial=x.value)  # x, x^p, ...
+    return ctx._wrap(reduce(ctx._vadd, frobenius))
 
 
 _FIELD_RE = re.compile(r"^(Q|F(\d+)(?:\^(\d+))?(?:/([0-9,]+))?)$")

@@ -111,7 +111,7 @@ def multiplicative_coset(ctx: FieldCtx, d: int, shift=None) -> FiniteSet:
     if shift.is_zero:
         raise ZeroShift("the shift must be a unit")
     powers = accumulate(repeat(_unit_of_order(ctx, d), d - 1), ctx._vmul, initial=1)
-    return FiniteSet(ctx, [ctx._mul(shift.value, v) for v in sorted(powers)])
+    return FiniteSet(ctx, map(ctx._wrap, ctx._outer((shift.value,), sorted(powers))))
 
 
 def additive_coset(ctx: FieldCtx, generators, shift=None) -> FiniteSet:
@@ -121,19 +121,16 @@ def additive_coset(ctx: FieldCtx, generators, shift=None) -> FiniteSet:
     result's element order is deterministic; dependent generators collapse
     by deduplication and the size is a power of the characteristic.  Each
     generator's multiples 0, g, ..., (p-1)g are added to every element so
-    far by the context's add kernel on values, one kernel call per element.
+    far by the context's scalar value kernel _vadd, one call per element.
     """
     if ctx.kind == "rationals":
         raise CharacteristicZero("additive cosets need positive characteristic")
-    add = ctx._add
-    gens = [ctx.element(g) for g in generators]
-    span = [ctx.zero if shift is None else ctx.element(shift)]
+    vadd, gens = ctx._vadd, [ctx.element(g).value for g in generators]
+    span = [0 if shift is None else ctx.element(shift).value]
     for g in gens:
-        multiples = [ctx.zero]
-        for _ in range(ctx.characteristic - 1):
-            multiples.append(add(multiples[-1].value, g.value))
-        span = [add(s.value, m.value) for s in span for m in multiples]
-    return FiniteSet(ctx, span)
+        multiples = list(accumulate(repeat(g, ctx.characteristic - 1), vadd, initial=0))
+        span = [vadd(s, m) for s in span for m in multiples]
+    return FiniteSet(ctx, map(ctx._wrap, span))
 
 
 def trace_zero_set(ctx: FieldCtx) -> FiniteSet:

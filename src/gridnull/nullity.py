@@ -28,10 +28,7 @@ from .poly import UniPoly, parse_element
 
 
 def _leading_zeros(table) -> int:
-    """How many entries from table[1] on are zero before the first nonzero one.
-
-    The entries are elements or raw values: an element is false exactly when
-    its value is."""
+    """How many raw values from table[1] on are zero before the first nonzero one."""
     r = 1
     while r < len(table) and not table[r]:
         r += 1
@@ -64,9 +61,9 @@ class FiniteSet:
     fills replace whole tuples, so readers see either the old table or the
     extended one.  For the grid engines, the power column (a^k for a in A),
     the weighted column (a^k/P'(a) for a in A) and the sums of both are kept
-    per exponent k for the set's lifetime, each built on first use.  These
-    caches, the weights and the complete and power-sum tables hold raw
-    values, built by the context's value kernels; the public reads wrap them.
+    per exponent k for the set's lifetime, each built on first use.  Every
+    table, weight (keyed by the value of a) and cache holds raw values, built
+    by the context's value kernels; only the public reads make elements.
     """
 
     __slots__ = ("ctx", "elements", "_set", "_char", "_e", "_h", "_p", "_weights", "_cols", "_sums")
@@ -92,10 +89,10 @@ class FiniteSet:
         return self._char
 
     def _elementary(self) -> tuple:
-        """(e_0, ..., e_|A|); e_r is (-1)^r times the degree-(|A|-r) coefficient."""
+        """(e_0, ..., e_|A|) as values; e_r is (-1)^r times the degree-(|A|-r) coefficient."""
         if self._e is None:
-            top_first = reversed(self.char_poly.coeffs)
-            self._e = tuple(-c if r % 2 else c for r, c in enumerate(top_first))
+            vneg, top_first = self.ctx._vneg, reversed(self.char_poly.coeffs)
+            self._e = tuple(vneg(c.value) if r % 2 else c.value for r, c in enumerate(top_first))
         return self._e
 
     def _ensure_h(self, R: int) -> tuple:
@@ -104,7 +101,7 @@ class FiniteSet:
         ... + c_n is the char poly, so that h_r = sum (-1)^(i+1) e_i h_(r-i)."""
         _check_order(R)
         if len(self._h) <= R:
-            c = [(-x).value for x in reversed(self.char_poly.coeffs[:-1])]
+            c = [self.ctx._vneg(x.value) for x in reversed(self.char_poly.coeffs[:-1])]
             h, dot = list(self._h), self.ctx._dot
             for r in range(len(h), R + 1):
                 m = min(r, len(c))
@@ -142,11 +139,11 @@ class FiniteSet:
     def _elementary_to(self, R: int) -> tuple:
         _check_order(R)
         e = self._elementary()[: R + 1]
-        return e + (self.ctx.zero,) * (R + 1 - len(e))
+        return e + (self.ctx.zero.value,) * (R + 1 - len(e))
 
     def moments(self, R: int) -> MomentTable:
-        h, p, wrap = self._ensure_h(R), self._ensure_p(R), self.ctx._wrap
-        return MomentTable(self._elementary_to(R), tuple(map(wrap, h)), tuple(map(wrap, p)))
+        tables = self._elementary_to(R), self._ensure_h(R), self._ensure_p(R)
+        return MomentTable(*(tuple(map(self.ctx._wrap, t)) for t in tables))
 
     @property
     def nullity(self) -> int:
@@ -157,25 +154,24 @@ class FiniteSet:
         return _leading_zeros(self._ensure_p(len(self.elements)))
 
     def _weight_table(self) -> dict:
-        """{a: the value of 1/P'(a)} in element order, P' by Horner on values;
-        distinct roots keep P'(a) nonzero."""
+        """{a: 1/P'(a)} on values, in element order, P' by Horner on values
+        after UniPoly.derivative; distinct roots keep P'(a) nonzero."""
         if self._weights is None:
-            ctx = self.ctx
-            vadd, vmul = ctx._vadd, ctx._vmul
+            vadd, vmul, vinv = self.ctx._vadd, self.ctx._vmul, self.ctx._vinv
             deriv = [c.value for c in reversed(self.char_poly.derivative().coeffs)]
             self._weights = {}
-            for x in self.elements:
-                acc = ctx.zero.value
+            for x in (a.value for a in self.elements):
+                acc = 0
                 for c in deriv:
-                    acc = vadd(vmul(acc, x.value), c)
-                self._weights[x] = ctx._inv(acc).value
+                    acc = vadd(vmul(acc, x), c)
+                self._weights[x] = vinv(acc)
         return self._weights
 
     def weight_at(self, a) -> FieldElement:
         """1/P'(a) for a in the set."""
         a = self.ctx.element(a)
         try:
-            return self.ctx._wrap(self._weight_table()[a])
+            return self.ctx._wrap(self._weight_table()[a.value])
         except KeyError:
             raise PointNotOnGrid(f"{a} is not in the set") from None
 
@@ -195,20 +191,24 @@ class FiniteSet:
         """(a^k for a in A), or (a^k/P'(a) for a in A) when weighted."""
         return tuple(map(self.ctx._wrap, self._column(k, weighted)))
 
-    def column_sum(self, k: int, weighted: bool = False) -> FieldElement:
-        """The sum of column(k, weighted)."""
+    def _sum(self, k: int, weighted: bool):
+        """The sum of column(k, weighted) as a value, kept per (k, weighted)."""
         key = (k, weighted)
         if key not in self._sums:
             self._sums[key] = self.ctx._dot(self._cols[0, False], self._column(k, weighted))
-        return self.ctx._wrap(self._sums[key])
+        return self._sums[key]
+
+    def column_sum(self, k: int, weighted: bool = False) -> FieldElement:
+        """The sum of column(k, weighted); the weighted one is sylvester_sum(k)."""
+        return self.sylvester_sum(k) if weighted else self.ctx._wrap(self._sum(k, False))
 
     def sylvester_sum(self, d: int) -> FieldElement:
-        """Sum of a^d/P'(a) over A; 0 for d < |A| - 1 and 1 for d = |A| - 1."""
+        """Sum of a^d/P'(a) over A: 0 for d < |A| - 1 and 1 for d = |A| - 1 at once."""
         if d < 0:
             raise PreconditionViolated("sylvester_sum needs d >= 0")
         if d < len(self.elements):
             return self.ctx.one if d == len(self.elements) - 1 else self.ctx.zero
-        return self.column_sum(d, weighted=True)
+        return self.ctx._wrap(self._sum(d, True))
 
     def __iter__(self):
         return iter(self.elements)
@@ -237,7 +237,7 @@ class FiniteSet:
 
 def elementary_moments(A: FiniteSet, R: int) -> list:
     """[e_0, ..., e_R]; e_r is the signed degree-(|A|-r) coefficient."""
-    return list(A._elementary_to(R))
+    return list(map(A.ctx._wrap, A._elementary_to(R)))
 
 
 def complete_moments(A: FiniteSet, R: int) -> list:

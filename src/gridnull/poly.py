@@ -22,6 +22,7 @@ from .errors import (
     MixedFields,
     ParseError,
     PreconditionViolated,
+    SizeBoundExceeded,
     UnknownVariable,
 )
 from .field import FieldCtx, FieldElement, _int_literal
@@ -61,6 +62,10 @@ class _MinusInfinity:
 MINUS_INFINITY = _MinusInfinity()
 
 Monomial = tuple[int, ...]
+
+# The most term pairs one polynomial product may multiply: about 0.5 s at
+# 1-2 us a pair on a 2-vCPU VM.  Powers meet it at each step of their ladder.
+_MAX_TERM_PAIRS = 250_000
 
 
 def _exponent(k) -> int:
@@ -287,6 +292,10 @@ class MultiPoly:
             pairs = [(m, vmul(c.value, v)) for m, c in self.terms.items()]
         elif isinstance(other, MultiPoly):
             self._compat(other)
+            a, b = len(self.terms), len(other.terms)
+            if a * b > _MAX_TERM_PAIRS:
+                msg = f"a product of polynomials with {a} and {b} terms makes {a * b} term pairs"
+                raise SizeBoundExceeded(f"{msg}, above the bound of {_MAX_TERM_PAIRS}")
             ys = other._values()
             pairs = [
                 (tuple(map(add, m1, m2)), vmul(c1.value, c2))
@@ -300,8 +309,8 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        """By squaring and multiplying; a single term (m, c) gives (k*m, c^k)
-        at once."""
+        """By squaring and multiplying, each product within _MAX_TERM_PAIRS;
+        a single term (m, c) gives (k*m, c^k) at once."""
         if not isinstance(k, int) or k < 0:
             raise ExponentOutOfRange("polynomial exponents must be integers >= 0")
         ctx, n = self.ctx, self.n

@@ -272,8 +272,8 @@ def cauchy_davenport(A: FiniteSet, B: FiniteSet) -> ScanReport:
     ctx = A.ctx
     if ctx.kind != "prime":
         raise NotPrimeField("the sumset dichotomy is stated over prime fields")
-    sums = {a + b for a in A for b in B}
-    C = FiniteSet(ctx, sorted(sums, key=ctx.sort_key))
+    vadd, bs = ctx._vadd, [b.value for b in B]
+    C = FiniteSet(ctx, map(ctx._wrap, sorted({vadd(a.value, b) for a in A for b in bs})))
     la, lb, lc = A.nullity, B.nullity, C.nullity
     structured = lc >= min(la, lb)
     large = len(C) >= len(A) + len(B) + lc
@@ -325,7 +325,7 @@ def _plane_counter(head, grid: Grid):
     A histogram H over (F_q, +), keyed by raw values, counts the values of
     c_1 x_1 + ... + c_(n-1) x_(n-1) on the first n-1 factors; it is built one
     axis at a time by convolving with c_i A_i, and an axis with c_i = 0 scales
-    every count by |A_i|.  The count is then sum_(a in A_n) H[-c_n a].
+    every count by |A_i|.  Given the value of c_n, the count is sum_(a in A_n) H[-c_n a].
     """
     ctx = grid.ctx
     hist, scale = {ctx.zero.value: 1}, 1
@@ -340,7 +340,7 @@ def _plane_counter(head, grid: Grid):
                 nxt[t] = nxt.get(t, 0) + k
         hist = nxt
     last = grid.factors[-1]._column(1)
-    return lambda c: scale * sum(hist.get(x, 0) for x in ctx._outer(((-c).value,), last))
+    return lambda c: scale * sum(hist.get(x, 0) for x in ctx._outer((ctx._vneg(c),), last))
 
 
 def plane_grid_count(c, grid: Grid) -> ScanReport:
@@ -353,7 +353,7 @@ def plane_grid_count(c, grid: Grid) -> ScanReport:
         raise DimensionMismatch("coefficient vector has wrong arity")
     if all(x.is_zero for x in cv):
         raise ZeroVector("plane needs a nonzero coefficient vector")
-    count = _plane_counter(cv[:-1], grid)(cv[-1])
+    count = _plane_counter(cv[:-1], grid)(cv[-1].value)
     details = _plane_conditions(grid)
     details["plane"] = [str(x) for x in cv]
     details["count"] = count
@@ -397,7 +397,7 @@ def plane_scan(grid: Grid, mode: str = "pp") -> ScanReport:
         count_at = _plane_counter(head, grid)
         for cv in group:
             instances += 1
-            count = count_at(cv[-1])
+            count = count_at(cv[-1].value)
             ok = count != 1 if mode == "pp" else count % p == 0
             if not ok:
                 bad.append({"plane": [str(x) for x in cv], "count": count})

@@ -808,6 +808,24 @@ def test_mul_over_a_huge_prime_field_takes_no_walk_over_the_field():
     assert "set: {1, 1000000000000000002}\n" in proc.stdout
 
 
+# (x1 + x2 + 1)^3000 would have C(3002, 2) = 4,504,501 terms
+_PAST_THE_PAIR_BOUND = [
+    "grid-sum", "--field", "F7", "--grid", "{1,2} x {1,2}", "--poly", "(x1+x2+1)^3000",
+]
+_PAIR_BOUND_ERROR = (
+    "error: a product of polynomials with 540 and 540 terms makes 291600 term pairs,"
+    " above the bound of 250000\n"
+)
+
+
+def test_a_product_past_the_term_pair_bound_exits_2(capsys):
+    """The power's ladder is refused at its first product above the bound,
+    291,600 pairs, before any larger one; in-process and as a process."""
+    assert _run(capsys, _PAST_THE_PAIR_BOUND) == (2, "", _PAIR_BOUND_ERROR)
+    proc = _run_with_stdout(_PAST_THE_PAIR_BOUND, subprocess.PIPE)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", _PAIR_BOUND_ERROR)
+
+
 _VERDICTS = [
     (["analyze-set", "--field", "F7", "--set", "units", "--json"], 0),
     (["interpolate", "--field", "F7", "--grid", "mul(3)", "--poly", "x1^3"], 1),

@@ -130,6 +130,31 @@ def test_equal_elements_and_ints_hash_alike(ctx):
         assert (x in table) == any(x == n for n in table)
 
 
+@pytest.mark.parametrize(
+    "ctx", [Q, F7, F27, g.parse_field("F2^12/1,0,0,1,0,0,0,0,0,0,0,0,1")], ids=str
+)
+def test_int_and_fraction_on_the_left_of_minus_and_divide(ctx):
+    """3 - x and 1 / x reach FieldElement.__rsub__ and __rtruediv__, which
+    coerce the left operand by FieldCtx.element."""
+    x = ctx.generator if ctx.kind == "extension" else ctx.element(5)
+    three = ctx.element(3)
+    assert 3 - x == three - x and (3 - x) + x == three
+    assert 1 / x == x.inv() and (1 / x) * x == ctx.one
+    assert 3 / x == three * x.inv()
+    with pytest.raises(g.DivisionByZero):
+        1 / ctx.zero
+    if ctx.kind == "rationals":
+        assert Fraction(1, 2) - x == Fraction(-9, 2) and Fraction(3) - x == -2
+        assert Fraction(1, 2) / x == Fraction(1, 10)
+        return
+    # over a finite field a Fraction is no element, even an integral one
+    for left in (Fraction(3), Fraction(1, 2)):
+        with pytest.raises(TypeError, match="cannot build"):
+            left - x
+        with pytest.raises(TypeError, match="cannot build"):
+            left / x
+
+
 def test_mixed_fields_rejected():
     with pytest.raises(g.MixedFields):
         F7.element(1) + g.PrimeField(5).element(1)

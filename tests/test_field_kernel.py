@@ -151,9 +151,16 @@ def test_value_kernels_match_element_operators(ctx, data):
     k = data.draw(st.integers(min_value=0, max_value=3 * (ctx.cardinality or 4)))
     for x, y in zip(xs, ys):
         assert ctx._vadd(x.value, y.value) == (x + y).value
+        assert ctx._vsub(x.value, y.value) == (x - y).value
         assert ctx._vmul(x.value, y.value) == (x * y).value
+        assert ctx._vneg(x.value) == (-x).value
         assert ctx._vpow(x.value, k) == (x**k).value
         assert ctx._vpow(x.value, 0) == ctx.one.value
+        if x.is_zero:
+            with pytest.raises(g.DivisionByZero):
+                ctx._vinv(x.value)
+        else:
+            assert ctx._vinv(x.value) == x.inv().value
 
 
 # Every input form a rational takes: ints, bools, Fractions, integral ones too
@@ -225,22 +232,26 @@ def test_root_factor_kernels_of_the_empty_product():
 
 
 _KERNELS = (
-    "_add", "_sub", "_mul", "_neg", "_inv", "_pow", "_vadd", "_vmul", "_vpow",
-    "_outer", "_vsum", "_dot", "_mul_root", "_div_root", "_wrap",
+    "_add", "_sub", "_mul", "_neg", "_inv", "_pow", "_vadd", "_vsub", "_vmul", "_vneg",
+    "_vinv", "_vpow", "_outer", "_vsum", "_dot", "_mul_root", "_div_root", "_wrap",
 )
 
 
 @pytest.mark.parametrize("ctx", [*_ROOT_FIELDS, F4], ids=str)
 def test_every_named_kernel_is_callable_on_every_kind(ctx):
-    """FieldCtx supplies only the generic list kernels, so each kind must set
-    the rest; without this a missing one fails only when an engine needs it."""
+    """FieldCtx supplies only the generic list and element kernels, so each
+    kind must set the scalar value kernels; without this a missing one fails
+    only when an engine needs it."""
     assert set(re.findall(r"\b_[a-z_]+", g.FieldCtx.__doc__)) == set(_KERNELS)
     x = (ctx.generator if ctx.kind == "extension" else ctx.element(2)).value  # neither 0 nor 1
     for name in ("_add", "_sub", "_mul"):
         assert getattr(ctx, name)(x, x).ctx is ctx
     assert ctx._neg(x).ctx is ctx._inv(x).ctx is ctx._pow(x, 3).ctx is ctx
     assert ctx._wrap(ctx._vadd(x, x)) == ctx._add(x, x)
+    assert ctx._wrap(ctx._vsub(x, ctx.one.value)) == ctx._sub(x, ctx.one.value)
     assert ctx._wrap(ctx._vmul(x, x)) == ctx._mul(x, x)
+    assert ctx._wrap(ctx._vneg(x)) == ctx._neg(x)
+    assert ctx._wrap(ctx._vinv(x)) == ctx._inv(x)
     assert ctx._wrap(ctx._vpow(x, 3)) == ctx._pow(x, 3)
     assert ctx._outer([x], [x]) == ctx._vsum([0], [ctx._vmul(x, x)])
     assert ctx._wrap(ctx._dot([x], [x])) == ctx._mul(x, x)
@@ -274,11 +285,20 @@ def test_unit_of_order_has_order_exactly_d(ctx):
 @pytest.mark.parametrize("ctx", [F9, g.ExtensionField(2, 4), F27], ids=str)
 def test_table_fields_keep_no_digit_kernel(ctx):
     """A table field finds its primitive element on the digit kernels, then
-    replaces every one of them; its _div_root is the generic form."""
+    replaces every one of them; its _div_root is the generic form.  The
+    generic element kernels wrap a value kernel in a closure, so the closures
+    are searched too: an element kernel installed before the tables would
+    still wrap a digit kernel."""
 
     def digit_closures(c):
-        names = {k: getattr(v, "__qualname__", "") for k, v in vars(c).items()}
-        return [k for k, name in names.items() if "_digit_kernels" in name]
+        found = []
+        for k in _KERNELS:  # getattr, since vars(c) would slow every later read on c
+            v = getattr(c, k)
+            cells = getattr(v, "__closure__", None) or ()
+            kernels = (v, *(cell.cell_contents for cell in cells))
+            if any("_digit_kernels" in getattr(f, "__qualname__", "") for f in kernels):
+                found.append(k)
+        return found
 
     assert digit_closures(ctx) == []
     assert digit_closures(_ABOVE_CAP[1]) != []

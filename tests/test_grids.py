@@ -78,6 +78,17 @@ def test_grid_equality_and_repr():
     assert repr(g.grid_make([mu3, mu2])) == "{1, 2, 4} x {1, 6}"
 
 
+def test_equal_sets_and_grids_hash_alike():
+    a, b = g.FiniteSet(F7, [1, 2, 4]), g.FiniteSet(F7, [4, 2, 1, 2])
+    assert a == b and hash(a) == hash(b)
+    grid = g.grid_make([a, g.FiniteSet(F7, [0, 6])])
+    same = g.parse_grid("mul(3) x {6, 0}", F7)
+    assert grid == same and grid is not same and hash(grid) == hash(same)
+    table = {a: "set", grid: "grid"}
+    assert table[b] == "set" and table[same] == "grid"
+    assert len({a, b, g.FiniteSet(F7, [1, 2]), g.FiniteSet(F5, [1, 2, 4])}) == 3
+
+
 def test_grid_rejects_empty_and_mixed():
     with pytest.raises(g.EmptyFactorList):
         g.grid_make([])

@@ -2,10 +2,12 @@
 
 import argparse
 import ast
+import functools
 import importlib.util
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -131,8 +133,28 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
+def untraceable(raw) -> bool:
+    """True when Tracer.install() cannot wrap a class attribute: it keeps a
+    property a property and a classmethod a classmethod, and wraps anything
+    else as a plain function."""
+    if isinstance(raw, property):
+        raw = raw.fget
+    elif isinstance(raw, classmethod):
+        raw = raw.__func__
+    return not isinstance(raw, types.FunctionType)
+
+
+def test_untraceable_detector():
+    def f(self):
+        return self
+
+    assert [untraceable(x) for x in (f, property(f), classmethod(f))] == [False] * 3
+    assert untraceable(functools.cached_property(f)) and untraceable(staticmethod(f))
+
+
 def test_names_the_benchmark_tracer_wraps_exist():
-    """perfbench/tracer.py patches these by name; a missing one breaks install()."""
+    """perfbench/tracer.py patches these by name; a missing one breaks
+    install(), and so does a method whose descriptor kind it cannot wrap."""
     spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
@@ -145,6 +167,8 @@ def test_names_the_benchmark_tracer_wraps_exist():
         owner = getattr(importlib.import_module(f"gridnull.{module}"), cls, None)
         if owner is None or attr not in owner.__dict__:
             missing.append(f"{module}.{cls}.{attr}")
+        elif untraceable(owner.__dict__[attr]):
+            missing.append(f"{module}.{cls}.{attr} is a {type(owner.__dict__[attr]).__name__}")
     field = importlib.import_module("gridnull.field")
     missing += [
         f"field.FieldElement.{attr}"

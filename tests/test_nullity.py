@@ -127,6 +127,22 @@ def test_sylvester_sum_singleton():
     assert a.sylvester_sum(2) == Fraction(25)
 
 
+def test_weighted_column_sum_below_the_top_builds_no_weights(monkeypatch):
+    """column_sum(k, weighted=True) is sylvester_sum(k), which gives 0 or 1
+    below |A| at once; the weight table costs O(|A|^2) to build."""
+
+    def refuse(self):
+        raise AssertionError("the weights were built")
+
+    a = g.FiniteSet(F7, [1, 2, 4])
+    monkeypatch.setattr(g.FiniteSet, "_weight_table", refuse)
+    assert a.column_sum(0, weighted=True) == F7.zero
+    assert a.column_sum(1, weighted=True) == F7.zero
+    assert a.column_sum(2, weighted=True) == F7.one
+    with pytest.raises(AssertionError, match="weights"):
+        a.column_sum(3, weighted=True)
+
+
 def test_finite_set_dedup_and_equality():
     a = g.FiniteSet(F7, [1, 2, 1, 4])
     assert len(a) == 3

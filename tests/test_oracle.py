@@ -680,3 +680,101 @@ def test_engine_references_reach_no_value_kernel(monkeypatch, ctx):
     assert grid_sum_bruteforce(f, grid) == plain
     assert grid_sum_bruteforce(f, grid, "weighted") == weighted
     assert interpolate_bruteforce(igrid, ivalues, lam) == rebuilt
+
+
+# Per field: grids from every factor kind the field has, and polynomials in two
+# variables.  Above the table cap, tracezero and all (2,048 and 4,096 elements)
+# would take seconds on the digit kernels, so that field has the other kinds,
+# and only its first grid is plane-scanned (4,097 planes a scan).
+_ELEMENT_KERNEL_JOBS = {
+    "Q": (
+        ["{-2, -1, 0, 1, 2} x {1/2, -1/3, 3}", "{0, 1, -1} x {2, 5}"],
+        ["1/2*x1^2*x2 - 3*x2 + 2/3", "(x1 - 1/2)^3*x2 + x1*x2^2"],
+    ),
+    "F7": (
+        ["mul(3, 2) x {0, 3, 5}", "add(1) x mul(2)", "all x {1, 4}"],
+        ["x1^3*x2 - 2*x1*x2^2 + 3", "(x1 + 2*x2)^4 - x2^5"],
+    ),
+    "F13": (
+        ["mul(4, 5) x {0, 1, 2}", "add(1, 3) x mul(3)", "all x {2, 7}"],
+        ["x1^5*x2^2 - 4*x2 + 1", "(x1 - x2)^3*x1 + 6"],
+    ),
+    "F2^4": (
+        ["mul(5, t) x add(1;t)", "tracezero x {0, t}", "all x {1, t^2}"],
+        ["t*x1^2*x2 + (x1 + t)^3", "x1^4*x2 + t^3*x2^2 + 1"],
+    ),
+    "F3^3": (
+        ["mul(13, t) x add(t;2, 1)", "tracezero x {1, t}", "all x {0, 2*t}"],
+        ["t*x1^2 + (x1 - t)^2*x2 + 1", "x1^3*x2^2 - t^2*x2"],
+    ),
+    "F2^12/1,0,0,1,0,0,0,0,0,0,0,0,1": (
+        ["mul(5, t) x add(t;t^3, 1)", "{0, 1, t, t^5} x mul(3)"],
+        ["t*x1^2*x2 + (x1 + t)^3", "x1^4*x2 + t^7*x2^2 + 1"],
+    ),
+}
+
+
+def _parse_jobs(ctx, grid_texts, poly_texts):
+    """Each grid with the polynomials parsed in its variables."""
+    grids = [g.parse_grid(text, ctx) for text in grid_texts]
+    return [(grid, [g.parse_poly(p, grid.n, ctx) for p in poly_texts]) for grid in grids]
+
+
+def _every_engine(ctx, jobs):
+    """Every engine run on each grid and its polynomials; the reports and
+    moments as strings."""
+    out = []
+    for i, (grid, polys) in enumerate(jobs):
+        top = tuple(s - 1 for s in grid.sizes)
+        bound = sum(top) + grid.joint_nullity
+        points = list(grid.points())
+        for f in polys:
+            kept = {m: c for m, c in f.terms.items() if m != top and sum(m) <= bound}
+            h = g.MultiPoly(ctx, grid.n, kept)
+            out += [
+                g.grid_sum(f, grid), g.grid_sum(f, grid, "weighted"), g.gcn_check(f, grid),
+                g.cct_coefficient(f, grid), g.extract_coefficient(h, grid, top),
+                g.punctured_check(h, grid),
+            ]
+        values = {a: k for k, a in enumerate(points)}
+        out.append(g.interpolate(grid, values, grid.joint_nullity))
+        if ctx.kind != "rationals":
+            out.append(g.plane_grid_count([1] * grid.n, grid))
+        if ctx.kind != "rationals" and (ctx.cardinality <= _TABLE_CAP or i == 0):
+            out += [g.plane_scan(grid), g.plane_scan(grid, "ppp")]
+        if ctx.kind == "prime":
+            out.append(g.cauchy_davenport(*grid.factors))
+        out += [(A.moments(len(A)), A.vandermonde_degree) for A in grid.factors]
+    return [str(x) for x in out]
+
+
+@pytest.mark.parametrize("spec", list(_ELEMENT_KERNEL_JOBS))
+def test_library_reaches_no_element_kernel(monkeypatch, spec):
+    """Grids, polynomials, engines and moments compute on the value kernels.
+    Elements are made only where values leave the library, by _wrap, so with
+    every element kernel refused each job still gives the same answer."""
+    ctx = g.parse_field(spec)
+    expected = _every_engine(ctx, _parse_jobs(ctx, *_ELEMENT_KERNEL_JOBS[spec]))
+    kernels = {name: getattr(ctx, name) for name in ("_add", "_sub", "_mul", "_neg", "_inv", "_pow")}
+
+    def refuse(*args):
+        raise AssertionError("an element kernel was reached")
+
+    def refusing(on):
+        for name, kernel in kernels.items():
+            monkeypatch.setattr(ctx, name, refuse if on else kernel)
+
+    refusing(True)
+    with pytest.raises(AssertionError, match="element kernel"):
+        ctx.one + ctx.one
+    jobs = _parse_jobs(ctx, *_ELEMENT_KERNEL_JOBS[spec])
+    # The one exception: the weights take P' from UniPoly.derivative, which
+    # multiplies elements.  It stays there while the benchmark's tracer counts
+    # field work by FieldElement operators only (ROADMAP item 1b), so the
+    # factors' weights are built with the kernels in place.
+    refusing(False)
+    for grid, _ in jobs:
+        for A in grid.factors:
+            A._weight_table()
+    refusing(True)
+    assert _every_engine(ctx, jobs) == expected

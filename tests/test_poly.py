@@ -366,3 +366,42 @@ def test_single_term_power_matches_repeated_multiplication(ctx, text, n):
 def test_zeroth_powers_are_one(text):
     for ctx in (Q, F7, F27):
         assert g.parse_poly(text, 1, ctx) == g.MultiPoly.constant(ctx, 1, 1)
+
+
+def test_products_are_bounded_by_their_term_pairs(monkeypatch):
+    """A product may multiply _MAX_TERM_PAIRS term pairs and no more; a
+    power's ladder meets the bound at each step."""
+    monkeypatch.setattr(poly, "_MAX_TERM_PAIRS", 6)
+    f, h = g.parse_poly("x1 + 1", 2, F7), g.parse_poly("x1 + x2 + 1", 2, F7)
+    assert str(f * h) == "x1^2 + x1*x2 + 2*x1 + x2 + 1"
+    message = "polynomials with 2 and 4 terms makes 8 term pairs, above the bound of 6"
+    with pytest.raises(g.SizeBoundExceeded, match=message):
+        f * (h + g.parse_poly("x2^2", 2, F7))
+    assert str(f**2) == "x1^2 + 2*x1 + 1"  # 4 pairs
+    with pytest.raises(g.SizeBoundExceeded, match="3 and 3 terms makes 9 term pairs"):
+        g.parse_poly("(x1 + x2 + 1)^2", 2, F7)
+    assert str(3 * h) == "3*x1 + 3*x2 + 3"  # a scalar times any polynomial is not bounded
+
+
+@pytest.mark.parametrize(
+    "ctx, text, expected",
+    [
+        (F7, "x1^2 + 3*x1*x2 - 1", "6*x1^2 + 4*x1*x2 + 4"),
+        (Q, "1/2*x1 - x2^2 + 3", "x2^2 - 1/2*x1"),
+        (F27, "t*x1 + x2 + 1", "(2*t)*x1 + 2*x2 + 2"),  # 3 is 0 in F27
+    ],
+    ids=["F7", "Q", "F27"],
+)
+def test_int_minus_a_polynomial(ctx, text, expected):
+    f = g.parse_poly(text, 2, ctx)
+    assert str(3 - f) == expected
+    assert 3 - f == g.MultiPoly.constant(ctx, 2, 3) - f
+    assert (3 - f) + f == g.MultiPoly.constant(ctx, 2, 3)
+
+
+def test_char_polys_of_one_set_hash_alike():
+    a, b = g.FiniteSet(F7, [1, 2, 4]), g.FiniteSet(F7, [4, 1, 2])
+    assert a.char_poly == b.char_poly and a.char_poly is not b.char_poly
+    assert hash(a.char_poly) == hash(b.char_poly)
+    assert {a.char_poly: "mul(3)"}[b.char_poly] == "mul(3)"
+    assert len({a.char_poly, b.char_poly, g.FiniteSet(F7, [1, 2]).char_poly}) == 2
