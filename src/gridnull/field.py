@@ -501,10 +501,6 @@ class FieldCtx:
         """All elements in canonical enumeration order; finite fields only."""
         raise NotImplementedError
 
-    def sort_key(self, x: FieldElement):
-        """Key for the canonical ascending order used in displays."""
-        return x.value
-
     def spec_string(self) -> str:
         raise NotImplementedError
 

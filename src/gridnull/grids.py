@@ -21,11 +21,12 @@ from .errors import (
     NotExtensionField,
     OrderDoesNotDivide,
     ParseError,
+    SizeBoundExceeded,
     ZeroShift,
 )
 from .field import FieldCtx, FieldElement, _int_literal, _unit_of_order, trace
 from .nullity import FiniteSet, _split_top_level, parse_set, weight as _weight
-from .poly import parse_element
+from .poly import _MAX_SET_SIZE, parse_element
 
 
 class Grid:
@@ -95,6 +96,12 @@ def grid_make(factors) -> Grid:
     return Grid(factors)
 
 
+def _check_size(size: int) -> None:
+    """Refuse a structured set by its exact size before any of it is built."""
+    if size > _MAX_SET_SIZE:
+        raise SizeBoundExceeded(f"a set of {size} elements exceeds the set bound {_MAX_SET_SIZE}")
+
+
 def multiplicative_coset(ctx: FieldCtx, d: int, shift=None) -> FiniteSet:
     """shift * {x : x^d = 1}, for d dividing the number of units.
 
@@ -107,6 +114,7 @@ def multiplicative_coset(ctx: FieldCtx, d: int, shift=None) -> FiniteSet:
     q = ctx.cardinality
     if d < 1 or (q - 1) % d != 0:
         raise OrderDoesNotDivide(f"{d} does not divide {q - 1}")
+    _check_size(d)
     shift = ctx.one if shift is None else ctx.element(shift)
     if shift.is_zero:
         raise ZeroShift("the shift must be a unit")
@@ -114,29 +122,31 @@ def multiplicative_coset(ctx: FieldCtx, d: int, shift=None) -> FiniteSet:
     return FiniteSet(ctx, map(ctx._wrap, ctx._outer((shift.value,), sorted(powers))))
 
 
-def additive_coset(ctx: FieldCtx, generators, shift=None) -> FiniteSet:
-    """shift + span of the generators over the prime subfield.
-
-    The span is enumerated by coefficient vectors in product order, so the
-    result's element order is deterministic; dependent generators collapse
-    by deduplication and the size is a power of the characteristic.  Each
-    generator's multiples 0, g, ..., (p-1)g are added to every element so
-    far by the context's scalar value kernel _vadd, one call per element.
-    """
-    if ctx.kind == "rationals":
-        raise CharacteristicZero("additive cosets need positive characteristic")
-    vadd, gens = ctx._vadd, [ctx.element(g).value for g in generators]
-    span = [0 if shift is None else ctx.element(shift).value]
+def _span_values(ctx: FieldCtx, generators, shift=None) -> list:
+    """The values of shift + span of the generators over the prime subfield,
+    in product order of coefficient vectors, the last generator's fastest:
+    each generator's multiples 0, g, ..., (p-1)g are added to every value so
+    far by _vadd, and repeats are dropped at once, the first of each kept."""
+    gens = [ctx.element(g).value for g in generators]
+    vadd, span = ctx._vadd, [0 if shift is None else ctx.element(shift).value]
     for g in gens:
         multiples = list(accumulate(repeat(g, ctx.characteristic - 1), vadd, initial=0))
-        span = [vadd(s, m) for s in span for m in multiples]
-    return FiniteSet(ctx, map(ctx._wrap, span))
+        span = list(dict.fromkeys([vadd(s, m) for s in span for m in multiples]))
+    return span
+
+
+def additive_coset(ctx: FieldCtx, generators, shift=None) -> FiniteSet:
+    """shift + span of the generators over the prime subfield, ordered as by _span_values."""
+    if ctx.kind == "rationals":
+        raise CharacteristicZero("additive cosets need positive characteristic")
+    return FiniteSet(ctx, map(ctx._wrap, _span_values(ctx, generators, shift)))
 
 
 def trace_zero_set(ctx: FieldCtx) -> FiniteSet:
     """All elements with absolute trace zero, in field enumeration order."""
     if ctx.kind != "extension":
         raise NotExtensionField("the trace kernel needs a proper extension field")
+    _check_size(ctx.cardinality // ctx.characteristic)
     return FiniteSet(ctx, [x for x in ctx.elements() if trace(x).is_zero])
 
 
@@ -145,14 +155,11 @@ def parse_factor(text: str, ctx: FieldCtx) -> FiniteSet:
     s = text.strip()
     if s.startswith("{"):
         return parse_set(s, ctx)
-    if s == "all":
+    if s in ("all", "units"):  # 0 comes first in enumeration order
         if ctx.kind == "rationals":
-            raise InfiniteField("'all' needs a finite field")
-        return FiniteSet(ctx, ctx.elements())
-    if s == "units":
-        if ctx.kind == "rationals":
-            raise InfiniteField("'units' needs a finite field")
-        return FiniteSet(ctx, [x for x in ctx.elements() if not x.is_zero])
+            raise InfiniteField(f"'{s}' needs a finite field")
+        _check_size(ctx.cardinality - (s == "units"))
+        return FiniteSet(ctx, ctx.elements()[s == "units" :])
     if s == "tracezero":
         return trace_zero_set(ctx)
     for name in ("mul", "add"):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import reduce
 from typing import NamedTuple
 
 from .errors import (
@@ -29,9 +30,9 @@ from .errors import (
 )
 from .field import ExtensionField, FieldCtx, FieldElement, PrimeField
 from .field import _is_prime, _prime_factors, _unit_of_order
-from .grids import Grid, additive_coset
+from .grids import Grid, _span_values
 from .nullity import FiniteSet, MomentTable, _leading_zeros
-from .poly import MultiPoly, Monomial, UniPoly
+from .poly import MultiPoly, Monomial, UniPoly, _root_values
 from .reports import ScanReport
 
 
@@ -363,40 +364,34 @@ def ore_form_check(ctx: FieldCtx, generators, shift=None) -> bool:
 
     P_A(X - c) - P_A(X) = -L_V(c) is constant for every c in the field, so
     a translate by c outside V (a set other than A) keeps the coefficients of
-    X, ..., X^n.  One of 1, t, ..., t^(e-1) lies outside V unless V is the
-    field; the first such is the translate, a fresh coset whose char poly is
-    built from its own roots, never shifted from P_A.
+    X, ..., X^n.  One of 1, t, ..., t^(e-1), whose values are p^0, ...,
+    p^(e-1), lies outside V unless V is the field; the first such is the
+    translate, whose char poly is built from its own roots, never shifted
+    from P_A.  Everything runs on raw values: the span by grids._span_values,
+    each char poly (top coefficient first) by poly._root_values.
     """
     if ctx.kind == "rationals":
         raise CharacteristicZero("additive structure needs characteristic p > 0")
-    p = ctx.characteristic
-    A = additive_coset(ctx, generators, shift)
-    n = len(A)
-    cp = A.char_poly
+    p, vadd = ctx.characteristic, ctx._vadd
+    span = _span_values(ctx, generators, shift)
+    n, members = len(span), set(span)
+    cp = _root_values(ctx, span)
 
     # p^i <= n needs i < n.bit_length(), and larger powers never meet the support
-    support = {k for k, c in enumerate(cp.coeffs) if c}
+    support = {n - j for j, c in enumerate(cp) if c}
     if not support <= {0} | {p**i for i in range(n.bit_length())}:
         return False
 
-    basis = [ctx.one] + [ctx.generator**i for i in range(1, ctx.e)]
-    first = A.elements[0]
-    c = next((b for b in basis if b + first not in A), None)
+    first = span[0]
+    c = next((p**i for i in range(ctx.e) if vadd(p**i, first) not in members), None)
     if c is not None:
-        translated = additive_coset(ctx, generators, first + c)
+        translated = _root_values(ctx, [vadd(x, c) for x in span])
         # the coefficients of X, ..., X^n are +-e_(n-1), ..., e_0
-        if translated.char_poly.coeffs[1:] != cp.coeffs[1:]:
+        if translated[:-1] != cp[:-1]:
             return False
 
-    if ctx.zero in A:
-        prod = ctx.one
-        for b in A:
-            if not b.is_zero:
-                prod = prod * b
-        coeff_x = cp.coefficient(1)
-        if coeff_x != prod or coeff_x.is_zero:
-            return False
-    return True
+    # the product of the units of A is never 0, so the coefficient of X is not
+    return 0 not in members or cp[n - 1] == reduce(ctx._vmul, filter(None, span), 1)
 
 
 def enumerate_additive_subgroups(ctx: FieldCtx, config: OracleConfig = None) -> list:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import reduce
 from itertools import zip_longest
 from operator import add, index
 from typing import Iterable, Mapping, Sequence
@@ -67,6 +68,10 @@ Monomial = tuple[int, ...]
 # 1-2 us a pair on a 2-vCPU VM.  Powers meet it at each step of their ladder.
 _MAX_TERM_PAIRS = 250_000
 
+# The most elements of a structured set (mul(d), all, units, tracezero), checked
+# before it is built; its char poly is O(n^2), so no larger one would finish.
+_MAX_SET_SIZE = 2**20
+
 
 def _exponent(k) -> int:
     """k as an int exponent; a value that is no integer (2.0, 1.9) is refused."""
@@ -74,6 +79,12 @@ def _exponent(k) -> int:
         return index(k)
     except TypeError:
         raise ExponentOutOfRange(f"exponent {k!r} is not an integer") from None
+
+
+def _root_values(ctx: FieldCtx, roots) -> list:
+    """prod (X - a) over raw root values, top coefficient first, one root
+    factor at a time by the context's list kernel."""
+    return reduce(ctx._mul_root, roots, [ctx.one.value])
 
 
 class UniPoly:
@@ -90,12 +101,9 @@ class UniPoly:
 
     @classmethod
     def from_roots(cls, ctx: FieldCtx, roots: Sequence[FieldElement]) -> "UniPoly":
-        """prod (X - a) over the roots, one root factor at a time by the
-        context's list kernel on raw values, top coefficient first; the
-        monic result is wrapped without coercing its values again."""
-        values = [ctx.one.value]
-        for a in map(ctx.element, roots):
-            values = ctx._mul_root(values, a.value)
+        """prod (X - a) over the roots by _root_values; the monic result is
+        wrapped without coercing its values again."""
+        values = _root_values(ctx, [ctx.element(a).value for a in roots])
         poly = object.__new__(cls)
         poly.ctx, poly.coeffs = ctx, tuple(map(ctx._wrap, reversed(values)))
         return poly

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -316,12 +317,25 @@ def test_oracle_suite_ore_over_budget_exits_2(capsys, monkeypatch):
     def scan_started(*args):
         raise AssertionError("the subgroup scan ran past its bound")
 
-    monkeypatch.setattr(g.oracle, "additive_coset", scan_started)
+    monkeypatch.setattr(g.oracle, "_span_values", scan_started)
     code, _, err = _run(
         capsys, ["oracle-suite", "--scan", "ore", "--field", "F2^6/1,1,0,0,0,0,1"]
     )
     assert code == 2
     assert "26387 elements over all subgroups" in err
+
+
+def test_structured_set_over_the_set_bound_exits_2_before_building(capsys):
+    start = time.perf_counter()
+    code, out, err = _run(
+        capsys,
+        ["analyze-set", "--field", "F1000000000000000003", "--set", "mul(500000000000000001)"],
+    )
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: a set of 500000000000000001 elements exceeds the set bound 1048576\n"
+    )
 
 
 def _scan_json(name, instances, details):

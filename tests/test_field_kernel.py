@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 import gridnull as g
 from gridnull.field import _PRIME_BOUND, _TABLE_CAP, _is_prime, _prime_factors, _unit_of_order
 from gridnull.oracle import char_poly_bruteforce, field_element_bruteforce, field_op_bruteforce
+from gridnull.poly import _root_values
 from support import F4, F7, F8, F9, F13, F27, Q
 
 # Table fields: F9's default modulus X^2 + 1 has t of order 4, so its tables
@@ -222,6 +223,29 @@ def test_list_kernels_of_empty_lists():
         assert ctx._vsum([], []) == []
         assert ctx._dot([], []) == ctx.zero.value
         assert type(ctx._dot([], [])) is type(ctx.zero.value)
+
+
+_PRODUCT_FIELDS = [
+    F7,
+    F13,
+    F4,
+    F9,
+    g.parse_field("F2^4"),
+    F27,
+    g.parse_field("F2^12/1,0,0,1,0,0,0,0,0,0,0,0,1"),  # digit kernels
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_PRODUCT_FIELDS), st.data())
+def test_root_product_matches_element_operators(ctx, data):
+    """poly._root_values, the one product of root factors on raw values,
+    against the element-operator reference, repeated roots included."""
+    value = st.integers(min_value=0, max_value=ctx.cardinality - 1)
+    pool = data.draw(st.lists(value, min_size=1, max_size=6))
+    values = data.draw(st.lists(st.sampled_from(pool), max_size=12))
+    roots = [g.FieldElement(ctx, v) for v in values]
+    assert _root_values(ctx, values) == _top_first(char_poly_bruteforce(ctx, roots))
 
 
 def test_root_factor_kernels_of_the_empty_product():

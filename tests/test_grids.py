@@ -1,5 +1,7 @@
 """Grids, coset factories, trace-zero kernels, and the grid grammar."""
 
+import time
+
 import pytest
 
 import gridnull as g
@@ -209,6 +211,40 @@ def test_additive_coset_char_poly_shape():
     assert not shifted.char_poly.coefficient(0).is_zero
     inside = g.additive_coset(F8, [F8.one, t], shift=t + 1)
     assert inside.char_poly.coefficient(0).is_zero
+
+
+def test_additive_coset_drops_repeated_generators_as_it_spans():
+    # without dropping duplicates after each generator the span would hold 2^64 values
+    assert g.additive_coset(F4, [F4.one] * 64) == g.FiniteSet(F4, [0, 1])
+    t = F9.generator
+    assert g.additive_coset(F9, [t, t + t, t, F9.one, t + 1]) == g.additive_coset(F9, [t, 1])
+
+
+_BIG_PRIME = g.parse_field("F1000000000000000003")
+_BIG_BINARY = g.parse_field("F2^22/1,1," + "0," * 20 + "1")
+
+
+@pytest.mark.parametrize(
+    "text, ctx, size",
+    [
+        ("mul(500000000000000001)", _BIG_PRIME, 500000000000000001),
+        ("all", _BIG_PRIME, 1000000000000000003),
+        ("units", _BIG_PRIME, 1000000000000000002),
+        ("tracezero", _BIG_BINARY, 2**21),
+    ],
+)
+def test_structured_factor_refused_by_its_size_before_it_is_built(text, ctx, size):
+    start = time.perf_counter()
+    with pytest.raises(g.SizeBoundExceeded, match=f"of {size} elements exceeds the set bound"):
+        g.parse_factor(text, ctx)
+    assert time.perf_counter() - start < 1
+
+
+def test_set_bound_is_one_past_two_to_the_twentieth():
+    F = g.PrimeField(8 * (2**20 + 1) + 1)
+    with pytest.raises(g.SizeBoundExceeded, match=f"of {2**20 + 1} elements"):
+        g.multiplicative_coset(F, 2**20 + 1)
+    assert len(g.multiplicative_coset(F, 8)) == 8
 
 
 def test_parse_factor_forms():

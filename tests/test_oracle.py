@@ -295,7 +295,7 @@ def _span(ctx, gens):
 def _greedy_basis(ctx, members):
     """Each next generator is the smallest element not yet in the span."""
     basis, inside = [], {ctx.zero}
-    for x in sorted(members, key=ctx.sort_key):
+    for x in sorted(members, key=lambda x: x.value):
         if x not in inside:
             basis.append(x)
             inside = set(_span(ctx, basis))
@@ -403,18 +403,13 @@ def test_ore_form_check_against_every_translate(spec):
 
 def test_ore_form_check_builds_one_translate_outside_v(monkeypatch):
     calls = []
-    from_roots = g.UniPoly.from_roots.__func__
+    root_values = oracle._root_values
 
-    def counted(cls, ctx, roots):
-        calls.append(frozenset(roots))
-        return from_roots(cls, ctx, roots)
+    def counted(ctx, roots):
+        calls.append(list(roots))
+        return root_values(ctx, roots)
 
-    def refuse(*args):
-        raise AssertionError("ore_form_check reads no complete moments or power sums")
-
-    monkeypatch.setattr(g.UniPoly, "from_roots", classmethod(counted))
-    monkeypatch.setattr(g.FiniteSet, "_ensure_h", refuse)
-    monkeypatch.setattr(g.FiniteSet, "_ensure_p", refuse)
+    monkeypatch.setattr(oracle, "_root_values", counted)
     subgroups = g.enumerate_additive_subgroups(F27)
     for gens, size in ((subgroups[-1], 27), (subgroups[-2], 9)):  # F27 and a plane
         V = g.additive_coset(F27, gens)
@@ -425,9 +420,86 @@ def test_ore_form_check_builds_one_translate_outside_v(monkeypatch):
             assert g.ore_form_check(F27, list(gens), shift)
             # A, and one translate by an element outside V unless V is the field
             assert len(calls) == (1 if size == 27 else 2)
-            assert calls[0] == frozenset(g.additive_coset(F27, gens, shift))
-            assert all(len(roots) == size for roots in calls)
-            assert calls[-1] != calls[0] or size == 27
+            assert calls[0] == [x.value for x in g.additive_coset(F27, gens, shift)]
+            assert all(len(set(roots)) == len(roots) == size for roots in calls)
+            assert set(calls[-1]) != set(calls[0]) or size == 27
+
+
+def _ore_by_elements(ctx, gens, shift):
+    """ore_form_check rebuilt on element operators: the span in product order
+    by c * g, each char poly by char_poly_bruteforce, the basis as powers of
+    the generator and the product of the units by math.prod.  Returns the
+    coset's elements and the verdict."""
+    p = ctx.characteristic
+    A = [ctx.zero if shift is None else ctx.element(shift)]
+    for gen in gens:
+        A = list(dict.fromkeys(s + ctx.element(c) * gen for s in A for c in range(p)))
+    n, cp = len(A), char_poly_bruteforce(ctx, A).coeffs
+    support = {k for k, c in enumerate(cp) if not c.is_zero}
+    if not support <= {0} | {p**i for i in range(n.bit_length())}:
+        return A, False
+    basis = [ctx.generator**i for i in range(ctx.e)]
+    c = next((b for b in basis if b + A[0] not in A), None)
+    if c is not None and char_poly_bruteforce(ctx, [c + a for a in A]).coeffs[1:] != cp[1:]:
+        return A, False
+    units = [a for a in A if not a.is_zero]
+    return A, len(units) == n or cp[1] == math.prod(units, start=ctx.one)
+
+
+_ORE_FIELDS = [F4, F8, F9, g.parse_field("F2^4"), g.parse_field("F5^2"), F27]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_ORE_FIELDS), st.data())
+def test_ore_form_check_matches_element_rebuild(ctx, data):
+    """Random generator lists with repeats and sums of other generators, and
+    shifts inside and outside the span."""
+    element = st.integers(min_value=0, max_value=ctx.cardinality - 1).map(ctx.element)
+    gens = data.draw(st.lists(element, max_size=3))
+    if gens and data.draw(st.booleans()):
+        gens.append(data.draw(st.sampled_from(gens)))
+    if len(gens) >= 2 and data.draw(st.booleans()):
+        i, j = data.draw(st.permutations(range(len(gens))))[:2]
+        gens.insert(data.draw(st.integers(0, len(gens))), gens[i] + gens[j])
+    V, _ = _ore_by_elements(ctx, gens, None)
+    outside = [x for x in ctx.elements() if x not in V]
+    where = data.draw(st.sampled_from(["none", "inside", "outside"]))
+    if where == "inside" or not outside:
+        shift = data.draw(st.sampled_from(V))
+    else:
+        shift = None if where == "none" else data.draw(st.sampled_from(outside))
+    A, verdict = _ore_by_elements(ctx, gens, shift)
+    assert [x.value for x in A] == oracle._span_values(ctx, gens, shift)
+    assert g.ore_form_check(ctx, gens, shift) == verdict
+
+
+_ELEMENT_OPERATORS = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__neg__",
+    "__truediv__", "__rtruediv__", "__pow__", "inv", "__hash__",
+)
+
+
+@pytest.mark.parametrize("spec", ["F2^4", "F3^3"])
+def test_ore_form_check_reaches_no_element_operator(monkeypatch, spec):
+    """Every subgroup, as is and shifted inside and outside itself, checked
+    with the element operators, element hashing, FiniteSet and UniPoly
+    refused: the check spans, tests membership and multiplies on raw values."""
+    ctx = g.parse_field(spec)
+    cases = []
+    for gens in g.enumerate_additive_subgroups(ctx):
+        V = g.additive_coset(ctx, gens)
+        cases += [(list(gens), shift) for shift in _ore_shifts(ctx, V)]
+
+    def refuse(*args):
+        raise AssertionError("an element operator was reached")
+
+    for name in _ELEMENT_OPERATORS:
+        monkeypatch.setattr(g.FieldElement, name, refuse)
+    monkeypatch.setattr(g.FiniteSet, "__init__", refuse)
+    monkeypatch.setattr(g.UniPoly, "from_roots", refuse)
+    with pytest.raises(AssertionError, match="element operator"):
+        ctx.one + ctx.one
+    assert all(g.ore_form_check(ctx, gens, shift) for gens, shift in cases)
 
 
 def test_coefficient_oracle_matches_accessor():
