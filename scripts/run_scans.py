@@ -2,12 +2,14 @@
 """Run every exhaustive scan in one pass and print compact verdict lines.
 
 Covers the sumset size dichotomy, the extremal-nullity classification, the
-additive-coset vanishing-form check, and both plane-count scans.  The oracle
-scans run under SCAN_CONFIG, whose bound admits scd p=11 and 13, redei q=17,
-19 and 23, and ore on F2^6 above the default caps: scd p=13 checks
-67,092,481 subset pairs, under 2^28; the subgroup enumerator budgets F2^6 at
-26,387 elements over all its subgroups, over 2^13.  Exit code is nonzero when
-any scan reports a counterexample.
+additive-coset vanishing-form check, and both plane-count scans.  scd and ore
+run under SCAN_CONFIG, whose bound admits scd p=11 and 13 and ore on F2^6
+above the default caps: scd p=13 checks 67,092,481 subset pairs, under 2^28;
+the subgroup enumerator budgets F2^6 at 26,387 elements over all its
+subgroups, over 2^13.  redei runs under its own REDEI_CONFIG, which admits
+q=17 to 37 (over a prime field it solves linear equations instead of walking
+every dilation orbit) and leaves scd p=17 refused.  Exit code is nonzero
+when any scan reports a counterexample.
 """
 
 import argparse
@@ -17,6 +19,7 @@ import time
 import gridnull as g
 
 SCAN_CONFIG = g.OracleConfig(max_subset_scan_q=27)
+REDEI_CONFIG = g.OracleConfig(max_subset_scan_q=37)
 
 
 def line(name, verdict, instances, elapsed):
@@ -28,7 +31,10 @@ def line(name, verdict, instances, elapsed):
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--scd-primes", type=int, nargs="*", default=[2, 3, 5, 7, 11, 13])
-    ap.add_argument("--redei-orders", type=int, nargs="*", default=[5, 7, 9, 11, 13, 17, 19, 23])
+    ap.add_argument(
+        "--redei-orders", type=int, nargs="*",
+        default=[5, 7, 9, 11, 13, 17, 19, 23, 29, 31, 37],
+    )
     ap.add_argument(
         "--ore-fields",
         nargs="*",
@@ -47,7 +53,7 @@ def main() -> int:
                        time.perf_counter() - t0)
     for q in args.redei_orders:
         t0 = time.perf_counter()
-        rep = g.redei_scan(q, SCAN_CONFIG)
+        rep = g.redei_scan(q, REDEI_CONFIG)
         all_ok &= line(f"extremal-nullity q={q}", rep.verdict, rep.instances,
                        time.perf_counter() - t0)
     for spec in args.ore_fields:

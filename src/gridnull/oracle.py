@@ -4,10 +4,12 @@ The references are deliberately slow and literal: subset enumeration for
 elementary moments, weak compositions for complete ones, a Gray-code walk
 over the whole power set.  The fast paths are tested against these, never
 the other way around.  The classification scans account for every subset,
-or every pair, but visit only what can decide them: redei one subset per
-dilation orbit, scd the pairs of positive nullity; each shortcut has a
-differential test against the full walk.  Every oracle enforces its size
-bounds with an error instead of silently delegating.
+or every pair, but visit only what can decide them: redei over a prime
+field the 0/1 solutions of its power-sum equations (Newton's identities),
+over a prime power one subset per dilation orbit, scd the pairs of positive
+nullity; each shortcut has a differential test against the full walk.
+Every oracle enforces its size bounds with an error instead of silently
+delegating.
 """
 
 from __future__ import annotations
@@ -236,15 +238,86 @@ def _rotation_masks(word: int, period: int, units):
         yield sum(1 << x.value for i, x in enumerate(units) if rotated >> i & 1)
 
 
+def _mask_set(ctx: FieldCtx, mask: int) -> FiniteSet:
+    """The set of the elements x with bit x.value of mask set."""
+    return FiniteSet(ctx, [x for x in ctx.elements() if mask >> x.value & 1])
+
+
+def _necklace_masks(ctx: FieldCtx, lam: int) -> list:
+    """Masks of the nonempty subsets of nullity >= lam: one necklace of
+    ``_necklace_nullities`` per dilation orbit of subsets of the units, with
+    and without 0 (bit 0)."""
+    g = ctx._wrap(_unit_of_order(ctx, ctx.cardinality - 1))
+    units = [g**i for i in range(ctx.cardinality - 1)]
+    masks = []
+    for word, period, null, null_with_zero in _necklace_nullities(ctx, units):
+        # the empty word stands for {0} alone
+        if word and null >= lam:
+            masks.extend(_rotation_masks(word, period, units))
+        if null_with_zero >= lam:
+            masks.extend(m | 1 for m in _rotation_masks(word, period, units))
+    return masks
+
+
+def _power_sum_kernel(p: int, r: int):
+    """Mask (bit a for a in A) of every A within F_p^* whose power sums
+    p_1(A), ..., p_r(A) all vanish, each once, for prime p and 0 < r < p.
+
+    The r x (p - 1) system sum_a x_a a^k = 0, k = 1..r, in the 0/1 indicator
+    x is row-reduced once on residues.  Any r of its columns are a
+    Vandermonde matrix times a diagonal of units, so independent: the
+    pivots are a = 1..r and the rest are free.  The free columns are
+    Gray-walked, each step adding or removing one column of pivot values,
+    and an assignment is kept when every pivot value is 0 or 1.
+    """
+    rows = [[pow(a, k, p) for a in range(1, p)] for k in range(1, r + 1)]
+    for i in range(r):
+        j = next(j for j in range(i, r) if rows[j][i])
+        rows[i], rows[j] = rows[j], rows[i]
+        inv = pow(rows[i][i], -1, p)
+        rows[i] = [x * inv % p for x in rows[i]]
+        for j, row in enumerate(rows):
+            if j != i and row[i]:
+                rows[j] = [(x - row[i] * y) % p for x, y in zip(row, rows[i])]
+    # the pivot values are -F x_free: free column j leaving A adds F[:, j] to
+    # them, entering A adds -F[:, j]
+    steps = [
+        ([row[j] for row in rows], [-row[j] % p for row in rows]) for j in range(r, p - 1)
+    ]
+    values, free = [0] * r, 0
+    yield 0
+    for step in range(1, 1 << len(steps)):
+        bit = (step & -step).bit_length() - 1
+        free ^= 1 << bit
+        values = [(v + c) % p for v, c in zip(values, steps[bit][free >> bit & 1])]
+        if max(values) < 2:
+            yield free << r + 1 | sum(v << i + 1 for i, v in enumerate(values))
+
+
+def _kernel_masks(ctx: FieldCtx, lam: int) -> list:
+    """Masks of the nonempty subsets of F_p of nullity >= lam, for prime p > lam:
+    each A of ``_power_sum_kernel(p, lam)``, with and without 0 (bit 0), is
+    rebuilt from its roots and kept when its nullity, capped at |A|, is >= lam."""
+    return [
+        mask
+        for kernel in _power_sum_kernel(ctx.characteristic, lam)
+        for mask in (kernel, kernel | 1)
+        if mask and _mask_set(ctx, mask).nullity >= lam
+    ]
+
+
 def redei_scan(q: int, config: OracleConfig = None) -> ScanReport:
     """All subsets of a small odd field: who reaches nullity (q-1)/2?
 
-    The expected answer is exactly the full field and its units.  Each
-    dilation orbit of subsets of the units is met once, as a necklace of
-    ``_necklace_nullities`` with and without 0; its char polys are products
-    of root factors, never a closed form.  ``instances`` counts every subset
-    an orbit stands for, and sets are built only for qualifying masks, in
-    mask order.  ``_subset_nullities`` is the walk over every subset.
+    The expected answer is exactly the full field and its units.  For k < p,
+    Newton's identities k e_k = sum_(i=1..k) (-1)^(i-1) e_(k-i) p_i make
+    e_1 = ... = e_lam = 0 the same as p_1 = ... = p_lam = 0, so over a prime
+    field ``_kernel_masks`` solves lam linear equations.  Over F_(p^e), e > 1,
+    lam >= p and k = p leaves e_p free, so ``_necklace_masks`` meets each
+    dilation orbit of subsets once.  Either way every char poly is a product
+    of root factors, never a closed form.  ``instances`` counts the 2^q - 1
+    nonempty subsets, and sets are built only for qualifying masks, in mask
+    order.  ``_subset_nullities`` is the walk over every subset.
     """
     cfg = config or _DEFAULT
     if q % 2 == 0:
@@ -254,34 +327,17 @@ def redei_scan(q: int, config: OracleConfig = None) -> ScanReport:
     if q > cfg.max_subset_scan_q:
         raise ScanTooLarge(f"2^{q} subsets exceed the scan bound")
     ctx = _field_for_order(q)
-    elements = ctx.elements()
     lam = (q - 1) // 2
-    g = ctx._wrap(_unit_of_order(ctx, q - 1))
-    units = [g**i for i in range(q - 1)]
-    zero_bit = 1 << ctx.zero.value
-    masks = []
-    instances = 0
-    for word, period, null, null_with_zero in _necklace_nullities(ctx, units):
-        # the empty word stands for {0} alone
-        instances += 2 * period if word else 1
-        if word and null >= lam:
-            masks.extend(_rotation_masks(word, period, units))
-        if null_with_zero >= lam:
-            masks.extend(m | zero_bit for m in _rotation_masks(word, period, units))
-    qualifying = [
-        FiniteSet(ctx, [elements[i] for i in range(q) if mask >> i & 1])
-        for mask in sorted(masks)
-    ]
-    expected = [
-        FiniteSet(ctx, elements),
-        FiniteSet(ctx, [x for x in elements if not x.is_zero]),
-    ]
+    masks = (_kernel_masks if ctx.e == 1 else _necklace_masks)(ctx, lam)
+    full = (1 << q) - 1
+    qualifying = [_mask_set(ctx, mask) for mask in sorted(masks)]
+    expected = [_mask_set(ctx, full), _mask_set(ctx, full - 1)]
     unexpected = [A for A in qualifying if A not in expected]
     missing = [A for A in expected if A not in qualifying]
     verdict = not unexpected and not missing
     return ScanReport(
         name="redei",
-        instances=instances,
+        instances=full,
         verdict=verdict,
         details={
             "q": q,

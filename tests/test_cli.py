@@ -358,27 +358,20 @@ def _scan_json(name, instances, details):
 _F9_UNITS = "1, 2, t, t+1, t+2, 2*t, 2*t+1, 2*t+2"
 
 
+def _units(p):
+    return ", ".join(map(str, range(1, p)))
+
+
+def _redei_json(q, units):
+    qualifying = f'[\n      "{{{units}}}",\n      "{{0, {units}}}"\n    ]'
+    details = [("q", q), ("lambda", (q - 1) // 2), ("qualifying", qualifying)]
+    return _scan_json("redei", 2**q - 1, details)
+
+
 @pytest.mark.parametrize(
     "argv, golden",
     [
-        (
-            ["--scan", "redei", "--q", "9"],
-            _scan_json(
-                "redei",
-                511,
-                [
-                    ("q", 9),
-                    ("lambda", 4),
-                    (
-                        "qualifying",
-                        "[\n"
-                        f'      "{{{_F9_UNITS}}}",\n'
-                        f'      "{{0, {_F9_UNITS}}}"\n'
-                        "    ]",
-                    ),
-                ],
-            ),
-        ),
+        (["--scan", "redei", "--q", "9"], _redei_json(9, _F9_UNITS)),
         (
             ["--scan", "scd", "--p", "5"],
             _scan_json("scd", 961, [("p", 5), ("pairs", 961)]),
@@ -387,14 +380,32 @@ _F9_UNITS = "1, 2, t, t+1, t+2, 2*t, 2*t+1, 2*t+2"
             ["--scan", "ore", "--field", "F3^3"],
             _scan_json("ore", 28, [("field", '"F3^3"')]),
         ),
+        (["--scan", "redei", "--q", "11"], _redei_json(11, _units(11))),
+        (["--scan", "redei", "--q", "13"], _redei_json(13, _units(13))),
     ],
-    ids=["redei-q9", "scd-p5", "ore-F27"],
+    ids=["redei-q9", "scd-p5", "ore-F27", "redei-q11", "redei-q13"],
 )
 def test_oracle_suite_json_golden(capsys, argv, golden):
     code, out, err = _run(capsys, ["oracle-suite", *argv, "--json"])
     assert code == 0
     assert err == ""
     assert re.sub(r'("elapsed_seconds": )[0-9.e-]+', r"\1?", out) == golden
+
+
+@pytest.mark.parametrize("q", [11, 13])
+def test_oracle_suite_redei_text_golden(capsys, q):
+    code, out, err = _run(capsys, ["oracle-suite", "--scan", "redei", "--q", str(q)])
+    assert (code, err) == (0, "")
+    assert re.sub(r"(elapsed_seconds: )[0-9.e-]+", r"\1?", out) == (
+        "name: redei\n"
+        f"instances: {2**q - 1}\n"
+        "verdict: true\n"
+        f"details.q: {q}\n"
+        f"details.lambda: {(q - 1) // 2}\n"
+        f"details.qualifying: [{{{_units(q)}}}, {{0, {_units(q)}}}]\n"
+        "counterexamples: []\n"
+        "elapsed_seconds: ?\n"
+    )
 
 
 def test_huge_prime_fields(capsys):

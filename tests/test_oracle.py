@@ -1,5 +1,6 @@
 """Brute-force cross-checks and exhaustive small scans."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -173,6 +174,64 @@ def test_necklace_walk_matches_subset_walk(q):
         covered += 2 * period if word else 1
     assert covered == len(walk) == 2**q - 1
     assert walk == dict(_subset_nullities(ctx, ctx.elements()))
+
+
+@pytest.mark.parametrize("q", [5, 7, 11, 13, 17, 19, 23])
+def test_kernel_route_matches_necklace_walk(q):
+    ctx, lam = g.PrimeField(q), (q - 1) // 2
+    masks = oracle._kernel_masks(ctx, lam)
+    assert len(set(masks)) == len(masks)
+    assert sorted(masks) == sorted(oracle._necklace_masks(ctx, lam))
+
+
+def _leading_zero_power_sums(F, subset):
+    """How many of p_1, ..., p_(p-1) vanish on the subset before the first that does not."""
+    k = 1
+    while k < F.characteristic and sum((x**k for x in subset), F.zero).is_zero:
+        k += 1
+    return k - 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_power_sum_kernel_is_every_subset_with_vanishing_power_sums(p):
+    F = g.PrimeField(p)
+    units = [x for x in F.elements() if not x.is_zero]
+    lead = {}
+    for size in range(p):
+        for subset in itertools.combinations(units, size):
+            lead[sum(1 << x.value for x in subset)] = _leading_zero_power_sums(F, subset)
+    assert len(lead) == 2 ** (p - 1)
+    for r in range(1, p):
+        kernel = list(oracle._power_sum_kernel(p, r))
+        assert len(set(kernel)) == len(kernel)
+        assert sorted(kernel) == sorted(mask for mask, k in lead.items() if k >= r)
+
+
+@pytest.mark.parametrize("q", [5, 7, 13])
+def test_redei_scan_confirms_kernel_sets_from_roots(monkeypatch, q):
+    # {1, 2} has nullity 0: a kernel that also yields it must not be trusted
+    kernel = oracle._power_sum_kernel
+    expected = g.redei_scan(q)
+    monkeypatch.setattr(oracle, "_power_sum_kernel", lambda p, r: [*kernel(p, r), 0b110])
+    assert g.redei_scan(q) == expected
+    assert expected.details["qualifying"] == [
+        repr(g.FiniteSet(g.PrimeField(q), range(1, q))),
+        repr(g.FiniteSet(g.PrimeField(q), range(q))),
+    ]
+
+
+def test_redei_scan_routes_by_field_kind(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the scan took the other route")
+
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_necklace_nullities", refuse)
+        for q in (5, 7, 11, 13):
+            assert g.redei_scan(q).verdict
+    monkeypatch.setattr(oracle, "_power_sum_kernel", refuse)
+    assert g.redei_scan(9).verdict
+    with pytest.raises(AssertionError, match="other route"):
+        g.redei_scan(7)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
