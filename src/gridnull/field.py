@@ -599,6 +599,7 @@ class FiniteField(FieldCtx):
         self.zero, self.one = self._wrap(0), self._wrap(1)
         if e == 1:
             self._residue_kernels()
+            self._fmt = str  # what the digit path prints for e = 1
         else:
             self._digit_kernels()
             if q <= _TABLE_CAP:

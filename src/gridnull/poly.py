@@ -385,7 +385,12 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    """Recursive descent; the atoms are built by MultiPoly._of_values."""
+    """Recursive descent on lists of raw (exponent tuple, value) pairs.  An
+    atom is one pair and a sum joins its terms' pairs; parse and each
+    parenthesised group merge them once by MultiPoly._of_values, which gives
+    the terms and order of a merge after every + (a zero pair merges to
+    nothing).  A product or power of single pairs is one pair, on values; any
+    other goes through MultiPoly's * and ** and their term-pair bound."""
 
     def __init__(self, text: str, n: int, ctx: FieldCtx):
         self.text, self.n, self.ctx = text, n, ctx
@@ -398,48 +403,61 @@ class _Parser:
         self.i += 1
         return self.tokens[self.i - 1]
 
+    def poly(self, pairs) -> MultiPoly:
+        return MultiPoly._of_values(self.ctx, self.n, pairs)
+
     def parse(self) -> MultiPoly:
-        f = self.expr()
+        pairs = self.expr()
         kind, _, pos = self.take()
         if kind != "end":
             source = _TOKEN_RE.match(self.text, pos).group()
             raise ParseError(f"unexpected trailing input {source!r}", pos)
-        return f
+        return self.poly(pairs)
 
-    def expr(self) -> MultiPoly:
+    def expr(self) -> list:
+        pairs, vneg = [], self.ctx._vneg
         op = self.take()[0] if self.peek() in ("+", "-") else "+"
-        f = self.term() if op == "+" else -self.term()
-        while self.peek() in ("+", "-"):
+        while True:
+            term = self.term()
+            pairs += term if op == "+" else [(m, vneg(v)) for m, v in term]
+            if self.peek() not in ("+", "-"):
+                return pairs
             op = self.take()[0]
-            f = f + self.term() if op == "+" else f - self.term()
-        return f
 
-    def term(self) -> MultiPoly:
+    def term(self) -> list:
         f = self.factor()
         while self.peek() == "*":
             self.take()
-            f = f * self.factor()
+            h = self.factor()
+            if len(f) == len(h) == 1:
+                (m1, v1), (m2, v2) = f[0], h[0]
+                f = [(tuple(map(add, m1, m2)), self.ctx._vmul(v1, v2))]
+            else:
+                f = (self.poly(f) * self.poly(h))._values()
         return f
 
-    def factor(self) -> MultiPoly:
+    def factor(self) -> list:
         base = self.atom()
         if self.peek() == "^":
             self.take()
             kind, exp, pos = self.take()
             if kind != "int":
                 raise ParseError("expected a non-negative integer exponent", pos)
-            base = base**exp
+            if len(base) == 1:  # (k*m, v^k), where _vpow makes 0^0 one
+                ((m, v),) = base
+                return [(tuple(e * exp for e in m), self.ctx._vpow(v, exp))]
+            base = (self.poly(base) ** exp)._values()
         return base
 
-    def atom(self) -> MultiPoly:
+    def atom(self) -> list:
         kind, val, pos = self.take()
         ctx, n, m = self.ctx, self.n, (0,) * self.n
         if kind == "(":
-            f = self.expr()
+            pairs = self.expr()
             kind, _, pos = self.take()
             if kind != ")":
                 raise ParseError("expected ')'", pos)
-            return f
+            return self.poly(pairs)._values()
         if kind == "int":
             if self.peek() == "/":
                 if ctx.kind != "rationals":
@@ -465,7 +483,7 @@ class _Parser:
             raise ParseError("unexpected end of input", pos)
         else:
             raise ParseError(f"unexpected token {val!r}", pos)
-        return MultiPoly._of_values(ctx, n, [(m, v)])
+        return [(m, v)]
 
 
 def parse_poly(text: str, n: int, ctx: FieldCtx) -> MultiPoly:

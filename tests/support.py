@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import gridnull as g
 from gridnull.field import _TABLE_CAP
+from gridnull.poly import _tokenize
 
 Q = g.Rationals()
 F2 = g.PrimeField(2)
@@ -193,3 +194,54 @@ def random_add_grid(rng, ctx, n=None, min_size=3, shifts=True) -> g.Grid:
         if len(A) >= min_size:
             factors.append(A)
     return g.grid_make(factors)
+
+
+def reference_parse(text: str, n: int, ctx) -> g.MultiPoly:
+    """text by MultiPoly arithmetic alone, on gridnull's tokens: every atom
+    a MultiPoly, and each +, -, *, ^ and unary - the operator's own, which
+    merges its result.  Valid input only: the reference for the parser's
+    terms and their order."""
+    tokens, i = _tokenize(text), 0
+
+    def take():
+        nonlocal i
+        i += 1
+        return tokens[i - 1]
+
+    def expr():
+        sign = take()[0] if tokens[i][0] in ("+", "-") else "+"
+        f = term() if sign == "+" else -term()
+        while tokens[i][0] in ("+", "-"):
+            f = f + term() if take()[0] == "+" else f - term()
+        return f
+
+    def term():
+        f = factor()
+        while tokens[i][0] == "*":
+            take()
+            f = f * factor()
+        return f
+
+    def factor():
+        f = atom()
+        if tokens[i][0] == "^":
+            take()
+            f = f ** take()[1]
+        return f
+
+    def atom():
+        kind, val, _ = take()
+        if kind == "(":
+            f = expr()
+            take()
+            return f
+        if kind == "var":
+            return g.MultiPoly.variable(ctx, n, val)
+        if kind == "gen":
+            return g.MultiPoly.constant(ctx, n, ctx.generator)
+        if tokens[i][0] == "/":
+            take()
+            val = Fraction(val, take()[1])
+        return g.MultiPoly.constant(ctx, n, val)
+
+    return expr()

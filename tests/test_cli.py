@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -799,6 +800,21 @@ def test_poly_and_grid_files(capsys, tmp_path):
     )
     assert code == 0
     assert "sum: 10\n" in out
+
+
+def test_grid_sum_of_a_5000_term_poly_file(capsys, tmp_path):
+    """A seeded 5,000-term sum read from a file: the sum is the one that the
+    parser which merged after every + printed."""
+    rng = random.Random(26)
+    pieces = []
+    for i in range(5000):
+        c = rng.randint(1, 12)
+        mono = "*".join(f"x{j}^{rng.randint(0, 30)}" for j in (1, 2, 3))
+        pieces.append(("- " if rng.random() < 0.5 and i else "+ " if i else "") + f"{c}*{mono}")
+    poly_file = tmp_path / "f.txt"
+    poly_file.write_text(" ".join(pieces) + "\n")
+    argv = ["grid-sum", "--field", "F13", "--grid", "all x all x all", "--poly-file", str(poly_file)]
+    assert _run(capsys, argv) == (0, "mode: plain\nsum: 2\n", "")
 
 
 def test_unreadable_grid_file_exits_2(capsys, tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gridnull as g
-from gridnull.field import _default_modulus, _px_is_irreducible
+from gridnull.field import FiniteField, _default_modulus, _px_is_irreducible
 from gridnull.oracle import plane_count_bruteforce
 from support import F4, F7, F8, F9, F27, Q
 
@@ -73,6 +73,17 @@ def test_element_enumeration_order_and_display():
     names = [str(x) for x in F9.elements()]
     assert names == ["0", "1", "2", "t", "t+1", "t+2", "2*t", "2*t+1", "2*t+2"]
     assert [str(x) for x in g.PrimeField(5).elements()] == ["0", "1", "2", "3", "4"]
+
+
+@pytest.mark.parametrize("p", [2, 13, 2053])
+def test_prime_field_elements_print_as_on_the_digit_path(p):
+    """A prime field prints a residue by str; the digit path, which extension
+    fields keep, prints each element alike (2053 is above the table cap)."""
+    ctx = g.PrimeField(p)
+    assert ctx._fmt is str
+    assert [str(x) for x in ctx.elements()] == [
+        FiniteField._fmt(ctx, x.value) for x in ctx.elements()
+    ]
 
 
 @pytest.mark.parametrize("ctx", [F7, F8, F9, F27])

@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 import gridnull as g
 import gridnull.poly as poly
 from gridnull.oracle import moments_bruteforce
-from support import F7, F9, F13, F27, Q, make_rng, random_multipoly, random_set
+from support import (
+    F7, F9, F13, F27, Q, make_rng, random_multipoly, random_set, reference_parse,
+)
 
 
 def test_minus_infinity_ordering():
@@ -325,6 +327,90 @@ def test_parse_poly_merges_like_the_reference(ctx, n, data):
         pairs += [(m, c if sign == "+" else -c) for m, c in ref.items()]
     f = g.parse_poly(" ".join(pieces), n, ctx)
     assert _items(f) == list(_merged(ctx, pairs).items())
+
+
+def _parser_text(data, ctx, n, depth=0):
+    """A signed sum of products of powers: literals that are zero in ctx
+    among them (0, and p over a finite field), variables, t over an
+    extension field and parenthesised sums, two deep at most."""
+    if ctx.kind == "rationals":
+        atoms = ["0", "1", "2", "1/2", "3/4"]
+    else:
+        atoms = ["0", "1", "2", str(ctx.characteristic)] + ["t"] * (ctx.kind == "extension")
+    atoms += [f"x{i}" for i in range(1, n + 1)]
+
+    def factor():
+        if depth < 2 and data.draw(st.integers(0, 4)) == 0:
+            text = f"({_parser_text(data, ctx, n, depth + 1)})"
+        else:
+            text = data.draw(st.sampled_from(atoms))
+        if data.draw(st.booleans()):
+            text += f"^{data.draw(st.integers(0, 3))}"
+        return text
+
+    terms = []
+    for i in range(data.draw(st.integers(1, 4))):
+        sign = data.draw(st.sampled_from(["", "+ ", "- "] if i == 0 else ["+ ", "- "]))
+        terms.append(sign + "*".join(factor() for _ in range(data.draw(st.integers(1, 4)))))
+    return " ".join(terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([Q, F7, F13, F9, F27, F16]), st.integers(1, 3), st.data())
+def test_parse_poly_matches_the_multipoly_reference(ctx, n, data):
+    """Any text against the parser of MultiPoly arithmetic alone: the same
+    terms in the same order, through zero literals in products (0*x1, 13*x1
+    over F13, 3*t*x1 over F27), zero atoms to the power 0, a leading - before
+    a product, and products that mix single terms and sums."""
+    text = _parser_text(data, ctx, n)
+    assert _items(g.parse_poly(text, n, ctx)) == _items(reference_parse(text, n, ctx))
+
+
+@pytest.mark.parametrize(
+    "ctx, text, n",
+    [
+        (F13, "0*x1 + 13*x1*x2 - 2*x1*(x1 + x2)*x2^2 + x2", 2),
+        (F7, "x1 + (-x1 + x2 + x1) + 7*x2*x1", 2),  # the group merges on its own
+        (F27, "- 3*t*x1 + t*x1 - 0^0*x1 + (x1 - x1)^0 + 0^2", 1),
+        (Q, "-1/2*x1*x2^0 - (x1 + 1/3)*(x1 - 1/3)*x2 + 0^0", 2),
+    ],
+    ids=["F13", "F7-group", "F27", "Q"],
+)
+def test_parse_poly_matches_the_reference_on_chosen_texts(ctx, text, n):
+    assert _items(g.parse_poly(text, n, ctx)) == _items(reference_parse(text, n, ctx))
+
+
+def _counting_merges(monkeypatch):
+    calls = []
+    merge = poly._merge
+
+    def counted(ctx, pairs):
+        calls.append(1)
+        return merge(ctx, pairs)
+
+    monkeypatch.setattr(poly, "_merge", counted)
+    return calls
+
+
+def test_a_sum_merges_once_and_each_group_once(monkeypatch):
+    """A sum of T terms costs one merge, not one per +: a 2,000-term sum of
+    products merges once, and each parenthesised group adds one."""
+    rng = make_rng(26)
+    terms = [
+        ((rng.randint(0, 9), rng.randint(0, 9)), F13.element(rng.randint(-12, 12)))
+        for _ in range(2000)
+    ]
+    text = " + ".join(f"{c.value}*x1^{a}*x2^{b}" for (a, b), c in terms)
+    calls = _counting_merges(monkeypatch)
+    f = g.parse_poly(text, 2, F13)
+    assert len(calls) == 1
+    assert _items(f) == list(_merged(F13, terms).items())
+    for k in range(4):
+        text = "x1 - 3*x2^2" + " - (x1 + 2*x2)" * k + " + 5"
+        calls.clear()
+        f = g.parse_poly(text, 2, F13)
+        assert len(calls) == k + 1
+        assert _items(f) == _items(reference_parse(text, 2, F13))
 
 
 def test_parser_stays_off_the_validating_path(monkeypatch):

@@ -46,3 +46,5 @@ def test_run_scans_small_pass_above_the_default_caps():
     assert "instances=4190209" in lines[1]
     assert "instances=131071" in lines[3]
     assert "instances=536870911" in lines[4]
+    # the time column starts at one place, also after a 9-digit count
+    assert len({line.rindex(" ") for line in lines}) == 1
