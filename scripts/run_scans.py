@@ -7,9 +7,10 @@ run under SCAN_CONFIG, whose bound admits scd p=11 and 13 and ore on F2^6
 above the default caps: scd p=13 checks 67,092,481 subset pairs, under 2^28;
 the subgroup enumerator budgets F2^6 at 26,387 elements over all its
 subgroups, over 2^13.  redei runs under its own REDEI_CONFIG, which admits
-q=17 to 37 (over a prime field it solves linear equations instead of walking
-every dilation orbit) and leaves scd p=17 refused.  Exit code is nonzero
-when any scan reports a counterexample.
+q=17 to 37, the prime powers 25 and 27 among them (over every field it solves
+the power-sum equations over F_p instead of walking every subset), and leaves
+scd p=17 refused.  Exit code is nonzero when any scan reports a
+counterexample.
 """
 
 import argparse
@@ -35,7 +36,7 @@ def main() -> int:
     ap.add_argument("--scd-primes", type=int, nargs="*", default=[2, 3, 5, 7, 11, 13])
     ap.add_argument(
         "--redei-orders", type=int, nargs="*",
-        default=[5, 7, 9, 11, 13, 17, 19, 23, 29, 31, 37],
+        default=[5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31, 37],
     )
     ap.add_argument(
         "--ore-fields",

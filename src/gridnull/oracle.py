@@ -4,10 +4,10 @@ The references are deliberately slow and literal: subset enumeration for
 elementary moments, weak compositions for complete ones, a Gray-code walk
 over the whole power set.  The fast paths are tested against these, never
 the other way around.  The classification scans account for every subset,
-or every pair, but visit only what can decide them: redei over a prime
-field the 0/1 solutions of its power-sum equations (Newton's identities),
-over a prime power one subset per dilation orbit, scd the pairs of positive
-nullity; each shortcut has a differential test against the full walk.
+or every pair, but visit only what can decide them: redei the 0/1
+solutions of the power-sum equations over F_p, each confirmed from its
+roots, scd the pairs of positive nullity; each shortcut has a differential
+test against the full walk.
 Every oracle enforces its size bounds with an error instead of silently
 delegating.
 """
@@ -31,7 +31,7 @@ from .errors import (
     SizeBoundExceeded,
 )
 from .field import ExtensionField, FieldCtx, FieldElement, PrimeField
-from .field import _is_prime, _prime_factors, _unit_of_order
+from .field import _digits, _is_prime, _prime_factors
 from .grids import Grid, _span_values
 from .nullity import FiniteSet, MomentTable, _leading_zeros
 from .poly import MultiPoly, Monomial, UniPoly, _root_values
@@ -189,118 +189,67 @@ def _subset_nullities(ctx: FieldCtx, elements):
         yield mask, _leading_zeros(coeffs)
 
 
-def _necklace_nullities(ctx: FieldCtx, units):
-    """(word, period, N(A), N(A + {0})) for each binary necklace of length |units|.
-
-    Bit i of word puts units[i] in A.  With units[i] = g^i for a primitive g,
-    dilation by g rotates the word, so a necklace stands for its period's
-    worth of sets, all of one nullity since e_r(cA) = c^r e_r(A).  Necklaces
-    come in lex order from the FKM prenecklace walk (Fredricksen, Kessler and
-    Maiorana; Ruskey, Combinatorial Generation, cited only); prods[j] is
-    prod (X - a) over the set letters among the first j, as raw values top
-    coefficient first, so each prefix node that sets a letter costs one call
-    of the context's root-factor kernel, O(|A|).
-    """
-    n = len(units)
-    mul_root = ctx._mul_root
-    values = [x.value for x in units]
-    letters = [0] * (n + 1)  # letters[1..n]; letters[0] = 0 roots the tree
-    prods = [[ctx.one.value]] * (n + 1)
-    word, period = 0, 1
-    while True:
-        if n % period == 0:
-            coeffs = prods[n]
-            # adding 0 to the set multiplies by X: one more 0 at the end
-            yield word, period, _leading_zeros(coeffs), _leading_zeros([*coeffs, 0])
-        i = n
-        while letters[i]:
-            i -= 1
-        if i == 0:
-            return
-        # the next prenecklace: letter i goes up to 1, then the prefix repeats
-        word &= (1 << i - 1) - 1
-        period = i
-        for j in range(i, n + 1):
-            letter = letters[j] = 1 if j == i else letters[j - i]
-            coeffs = prods[j - 1]
-            if letter:
-                coeffs = mul_root(coeffs, values[j - 1])
-                word |= 1 << j - 1
-            prods[j] = coeffs
-
-
-def _rotation_masks(word: int, period: int, units):
-    """The element masks (bit x.value for x in A) of a necklace's distinct rotations."""
-    n = len(units)
-    full = (1 << n) - 1
-    for s in range(period):
-        rotated = (word << s | word >> n - s) & full
-        yield sum(1 << x.value for i, x in enumerate(units) if rotated >> i & 1)
-
-
 def _mask_set(ctx: FieldCtx, mask: int) -> FiniteSet:
     """The set of the elements x with bit x.value of mask set."""
     return FiniteSet(ctx, [x for x in ctx.elements() if mask >> x.value & 1])
 
 
-def _necklace_masks(ctx: FieldCtx, lam: int) -> list:
-    """Masks of the nonempty subsets of nullity >= lam: one necklace of
-    ``_necklace_nullities`` per dilation orbit of subsets of the units, with
-    and without 0 (bit 0)."""
-    g = ctx._wrap(_unit_of_order(ctx, ctx.cardinality - 1))
-    units = [g**i for i in range(ctx.cardinality - 1)]
-    masks = []
-    for word, period, null, null_with_zero in _necklace_nullities(ctx, units):
-        # the empty word stands for {0} alone
-        if word and null >= lam:
-            masks.extend(_rotation_masks(word, period, units))
-        if null_with_zero >= lam:
-            masks.extend(m | 1 for m in _rotation_masks(word, period, units))
-    return masks
+def _power_sum_kernel(ctx: FieldCtx, r: int):
+    """Mask (bit a.value for a in A) of every A within F_q^* whose power sums
+    p_1(A), ..., p_r(A) all vanish, each once, for a finite field and r > 0.
 
-
-def _power_sum_kernel(p: int, r: int):
-    """Mask (bit a for a in A) of every A within F_p^* whose power sums
-    p_1(A), ..., p_r(A) all vanish, each once, for prime p and 0 < r < p.
-
-    The r x (p - 1) system sum_a x_a a^k = 0, k = 1..r, in the 0/1 indicator
-    x is row-reduced once on residues.  Any r of its columns are a
-    Vandermonde matrix times a diagonal of units, so independent: the
-    pivots are a = 1..r and the rest are free.  The free columns are
-    Gray-walked, each step adding or removing one column of pivot values,
-    and an assignment is kept when every pivot value is 0 or 1.
+    p_k(A) = sum_a x_a a^k is F_p-linear in the 0/1 indicator x, so each
+    k <= r gives e equations over F_p, one per base-p digit of a^k; k with
+    p | k gives none new, as p_(pk) = p_k^p.  The system is row-reduced once
+    on residues, each pivot found by search and the zero rows dropped.  The
+    free columns are Gray-walked, each step adding or removing one column of
+    pivot values, and an assignment is kept when every pivot value is 0 or 1.
     """
-    rows = [[pow(a, k, p) for a in range(1, p)] for k in range(1, r + 1)]
-    for i in range(r):
-        j = next(j for j in range(i, r) if rows[j][i])
+    p, e, vpow = ctx.characteristic, ctx.e, ctx._vpow
+    n = ctx.cardinality - 1  # column j stands for the unit of value j + 1
+    rows = [
+        row
+        for k in range(1, r + 1)
+        if k % p
+        for row in zip(*(_digits(vpow(a, k), p, e) for a in range(1, n + 1)))
+    ]
+    pivots = []
+    for col in range(n):
+        i = len(pivots)
+        j = next((j for j in range(i, len(rows)) if rows[j][col]), None)
+        if j is None:
+            continue
         rows[i], rows[j] = rows[j], rows[i]
-        inv = pow(rows[i][i], -1, p)
+        inv = pow(rows[i][col], -1, p)
         rows[i] = [x * inv % p for x in rows[i]]
         for j, row in enumerate(rows):
-            if j != i and row[i]:
-                rows[j] = [(x - row[i] * y) % p for x, y in zip(row, rows[i])]
+            if j != i and row[col]:
+                rows[j] = [(x - row[col] * y) % p for x, y in zip(row, rows[i])]
+        pivots.append(col)
+    del rows[len(pivots):]  # the rest are zero
+    free = [j for j in range(n) if j not in pivots]
     # the pivot values are -F x_free: free column j leaving A adds F[:, j] to
     # them, entering A adds -F[:, j]
-    steps = [
-        ([row[j] for row in rows], [-row[j] % p for row in rows]) for j in range(r, p - 1)
-    ]
-    values, free = [0] * r, 0
+    steps = [([row[j] for row in rows], [-row[j] % p for row in rows]) for j in free]
+    values, chosen = [0] * len(rows), 0
     yield 0
-    for step in range(1, 1 << len(steps)):
+    for step in range(1, 1 << len(free)):
         bit = (step & -step).bit_length() - 1
-        free ^= 1 << bit
-        values = [(v + c) % p for v, c in zip(values, steps[bit][free >> bit & 1])]
+        chosen ^= 1 << bit
+        values = [(v + c) % p for v, c in zip(values, steps[bit][chosen >> bit & 1])]
         if max(values) < 2:
-            yield free << r + 1 | sum(v << i + 1 for i, v in enumerate(values))
+            inside = [j for i, j in enumerate(free) if chosen >> i & 1]
+            inside += [j for v, j in zip(values, pivots) if v]
+            yield sum(2 << j for j in inside)
 
 
 def _kernel_masks(ctx: FieldCtx, lam: int) -> list:
-    """Masks of the nonempty subsets of F_p of nullity >= lam, for prime p > lam:
-    each A of ``_power_sum_kernel(p, lam)``, with and without 0 (bit 0), is
-    rebuilt from its roots and kept when its nullity, capped at |A|, is >= lam."""
+    """Masks of the nonempty subsets of F_q of nullity >= lam: each A of
+    ``_power_sum_kernel(ctx, lam)``, with and without 0 (bit 0), is rebuilt
+    from its roots and kept when its nullity, capped at |A|, is >= lam."""
     return [
         mask
-        for kernel in _power_sum_kernel(ctx.characteristic, lam)
+        for kernel in _power_sum_kernel(ctx, lam)
         for mask in (kernel, kernel | 1)
         if mask and _mask_set(ctx, mask).nullity >= lam
     ]
@@ -309,13 +258,16 @@ def _kernel_masks(ctx: FieldCtx, lam: int) -> list:
 def redei_scan(q: int, config: OracleConfig = None) -> ScanReport:
     """All subsets of a small odd field: who reaches nullity (q-1)/2?
 
-    The expected answer is exactly the full field and its units.  For k < p,
-    Newton's identities k e_k = sum_(i=1..k) (-1)^(i-1) e_(k-i) p_i make
-    e_1 = ... = e_lam = 0 the same as p_1 = ... = p_lam = 0, so over a prime
-    field ``_kernel_masks`` solves lam linear equations.  Over F_(p^e), e > 1,
-    lam >= p and k = p leaves e_p free, so ``_necklace_masks`` meets each
-    dilation orbit of subsets once.  Either way every char poly is a product
-    of root factors, never a closed form.  ``instances`` counts the 2^q - 1
+    The expected answer is exactly the full field and its units.  In every
+    characteristic Newton's identities write p_k as a sum of e_i p_(k-i) and
+    +-k e_k, so e_1 = ... = e_lam = 0 forces p_1 = ... = p_lam = 0, and
+    ``_kernel_masks`` takes its candidates from the 0/1 solutions of those
+    lam power-sum equations.  Only the converse, needed for the kernel to be
+    exactly the qualifying sets, asks k < p: over F_(p^e), e > 1, lam >= p
+    and k e_k vanishes at k = p, so the kernel may hold more sets.  Each
+    candidate, with and without 0, is therefore confirmed by its nullity
+    from its own roots, never read off the equations: a wrong kernel can
+    lose a set but never add one.  ``instances`` counts the 2^q - 1
     nonempty subsets, and sets are built only for qualifying masks, in mask
     order.  ``_subset_nullities`` is the walk over every subset.
     """
@@ -328,7 +280,7 @@ def redei_scan(q: int, config: OracleConfig = None) -> ScanReport:
         raise ScanTooLarge(f"2^{q} subsets exceed the scan bound")
     ctx = _field_for_order(q)
     lam = (q - 1) // 2
-    masks = (_kernel_masks if ctx.e == 1 else _necklace_masks)(ctx, lam)
+    masks = _kernel_masks(ctx, lam)
     full = (1 << q) - 1
     qualifying = [_mask_set(ctx, mask) for mask in sorted(masks)]
     expected = [_mask_set(ctx, full), _mask_set(ctx, full - 1)]

@@ -12,8 +12,7 @@ from gridnull import oracle
 from gridnull.field import _TABLE_CAP, FiniteField, _unit_of_order
 from gridnull.oracle import (
     _field_for_order,
-    _necklace_nullities,
-    _rotation_masks,
+    _mask_set,
     _rotation_sumset,
     _subset_nullities,
     additive_subgroups_bruteforce,
@@ -157,81 +156,108 @@ def test_scd_scan():
         g.scd_scan(1000000007)
 
 
+def _necklace_walk(ctx):
+    """{mask: nullity} for the nonempty subsets of F_q, one nullity per necklace.
+
+    With units[i] = g^i for a primitive g, dilation by g rotates a word over
+    the units and keeps the nullity, as e_r(cA) = c^r e_r(A).  So each
+    necklace's least rotation is rebuilt from its roots, with and without 0,
+    and its nullity stands for every rotation.
+    """
+    gen = ctx._wrap(_unit_of_order(ctx, ctx.cardinality - 1))
+    units = [gen**i for i in range(ctx.cardinality - 1)]
+    assert len(set(units)) == len(units) and ctx.zero not in units
+    n, full, zero = len(units), (1 << len(units)) - 1, 1 << ctx.zero.value
+    walk = {}
+    for word in range(1 << n):
+        rotations = {(word << s | word >> n - s) & full for s in range(n)}
+        if word != min(rotations):
+            continue
+        masks = [sum(1 << x.value for i, x in enumerate(units) if w >> i & 1) for w in rotations]
+        for extra in (0, zero) if word else (zero,):
+            null = _mask_set(ctx, masks[0] | extra).nullity
+            walk.update((mask | extra, null) for mask in masks)
+    assert len(walk) == 2 ** ctx.cardinality - 1
+    return walk
+
+
 @pytest.mark.parametrize("q", [5, 7, 9, 11, 13])
 def test_necklace_walk_matches_subset_walk(q):
     ctx = _field_for_order(q)
-    gen = ctx._wrap(_unit_of_order(ctx, q - 1))
-    units = [gen**i for i in range(q - 1)]
-    assert len(set(units)) == q - 1 and ctx.zero not in units
-    walk, covered = {}, 0
-    for word, period, null, null_with_zero in _necklace_nullities(ctx, units):
-        masks = list(_rotation_masks(word, period, units))
-        assert len(set(masks)) == period
-        for mask in masks:
-            if word:
-                walk[mask] = null
-            walk[mask | 1 << ctx.zero.value] = null_with_zero
-        covered += 2 * period if word else 1
-    assert covered == len(walk) == 2**q - 1
-    assert walk == dict(_subset_nullities(ctx, ctx.elements()))
+    assert _necklace_walk(ctx) == dict(_subset_nullities(ctx, ctx.elements()))
 
 
-@pytest.mark.parametrize("q", [5, 7, 11, 13, 17, 19, 23])
+@pytest.mark.parametrize("q", [5, 7, 11, 13, 17, 19])
 def test_kernel_route_matches_necklace_walk(q):
-    ctx, lam = g.PrimeField(q), (q - 1) // 2
+    ctx, lam = _field_for_order(q), (q - 1) // 2
+    masks = oracle._kernel_masks(ctx, lam)
+    walk = _necklace_walk(ctx)
+    assert sorted(masks) == sorted(mask for mask, null in walk.items() if null >= lam)
+
+
+@pytest.mark.parametrize("q", [5, 7, 9, 11, 13, 17])
+def test_kernel_route_matches_subset_walk(q):
+    ctx, lam = _field_for_order(q), (q - 1) // 2
     masks = oracle._kernel_masks(ctx, lam)
     assert len(set(masks)) == len(masks)
-    assert sorted(masks) == sorted(oracle._necklace_masks(ctx, lam))
+    walk = _subset_nullities(ctx, ctx.elements())
+    assert sorted(masks) == sorted(mask for mask, null in walk if null >= lam)
 
 
-def _leading_zero_power_sums(F, subset):
-    """How many of p_1, ..., p_(p-1) vanish on the subset before the first that does not."""
+def _leading_zero_power_sums(F, subset, top):
+    """How many of p_1, ..., p_top vanish on the subset before the first that does not."""
     k = 1
-    while k < F.characteristic and sum((x**k for x in subset), F.zero).is_zero:
+    while k <= top and sum((x**k for x in subset), F.zero).is_zero:
         k += 1
     return k - 1
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
-def test_power_sum_kernel_is_every_subset_with_vanishing_power_sums(p):
-    F = g.PrimeField(p)
+# r runs to q - 1, past p over F4, F8, F9 and F16; the reference's walk over
+# the 2^15 unit subsets of F16 costs under a second, and the kernel far less
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
+def test_power_sum_kernel_is_every_subset_with_vanishing_power_sums(q):
+    F = _field_for_order(q)
     units = [x for x in F.elements() if not x.is_zero]
     lead = {}
-    for size in range(p):
+    for size in range(q):
         for subset in itertools.combinations(units, size):
-            lead[sum(1 << x.value for x in subset)] = _leading_zero_power_sums(F, subset)
-    assert len(lead) == 2 ** (p - 1)
-    for r in range(1, p):
-        kernel = list(oracle._power_sum_kernel(p, r))
+            lead[sum(1 << x.value for x in subset)] = _leading_zero_power_sums(F, subset, q - 1)
+    assert len(lead) == 2 ** (q - 1)
+    for r in range(1, q):
+        kernel = list(oracle._power_sum_kernel(F, r))
         assert len(set(kernel)) == len(kernel)
         assert sorted(kernel) == sorted(mask for mask, k in lead.items() if k >= r)
 
 
-@pytest.mark.parametrize("q", [5, 7, 13])
+@pytest.mark.parametrize("q", [5, 7, 9, 13])
 def test_redei_scan_confirms_kernel_sets_from_roots(monkeypatch, q):
-    # {1, 2} has nullity 0: a kernel that also yields it must not be trusted
+    # {1, 2} has nullity 0, or 1 over F9: a kernel that also yields it must
+    # not be trusted
     kernel = oracle._power_sum_kernel
     expected = g.redei_scan(q)
-    monkeypatch.setattr(oracle, "_power_sum_kernel", lambda p, r: [*kernel(p, r), 0b110])
+    monkeypatch.setattr(oracle, "_power_sum_kernel", lambda ctx, r: [*kernel(ctx, r), 0b110])
     assert g.redei_scan(q) == expected
+    ctx = _field_for_order(q)
+    units = [x for x in ctx.elements() if not x.is_zero]
     assert expected.details["qualifying"] == [
-        repr(g.FiniteSet(g.PrimeField(q), range(1, q))),
-        repr(g.FiniteSet(g.PrimeField(q), range(q))),
+        repr(g.FiniteSet(ctx, units)),
+        repr(g.FiniteSet(ctx, ctx.elements())),
     ]
 
 
-def test_redei_scan_routes_by_field_kind(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("the scan took the other route")
-
-    with monkeypatch.context() as m:
-        m.setattr(oracle, "_necklace_nullities", refuse)
-        for q in (5, 7, 11, 13):
-            assert g.redei_scan(q).verdict
-    monkeypatch.setattr(oracle, "_power_sum_kernel", refuse)
-    assert g.redei_scan(9).verdict
-    with pytest.raises(AssertionError, match="other route"):
-        g.redei_scan(7)
+@pytest.mark.parametrize("q", [7, 9])
+def test_redei_scan_reports_what_a_wrong_kernel_loses(monkeypatch, q):
+    # a kernel of the empty set alone loses F_q^* and F_q, and adds nothing
+    monkeypatch.setattr(oracle, "_power_sum_kernel", lambda ctx, r: [0])
+    report = g.redei_scan(q)
+    assert not report.verdict
+    assert report.details["qualifying"] == []
+    ctx = _field_for_order(q)
+    units = [x for x in ctx.elements() if not x.is_zero]
+    assert report.counterexamples == (
+        {"set": repr(g.FiniteSet(ctx, ctx.elements())), "problem": "missing"},
+        {"set": repr(g.FiniteSet(ctx, units)), "problem": "missing"},
+    )
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])

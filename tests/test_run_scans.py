@@ -13,14 +13,15 @@ def test_run_scans_small_pass_above_the_default_caps():
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
-    # q = 17, q = 29 and p = 11 are over the default redei and scd caps:
-    # they run only through the script's REDEI_CONFIG and SCAN_CONFIG
+    # q = 17, 25 and 29 and p = 11 are over the default redei and scd caps:
+    # they run only through the script's REDEI_CONFIG and SCAN_CONFIG; 25 is
+    # a prime power
     proc = subprocess.run(
         [
             sys.executable,
             str(ROOT / "scripts" / "run_scans.py"),
             "--scd-primes", "3", "11",
-            "--redei-orders", "5", "17", "29",
+            "--redei-orders", "5", "17", "25", "29",
             "--ore-fields", "F2^2", "F5^2",
         ],
         capture_output=True,
@@ -35,6 +36,7 @@ def test_run_scans_small_pass_above_the_default_caps():
         "sumset-dichotomy p=11",
         "extremal-nullity q=5",
         "extremal-nullity q=17",
+        "extremal-nullity q=25",
         "extremal-nullity q=29",
         "additive-form F2^2",
         "additive-form F5^2",
@@ -45,6 +47,7 @@ def test_run_scans_small_pass_above_the_default_caps():
     assert all(line.split()[-3] == "ok" for line in lines)
     assert "instances=4190209" in lines[1]
     assert "instances=131071" in lines[3]
-    assert "instances=536870911" in lines[4]
+    assert "instances=33554431" in lines[4]
+    assert "instances=536870911" in lines[5]
     # the time column starts at one place, also after a 9-digit count
     assert len({line.rindex(" ") for line in lines}) == 1
