@@ -167,7 +167,7 @@ def parse_factor(text: str, ctx: FieldCtx) -> FiniteSet:
             args = _split_top_level(s[len(name) + 1 : -1], ",")
             args = [a.strip() for a in args]
             if name == "mul":
-                if len(args) not in (1, 2) or not args[0].isdigit():
+                if len(args) not in (1, 2) or not args[0].isdecimal():
                     raise ParseError("expected mul(d) or mul(d, shift)")
                 shift = parse_element(args[1], ctx) if len(args) == 2 else None
                 return multiplicative_coset(ctx, _int_literal(args[0]), shift)

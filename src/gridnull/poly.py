@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import reduce
-from itertools import zip_longest
+from functools import partial, reduce
+from itertools import islice, zip_longest
 from operator import add, index
 from typing import Iterable, Mapping, Sequence
 
@@ -20,6 +20,7 @@ from .errors import (
     DimensionMismatch,
     EmptySet,
     ExponentOutOfRange,
+    GridNullError,
     MixedFields,
     ParseError,
     PreconditionViolated,
@@ -366,124 +367,114 @@ def raise_degree(f: MultiPoly, grid, k: Sequence[int]) -> MultiPoly:
 # Parsing and formatting
 # ---------------------------------------------------------------------------
 
-# A token is (kind, value, position), and an operator's kind is its character
-_TOKEN_RE = re.compile(r"(?P<int>\d+)|x(?P<var>\d+)|(?P<gen>t)|(?P<op>[-+*^()/])|(?P<bad>\S)")
+# One findall: x<i>^<k> and t^<k> are power tokens when digits follow the ^ at
+# once, any other ^ is an operator, and an error finds its position in a rescan.
+_LEXEME = r"x\d+(?:\^\d+)?|t(?:\^\d+)?|\d+|[-+*^()/]"
+_LEXEME_RE, _TOKEN_RE = re.compile(_LEXEME), re.compile(_LEXEME + r"|\S")
+_NOT_ATOMS = frozenset(["", ")", "*", "^", "/", "+", "-"])  # "" ends the text
 
 
-def _tokenize(text: str):
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind, pos = m.lastgroup, m.start()
-        val = m.group(kind)
-        if kind == "bad":
-            raise ParseError(f"unexpected character {val!r}", pos)
-        if kind in ("int", "var"):  # a variable is at the position of its x
-            val = _int_literal(val, pos)
-        tokens.append((val if kind == "op" else kind, val, pos))
-    tokens.append(("end", None, len(text)))
-    return tokens
+def _check_lexemes(text: str) -> None:
+    """Raise the first character outside the grammar, or integer past the
+    int/str digit limit, in text order (a variable's index at its x)."""
+    for mt in _TOKEN_RE.finditer(text):
+        tok, pos = mt.group(), mt.start()
+        if not _LEXEME_RE.fullmatch(tok):
+            raise ParseError(f"unexpected character {tok!r}", pos)
+        for run in re.finditer(r"\d+", tok):
+            _int_literal(run.group(), pos if run.start() == 1 else pos + run.start())
 
 
 class _Parser:
-    """Recursive descent on lists of raw (exponent tuple, value) pairs.  An
-    atom is one pair and a sum joins its terms' pairs; parse and each
-    parenthesised group merge them once by MultiPoly._of_values, which gives
-    the terms and order of a merge after every + (a zero pair merges to
-    nothing).  A product or power of single pairs is one pair, on values; any
-    other goes through MultiPoly's * and ** and their term-pair bound."""
+    """Recursive descent on lists of raw (exponent tuple, value) pairs.  A sum
+    joins its terms' pairs, merged once by MultiPoly._of_values at the top and
+    in each group (a zero pair merges to nothing).  A product of single pairs
+    keeps one exponent list and one raw value; a factor of several terms, and
+    each factor after one, goes left to right through MultiPoly's * and **."""
 
     def __init__(self, text: str, n: int, ctx: FieldCtx):
-        self.text, self.n, self.ctx = text, n, ctx
-        self.tokens, self.i = _tokenize(text), 0
+        self.text, self.n, self.ctx, self.i = text, n, ctx, 0
+        self.tokens = _TOKEN_RE.findall(text) + [""]
+        self.poly = partial(MultiPoly._of_values, ctx, n)
 
-    def peek(self) -> str:
-        return self.tokens[self.i][0]
-
-    def take(self):
-        self.i += 1
-        return self.tokens[self.i - 1]
-
-    def poly(self, pairs) -> MultiPoly:
-        return MultiPoly._of_values(self.ctx, self.n, pairs)
-
-    def parse(self) -> MultiPoly:
-        pairs = self.expr()
-        kind, _, pos = self.take()
-        if kind != "end":
-            source = _TOKEN_RE.match(self.text, pos).group()
-            raise ParseError(f"unexpected trailing input {source!r}", pos)
-        return self.poly(pairs)
+    def at(self, i: int) -> int:
+        """Where token i starts, or the end of the text for the end token."""
+        mt = next(islice(_TOKEN_RE.finditer(self.text), i, None), None)
+        return len(self.text) if mt is None else mt.start()
 
     def expr(self) -> list:
-        pairs, vneg = [], self.ctx._vneg
-        op = self.take()[0] if self.peek() in ("+", "-") else "+"
+        tokens, n, ctx, poly = self.tokens, self.n, self.ctx, self.poly
+        vmul, vpow, vneg, one = ctx._vmul, ctx._vpow, ctx._vneg, ctx.one.value
+        pairs, i, sign = [], self.i, tokens[self.i]
         while True:
-            term = self.term()
-            pairs += term if op == "+" else [(m, vneg(v)) for m, v in term]
-            if self.peek() not in ("+", "-"):
+            if sign == "+" or sign == "-":
+                i += 1
+            exps, v, f, first = [0] * n, None, None, True  # v is None for one
+            while True:
+                tok, k, w, g = tokens[i], None, None, None
+                c, i = tok[:1], i + 1
+                if c == "x":
+                    j, _, k = tok[1:].partition("^")
+                    j, k = int(j), int(k) if k else None
+                    if not 0 < j <= n:
+                        raise UnknownVariable(f"x{j} is outside 1..{n}", self.at(i - 1))
+                elif c == "t":
+                    if ctx.kind != "extension":
+                        message = "t denotes the extension generator and needs an extension field"
+                        raise UnknownVariable(message, self.at(i - 1))
+                    k, w = int(tok[2:]) if tok[2:] else None, ctx.generator.value
+                elif c == "(":
+                    self.i = i
+                    g, i = self.expr(), self.i
+                    if tokens[i] != ")":
+                        raise ParseError("expected ')'", self.at(i))
+                    g, i = poly(g)._values(), i + 1
+                elif tok in _NOT_ATOMS:
+                    message = f"unexpected token {tok!r}" if tok else "unexpected end of input"
+                    raise ParseError(message, self.at(i - 1))
+                else:  # int fails on a character outside the grammar, named by _check_lexemes
+                    w = int(tok)
+                    if tokens[i] == "/":
+                        if ctx.kind != "rationals":
+                            raise ParseError("fraction literals need the rationals", self.at(i - 1))
+                        den = tokens[i + 1]
+                        if not den.isdecimal() or not int(den):
+                            raise ParseError("expected a nonzero denominator", self.at(i + 1))
+                        w, i = Fraction(w, int(den)), i + 2
+                    w = ctx._canon(w)
+                if k is None and tokens[i] == "^":  # a power token takes no second ^
+                    if not tokens[i + 1].isdecimal():
+                        raise ParseError("expected a non-negative integer exponent", self.at(i + 1))
+                    k, i = int(tokens[i + 1]), i + 2
+                if g is not None:
+                    if k is not None and len(g) != 1:
+                        g, k = (poly(g) ** k)._values(), None
+                    if len(g) == 1:  # one pair (m, w) to the power k is (k*m, w^k)
+                        ((m, w),), g = g, None
+                        exps = list(map(add, exps, m if k is None else [e * k for e in m]))
+                elif c == "x":
+                    exps[j - 1] += 1 if k is None else k
+                if w is not None:
+                    w = w if k is None else vpow(w, k)  # _vpow makes 0^0 one
+                    v = w if v is None else vmul(v, w)
+                if g is not None or f is not None:  # through MultiPoly's *, left to right
+                    pair = [(tuple(exps), one if v is None else v)]
+                    left, right = pair if f is None else f, pair if g is None else g
+                    f = g if first else (poly(left) * poly(right))._values()
+                    if len(f) == 1:
+                        ((m, v),) = f
+                        exps, f = list(m), None
+                    else:  # exps and v hold the next factor alone
+                        exps, v = [0] * n, None
+                if tokens[i] != "*":
+                    break
+                i, first = i + 1, False
+            f = [(tuple(exps), one if v is None else v)] if f is None else f
+            pairs += f if sign != "-" else [(m, vneg(w)) for m, w in f]
+            sign = tokens[i]
+            if sign != "+" and sign != "-":
+                self.i = i
                 return pairs
-            op = self.take()[0]
-
-    def term(self) -> list:
-        f = self.factor()
-        while self.peek() == "*":
-            self.take()
-            h = self.factor()
-            if len(f) == len(h) == 1:
-                (m1, v1), (m2, v2) = f[0], h[0]
-                f = [(tuple(map(add, m1, m2)), self.ctx._vmul(v1, v2))]
-            else:
-                f = (self.poly(f) * self.poly(h))._values()
-        return f
-
-    def factor(self) -> list:
-        base = self.atom()
-        if self.peek() == "^":
-            self.take()
-            kind, exp, pos = self.take()
-            if kind != "int":
-                raise ParseError("expected a non-negative integer exponent", pos)
-            if len(base) == 1:  # (k*m, v^k), where _vpow makes 0^0 one
-                ((m, v),) = base
-                return [(tuple(e * exp for e in m), self.ctx._vpow(v, exp))]
-            base = (self.poly(base) ** exp)._values()
-        return base
-
-    def atom(self) -> list:
-        kind, val, pos = self.take()
-        ctx, n, m = self.ctx, self.n, (0,) * self.n
-        if kind == "(":
-            pairs = self.expr()
-            kind, _, pos = self.take()
-            if kind != ")":
-                raise ParseError("expected ')'", pos)
-            return self.poly(pairs)._values()
-        if kind == "int":
-            if self.peek() == "/":
-                if ctx.kind != "rationals":
-                    raise ParseError("fraction literals need the rationals", pos)
-                self.take()
-                dkind, den, dpos = self.take()
-                if dkind != "int" or den == 0:
-                    raise ParseError("expected a nonzero denominator", dpos)
-                val = Fraction(val, den)
-            v = ctx._canon(val)
-        elif kind == "var":
-            if not 1 <= val <= n:
-                raise UnknownVariable(f"x{val} is outside 1..{n}", pos)
-            m, v = m[: val - 1] + (1,) + m[val:], ctx.one.value
-        elif kind == "gen":
-            if ctx.kind != "extension":
-                raise UnknownVariable(
-                    "t denotes the extension generator and needs an extension field",
-                    pos,
-                )
-            v = ctx.generator.value
-        elif kind == "end":
-            raise ParseError("unexpected end of input", pos)
-        else:
-            raise ParseError(f"unexpected token {val!r}", pos)
-        return [(m, v)]
 
 
 def parse_poly(text: str, n: int, ctx: FieldCtx) -> MultiPoly:
@@ -492,14 +483,23 @@ def parse_poly(text: str, n: int, ctx: FieldCtx) -> MultiPoly:
     Terms are joined by + and -; a term is a product of integer literals
     (fractions over the rationals, t over an extension field), variables with
     optional integer exponents, and parenthesized subexpressions, which are
-    expanded during parsing.
-    """
-    return _Parser(text, n, ctx).parse()
+    expanded during parsing.  A stray character or over-long integer is
+    reported first."""
+    parser = _Parser(text, n, ctx)
+    try:
+        pairs, tok = parser.expr(), parser.tokens[parser.i]
+        if tok:  # quoted as written, up to a power token's ^
+            source = tok.partition("^")[0] or tok
+            raise ParseError(f"unexpected trailing input {source!r}", parser.at(parser.i))
+    except (GridNullError, ValueError):
+        _check_lexemes(text)
+        raise
+    return parser.poly(pairs)
 
 
 def parse_element(text: str, ctx: FieldCtx) -> FieldElement:
     """Parse a single field element using the polynomial grammar."""
-    return parse_poly(text, 0, ctx).evaluate(())
+    return parse_poly(text, 0, ctx).coefficient(())
 
 
 def _power_string(name: str, k: int) -> str:

@@ -7,11 +7,12 @@ failing batch replays exactly from its seed.
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
+from operator import add
 
 import gridnull as g
-from gridnull.field import _TABLE_CAP
-from gridnull.poly import _tokenize
+from gridnull.field import _TABLE_CAP, _int_literal
 
 Q = g.Rationals()
 F2 = g.PrimeField(2)
@@ -196,8 +197,134 @@ def random_add_grid(rng, ctx, n=None, min_size=3, shifts=True) -> g.Grid:
     return g.grid_make(factors)
 
 
+# The tokenizer and parser that parse_poly replaced, kept as its reference: a
+# token is (kind, value, position), and an operator's kind is its character.
+_TOKEN_RE = re.compile(r"(?P<int>\d+)|x(?P<var>\d+)|(?P<gen>t)|(?P<op>[-+*^()/])|(?P<bad>\S)")
+
+
+def _tokenize(text: str):
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        kind, pos = m.lastgroup, m.start()
+        val = m.group(kind)
+        if kind == "bad":
+            raise g.ParseError(f"unexpected character {val!r}", pos)
+        if kind in ("int", "var"):  # a variable is at the position of its x
+            val = _int_literal(val, pos)
+        tokens.append((val if kind == "op" else kind, val, pos))
+    tokens.append(("end", None, len(text)))
+    return tokens
+
+
+class _LegacyParser:
+    """Recursive descent on lists of raw (exponent tuple, value) pairs, one
+    method call per token.  An atom is one pair and a sum joins its terms'
+    pairs; parse and each parenthesised group merge them once.  A product or
+    power of single pairs is one pair, on values; any other goes through
+    MultiPoly's * and ** and their term-pair bound."""
+
+    def __init__(self, text: str, n: int, ctx):
+        self.text, self.n, self.ctx = text, n, ctx
+        self.tokens, self.i = _tokenize(text), 0
+
+    def peek(self) -> str:
+        return self.tokens[self.i][0]
+
+    def take(self):
+        self.i += 1
+        return self.tokens[self.i - 1]
+
+    def poly(self, pairs) -> g.MultiPoly:
+        return g.MultiPoly._of_values(self.ctx, self.n, pairs)
+
+    def parse(self) -> g.MultiPoly:
+        pairs = self.expr()
+        kind, _, pos = self.take()
+        if kind != "end":
+            source = _TOKEN_RE.match(self.text, pos).group()
+            raise g.ParseError(f"unexpected trailing input {source!r}", pos)
+        return self.poly(pairs)
+
+    def expr(self) -> list:
+        pairs, vneg = [], self.ctx._vneg
+        op = self.take()[0] if self.peek() in ("+", "-") else "+"
+        while True:
+            term = self.term()
+            pairs += term if op == "+" else [(m, vneg(v)) for m, v in term]
+            if self.peek() not in ("+", "-"):
+                return pairs
+            op = self.take()[0]
+
+    def term(self) -> list:
+        f = self.factor()
+        while self.peek() == "*":
+            self.take()
+            h = self.factor()
+            if len(f) == len(h) == 1:
+                (m1, v1), (m2, v2) = f[0], h[0]
+                f = [(tuple(map(add, m1, m2)), self.ctx._vmul(v1, v2))]
+            else:
+                f = (self.poly(f) * self.poly(h))._values()
+        return f
+
+    def factor(self) -> list:
+        base = self.atom()
+        if self.peek() == "^":
+            self.take()
+            kind, exp, pos = self.take()
+            if kind != "int":
+                raise g.ParseError("expected a non-negative integer exponent", pos)
+            if len(base) == 1:  # (k*m, v^k), where _vpow makes 0^0 one
+                ((m, v),) = base
+                return [(tuple(e * exp for e in m), self.ctx._vpow(v, exp))]
+            base = (self.poly(base) ** exp)._values()
+        return base
+
+    def atom(self) -> list:
+        kind, val, pos = self.take()
+        ctx, n, m = self.ctx, self.n, (0,) * self.n
+        if kind == "(":
+            pairs = self.expr()
+            kind, _, pos = self.take()
+            if kind != ")":
+                raise g.ParseError("expected ')'", pos)
+            return self.poly(pairs)._values()
+        if kind == "int":
+            if self.peek() == "/":
+                if ctx.kind != "rationals":
+                    raise g.ParseError("fraction literals need the rationals", pos)
+                self.take()
+                dkind, den, dpos = self.take()
+                if dkind != "int" or den == 0:
+                    raise g.ParseError("expected a nonzero denominator", dpos)
+                val = Fraction(val, den)
+            v = ctx._canon(val)
+        elif kind == "var":
+            if not 1 <= val <= n:
+                raise g.UnknownVariable(f"x{val} is outside 1..{n}", pos)
+            m, v = m[: val - 1] + (1,) + m[val:], ctx.one.value
+        elif kind == "gen":
+            if ctx.kind != "extension":
+                raise g.UnknownVariable(
+                    "t denotes the extension generator and needs an extension field",
+                    pos,
+                )
+            v = ctx.generator.value
+        elif kind == "end":
+            raise g.ParseError("unexpected end of input", pos)
+        else:
+            raise g.ParseError(f"unexpected token {val!r}", pos)
+        return [(m, v)]
+
+
+def legacy_parse(text: str, n: int, ctx) -> g.MultiPoly:
+    """text by the token-list parser that parse_poly replaced: the reference
+    for its terms, their order and its errors."""
+    return _LegacyParser(text, n, ctx).parse()
+
+
 def reference_parse(text: str, n: int, ctx) -> g.MultiPoly:
-    """text by MultiPoly arithmetic alone, on gridnull's tokens: every atom
+    """text by MultiPoly arithmetic alone, on the legacy tokens: every atom
     a MultiPoly, and each +, -, *, ^ and unary - the operator's own, which
     merges its result.  Valid input only: the reference for the parser's
     terms and their order."""

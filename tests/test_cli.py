@@ -928,9 +928,25 @@ def test_parse_errors_exit_2(capsys):
         (["analyze-grid", "--grid", "all x {1, 2"], "error: unbalanced brackets in grid"),
         (["analyze-set", "--set", "{1, (2}"], "error: unbalanced parentheses"),
         (["analyze-set", "--set", "mul(2, (3)"], "error: unbalanced parentheses"),
+        (["analyze-set", "--set", "mul(²)"], "error: expected mul(d) or mul(d, shift)"),
     ]:
         code, out, err = _run(capsys, argv + ["--field", "F7"])
         assert (code, out, err) == (2, "", line + "\n")
+    # a power takes one ^, and an exponent's digits are placed where they start
+    for field, poly, line in [
+        ("Q", "x1^2^3", "unexpected trailing input '^' (at position 4)"),
+        ("F3^2", "t^2^2", "unexpected trailing input '^' (at position 3)"),
+        (
+            "Q",
+            "x1^" + "9" * 5000,
+            "integer literal of 5000 digits exceeds the int/str conversion limit (at position 3)",
+        ),
+    ]:
+        argv = ["cn-check", "--field", field, "--grid", "{0,1} x {0,1}", "--poly", poly]
+        assert _run(capsys, argv) == (2, "", f"error: {line}\n")
+    argv = ["cn-check", "--field", "Q", "--grid", "{0,1} x {0,1}", "--poly"]
+    spaced = _run(capsys, argv + ["x1 ^ 2"])
+    assert spaced[0] == 0 and spaced == _run(capsys, argv + ["x1^2"])
 
 
 def test_normalize_empty_tuple_renders_as_list():
