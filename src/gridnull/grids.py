@@ -24,7 +24,7 @@ from .errors import (
     SizeBoundExceeded,
     ZeroShift,
 )
-from .field import FieldCtx, FieldElement, _int_literal, _unit_of_order, trace
+from .field import FieldCtx, FieldElement, _digits, _int_literal, _unit_of_order, trace
 from .nullity import FiniteSet, _split_top_level, parse_set, weight as _weight
 from .poly import _MAX_SET_SIZE, parse_element
 
@@ -135,11 +135,29 @@ def _span_values(ctx: FieldCtx, generators, shift=None) -> list:
     return span
 
 
+def _rank(ctx: FieldCtx, values) -> int:
+    """The dimension of the span of values over the prime subfield, by
+    elimination on their base-p digits."""
+    p, rows = ctx.p, []  # a row's first nonzero digit is a 1, where later rows hold 0
+    for v in values:
+        row = _digits(v, p, ctx.e)
+        for r in rows:
+            c = row[r.index(1)]
+            row = [(x - c * y) % p for x, y in zip(row, r)]
+        lead = next((x for x in row if x), 0)
+        if lead:
+            rows.append([x * pow(lead, -1, p) % p for x in row])
+    return len(rows)
+
+
 def additive_coset(ctx: FieldCtx, generators, shift=None) -> FiniteSet:
-    """shift + span of the generators over the prime subfield, ordered as by _span_values."""
+    """shift + span of the generators over the prime subfield, ordered as by
+    _span_values; refused by its size p^rank before it is spanned."""
     if ctx.kind == "rationals":
         raise CharacteristicZero("additive cosets need positive characteristic")
-    return FiniteSet(ctx, map(ctx._wrap, _span_values(ctx, generators, shift)))
+    gens = [ctx.element(g) for g in generators]
+    _check_size(ctx.p ** _rank(ctx, [g.value for g in gens]))
+    return FiniteSet(ctx, map(ctx._wrap, _span_values(ctx, gens, shift)))
 
 
 def trace_zero_set(ctx: FieldCtx) -> FiniteSet:

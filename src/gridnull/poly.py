@@ -396,6 +396,7 @@ class _Parser:
         self.text, self.n, self.ctx, self.i = text, n, ctx, 0
         self.tokens = _TOKEN_RE.findall(text) + [""]
         self.poly = partial(MultiPoly._of_values, ctx, n)
+        self.lexed = ctx.kind != "rationals"  # only a power over Q costs its size
 
     def at(self, i: int) -> int:
         """Where token i starts, or the end of the text for the end token."""
@@ -455,6 +456,9 @@ class _Parser:
                 elif c == "x":
                     exps[j - 1] += 1 if k is None else k
                 if w is not None:
+                    if k is not None and not self.lexed:  # name a stray character first
+                        _check_lexemes(self.text)
+                        self.lexed = True
                     w = w if k is None else vpow(w, k)  # _vpow makes 0^0 one
                     v = w if v is None else vmul(v, w)
                 if g is not None or f is not None:  # through MultiPoly's *, left to right
@@ -491,6 +495,9 @@ def parse_poly(text: str, n: int, ctx: FieldCtx) -> MultiPoly:
         if tok:  # quoted as written, up to a power token's ^
             source = tok.partition("^")[0] or tok
             raise ParseError(f"unexpected trailing input {source!r}", parser.at(parser.i))
+    except RecursionError:  # expr recurses once per group
+        _check_lexemes(text)
+        raise ParseError("parentheses nested too deeply") from None
     except (GridNullError, ValueError):
         _check_lexemes(text)
         raise

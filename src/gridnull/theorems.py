@@ -50,8 +50,7 @@ def _fold(f: MultiPoly, grid: Grid, column):
     axis j is folded over the later axes once, and C_j(k) is spread over
     that fold.  The first axis is streamed: row i is sum_k C_1(k)[i] F_k over
     the trie's keys k, where F_k is the fold under k, so only the F_k are
-    held.  With the columns [a^k for a in A_j] the rows are f's values at
-    ``grid.points()``; with one-entry columns the single row is a grid sum.
+    held.  With the columns [a^k for a in A_j] the rows are f's grid values.
     """
     n, outer, vsum = grid.n, grid.ctx._outer, grid.ctx._vsum
     trie = {}  # exponents m_1, ..., m_(n-1) lead to {m_n: [c_m]}
@@ -220,16 +219,22 @@ def grid_sum(f: MultiPoly, grid: Grid, mode: str = "plain") -> FieldElement:
 
     Both sums separate over the axes, so no point is enumerated: the sum is
     sum_m c_m prod_i S_i(m_i), where S_i(k) adds a^k over the factor A_i,
-    times w_i(a) = 1/P_i'(a) when weighted (the Sylvester sum of A_i).
+    times w_i(a) = 1/P_i'(a) when weighted (the Sylvester sum of A_i).  Each
+    S_i(k) is asked for once; one _dot weighs the products by the c_m.
     """
     _check_shape(f, grid)
     if mode not in ("plain", "weighted"):
         raise PreconditionViolated(f"mode must be 'plain' or 'weighted', got {mode!r}")
-    if mode == "weighted":
-        row = next(_fold(f, grid, lambda A, k: [A.sylvester_sum(k).value]))
-    else:
-        row = next(_fold(f, grid, lambda A, k: [A.column_sum(k).value]))
-    return grid.ctx._wrap(row[0])
+    ctx, sums, products = grid.ctx, [{} for _ in grid.factors], []  # sums: k -> S_i(k) per axis
+    axis_sum = FiniteSet.sylvester_sum if mode == "weighted" else FiniteSet.column_sum
+    for m in f.terms:
+        p = None
+        for S, A, k in zip(sums, grid.factors, m):
+            if k not in S:
+                S[k] = axis_sum(A, k).value
+            p = S[k] if p is None else ctx._vmul(p, S[k])
+        products.append(p)
+    return ctx._wrap(ctx._dot([c.value for c in f.terms.values()], products))
 
 
 def punctured_check(f: MultiPoly, grid: Grid) -> ScanReport:

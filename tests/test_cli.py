@@ -867,6 +867,34 @@ def test_a_product_past_the_term_pair_bound_exits_2(capsys):
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", _PAIR_BOUND_ERROR)
 
 
+def test_parentheses_nested_too_deeply_exit_2():
+    """The parser recurses once per group: 1,100 levels are refused, 900 parse."""
+    grid_sum = ["grid-sum", "--field", "F7", "--grid", "{0,1}", "--poly"]
+    deep = _run_with_stdout(grid_sum + ["(" * 1100 + "x1" + ")" * 1100], subprocess.PIPE)
+    assert (deep.returncode, deep.stdout) == (2, "")
+    assert deep.stderr == "error: parentheses nested too deeply\n"
+    shallow = _run_with_stdout(grid_sum + ["(" * 900 + "x1" + ")" * 900], subprocess.PIPE)
+    assert (shallow.returncode, shallow.stdout, shallow.stderr) == (0, "mode: plain\nsum: 1\n", "")
+
+
+def test_a_stray_character_is_named_before_a_literal_power_over_q(capsys):
+    start = time.perf_counter()
+    argv = ["grid-sum", "--field", "Q", "--grid", "{0,1}", "--poly", "3^29999999 $"]
+    assert _run(capsys, argv) == (2, "", "error: unexpected character '$' (at position 11)\n")
+    assert time.perf_counter() - start < 1
+
+
+def test_an_additive_coset_is_refused_by_its_rank_before_spanning(capsys):
+    """add(1;t;t^2) over F2053^4 spans 2053^3 elements; a dependent generator is admitted."""
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["analyze-set", "--field", "F2053^4", "--set", "add(1;t;t^2)"])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == "error: a set of 8653002877 elements exceeds the set bound 1048576\n"
+    code, out, _ = _run(capsys, ["analyze-set", "--field", "F7^3", "--set", "add(1;1;t)"])
+    assert code == 0 and "size: 49\n" in out
+
+
 _VERDICTS = [
     (["analyze-set", "--field", "F7", "--set", "units", "--json"], 0),
     (["interpolate", "--field", "F7", "--grid", "mul(3)", "--poly", "x1^3"], 1),

@@ -6,7 +6,8 @@ import pytest
 
 import gridnull as g
 from gridnull.oracle import multiplicative_subgroup_bruteforce
-from support import F4, F5, F7, F8, F9, F27, Q
+from gridnull.grids import _rank
+from support import F4, F5, F7, F8, F9, F27, Q, make_rng, random_element
 
 
 def _support(u):
@@ -220,6 +221,22 @@ def test_additive_coset_drops_repeated_generators_as_it_spans():
     assert g.additive_coset(F9, [t, t + t, t, F9.one, t + 1]) == g.additive_coset(F9, [t, 1])
 
 
+@pytest.mark.parametrize("ctx", [F5, F4, F8, F9, F27, g.parse_field("F13^2")])
+def test_additive_coset_size_is_p_to_the_rank_of_its_generators(ctx):
+    """The rank that refuses an add(...) before it is spanned counts the span:
+    one generator in three repeats or sums earlier ones."""
+    rng = make_rng(ctx.cardinality)
+    for _ in range(40):
+        gens = []
+        for _ in range(rng.randint(0, 4)):
+            if gens and rng.random() < 1 / 3:
+                gens.append(rng.choice(gens) + rng.choice(gens))
+            else:
+                gens.append(random_element(rng, ctx))
+        rank = _rank(ctx, [x.value for x in gens])
+        assert len(g.additive_coset(ctx, gens)) == ctx.characteristic**rank
+
+
 _BIG_PRIME = g.parse_field("F1000000000000000003")
 _BIG_BINARY = g.parse_field("F2^22/1,1," + "0," * 20 + "1")
 
@@ -231,6 +248,7 @@ _BIG_BINARY = g.parse_field("F2^22/1,1," + "0," * 20 + "1")
         ("all", _BIG_PRIME, 1000000000000000003),
         ("units", _BIG_PRIME, 1000000000000000002),
         ("tracezero", _BIG_BINARY, 2**21),
+        ("add(" + ";".join(f"t^{k}" for k in range(21)) + ")", _BIG_BINARY, 2**21),
     ],
 )
 def test_structured_factor_refused_by_its_size_before_it_is_built(text, ctx, size):

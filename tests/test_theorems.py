@@ -1,6 +1,7 @@
 """Witness search, coefficient extraction, interpolation, grid sums, planes."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gridnull as g
 from gridnull.oracle import grid_sum_bruteforce
@@ -9,12 +10,16 @@ from support import (
     F5,
     F7,
     F9,
+    F13,
+    F27,
     Q,
     make_rng,
     random_cct_instance,
     random_cct_overflow_instance,
+    random_element,
     random_gcn_instance,
     random_mul_grid,
+    random_set,
 )
 
 
@@ -236,6 +241,41 @@ def test_grid_sum_modes():
     assert isinstance(info.value, g.GridNullError)
 
 
+_SUM_FIELDS = [
+    Q, F7, F13, F9, g.ExtensionField(2, 4), F27, g.parse_field("F2^12/1,0,0,1,0,0,0,0,0,0,0,0,1"),
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(_SUM_FIELDS),
+    st.integers(1, 3),
+    st.sampled_from(["zero", "constant", "terms"]),
+    st.integers(0, 10**9),
+)
+def test_grid_sum_matches_the_fold_of_one_entry_columns(ctx, n, shape, seed):
+    """The direct sum against the trie fold it replaced, and against one
+    evaluation per point: each axis draws its exponents from a pool of two,
+    so terms repeat them, and a pool may pass q."""
+    rng = make_rng(seed)
+    grid = g.grid_make([random_set(rng, ctx, rng.randint(1, 4)) for _ in range(n)])
+    top = 12 if ctx.kind == "rationals" else 2 * ctx.cardinality + 2
+    pools = [[rng.randint(0, 4), rng.randint(0, top)] for _ in range(n)]
+    if shape == "zero":
+        f = g.MultiPoly.zero(ctx, n)
+    elif shape == "constant":
+        f = g.MultiPoly(ctx, n, [((0,) * n, random_element(rng, ctx))])
+    else:
+        terms = [(tuple(map(rng.choice, pools)), random_element(rng, ctx)) for _ in range(5)]
+        f = g.MultiPoly(ctx, n, terms)
+    sums = {"plain": g.FiniteSet.column_sum, "weighted": g.FiniteSet.sylvester_sum}
+    for mode, column in sums.items():
+        folded = next(_fold(f, grid, lambda A, k: [column(A, k).value]))[0]
+        assert g.grid_sum(f, grid, mode) == ctx._wrap(folded)
+        if grid.size <= 16:
+            assert g.grid_sum(f, grid, mode) == grid_sum_bruteforce(f, grid, mode)
+
+
 def test_grid_values_stream_one_row_per_first_axis_entry():
     f = g.parse_poly("x1^2*x2 + x2 + 3", 2, F7)
     A, B = _mu3(), g.FiniteSet(F7, [0, 1, 2, 5])
@@ -273,6 +313,21 @@ def test_fold_builds_each_column_once(monkeypatch):
     assert values == [f.evaluate(a) for a in grid.points()]
     assert g.grid_sum(f, grid, "weighted") == grid_sum_bruteforce(f, grid, "weighted")
     assert counts["sylvester"] == 4
+
+
+def test_plain_grid_sum_asks_each_column_sum_once(monkeypatch):
+    """The plain twin of the count above: four (axis, exponent) pairs, four asks."""
+    f = g.parse_poly("x1*x2^2 + x1^2*x2^2 + x1^3*x2^2", 2, F7)
+    grid = g.grid_make([_mu3(), g.FiniteSet(F7, [0, 1, 2, 5])])
+    asked, column_sum = [], g.FiniteSet.column_sum
+
+    def counted_column_sum(self, k, weighted=False):
+        asked.append(k)
+        return column_sum(self, k, weighted)
+
+    monkeypatch.setattr(g.FiniteSet, "column_sum", counted_column_sum)
+    assert g.grid_sum(f, grid) == grid_sum_bruteforce(f, grid)
+    assert sorted(asked) == [1, 2, 2, 3]
 
 
 def test_repeated_engine_calls_reuse_the_set_caches(monkeypatch):
