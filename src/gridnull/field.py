@@ -446,7 +446,8 @@ class FieldCtx:
     ones once the value kernels are final.  A kind keeps its own form only
     where the generic one would cost a Python call more: residues keep every
     kernel, tables their products, inverses, negations, _outer, _dot and
-    _mul_root, and p = 2 tables their sums and differences as well.
+    _mul_root, p = 2 tables their sums and differences as well, and odd-p
+    tables their _vsum, with the Zech step inline there and in _dot.
     """
 
     kind: str
@@ -700,10 +701,19 @@ class FiniteField(FieldCtx):
             i = log[a]
             return exp_v[i + zech[log[b] - i]]
 
+        def dot(xs, ys):  # plus inline
+            c = 0
+            for k in products(xs, ys):
+                if k < n2:
+                    c = exp_v[(i := log[c]) + zech[k - i]] if c else exp_v[k]
+            return c
+
         self._vadd, self._vsub, self._vneg = vadd, vsub, negv.__getitem__
         self._neg = lambda a: elems[negv[a]]  # own: the generic one calls __getitem__
-        self._dot = lambda xs, ys: reduce(plus, products(xs, ys), 0)
-        self._mul_root = mul_root
+        self._vsum = lambda xs, ys: [  # vadd inline
+            exp_v[(i := log[a]) + zech[log[b] - i]] if a and b else a or b for a, b in zip(xs, ys)
+        ]
+        self._dot, self._mul_root = dot, mul_root
 
     def _digit_kernels(self):
         p, e, m = self.p, self.e, list(self.modulus)

@@ -192,10 +192,15 @@ class FiniteSet:
         return tuple(map(self.ctx._wrap, self._column(k, weighted)))
 
     def _sum(self, k: int, weighted: bool):
-        """The sum of column(k, weighted) as a value, kept per (k, weighted)."""
+        """The sum of column(k, weighted) as a value, kept per (k, weighted); a
+        weighted (Sylvester) sum is 0 for k < |A| - 1 and 1 for k = |A| - 1 at once."""
         key = (k, weighted)
         if key not in self._sums:
-            self._sums[key] = self.ctx._dot(self._cols[0, False], self._column(k, weighted))
+            top = len(self.elements) - 1
+            if weighted and k <= top:
+                self._sums[key] = self.ctx.one.value if k == top else self.ctx.zero.value
+            else:
+                self._sums[key] = self.ctx._dot(self._cols[0, False], self._column(k, weighted))
         return self._sums[key]
 
     def column_sum(self, k: int, weighted: bool = False) -> FieldElement:
@@ -203,11 +208,9 @@ class FiniteSet:
         return self.sylvester_sum(k) if weighted else self.ctx._wrap(self._sum(k, False))
 
     def sylvester_sum(self, d: int) -> FieldElement:
-        """Sum of a^d/P'(a) over A: 0 for d < |A| - 1 and 1 for d = |A| - 1 at once."""
+        """Sum of a^d/P'(a) over A, by _sum."""
         if d < 0:
             raise PreconditionViolated("sylvester_sum needs d >= 0")
-        if d < len(self.elements):
-            return self.ctx.one if d == len(self.elements) - 1 else self.ctx.zero
         return self.ctx._wrap(self._sum(d, True))
 
     def __iter__(self):

@@ -10,6 +10,8 @@ joint nullity of the grid.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
+from math import lcm
 
 from .errors import (
     DegreeBoundViolated,
@@ -43,7 +45,8 @@ def _fold(f: MultiPoly, grid: Grid, column):
     """sum_m c_m C_1(m_1) (x) ... (x) C_n(m_n) over f's terms, in product
     order, last axis fastest, where C_j(k) = column(A_j, k); yielded one row
     per entry of C_1.  Columns, folds and rows are lists of raw values,
-    combined by the context's _outer and _vsum kernels.
+    combined by the context's _outer and _vsum kernels, so over Q a scaled f
+    (see _scaled) on integral factors folds on ints alone.
 
     Each column is built once per (axis, exponent).  The terms sit in a trie
     keyed by their exponents axis by axis; the subtree under exponent k on
@@ -83,25 +86,36 @@ def _fold(f: MultiPoly, grid: Grid, column):
         yield row
 
 
-def _point_values(f: MultiPoly, grid: Grid):
-    """Iterator over the values of f at the grid points, in ``grid.points()`` order."""
-    return itertools.chain.from_iterable(_fold(f, grid, FiniteSet._column))
+def _scaled(f: MultiPoly):
+    """(D f, D) for D the lcm of the coefficients' denominators, D f with int
+    coefficients over Q; (f, 1) when they are ints already, as over a finite field."""
+    if f.ctx.kind != "rationals" or all(type(c.value) is int for c in f.terms.values()):
+        return f, 1
+    D = lcm(*(c.value.denominator for c in f.terms.values()))
+    pairs = [(m, c.value.numerator * (D // c.value.denominator)) for m, c in f.terms.items()]
+    return MultiPoly._of_values(f.ctx, f.n, pairs), D
 
 
 def _grid_values(f: MultiPoly, grid: Grid):
-    """Iterator over f at each point of the grid as elements, in ``grid.points()`` order."""
-    return map(grid.ctx._wrap, _point_values(f, grid))
+    """f at each grid point as elements, in ``grid.points()`` order: D f folded, then / D."""
+    f, D = _scaled(f)
+    values = itertools.chain.from_iterable(_fold(f, grid, FiniteSet._column))
+    if D != 1:
+        values = (grid.ctx._canon(Fraction(v, D)) for v in values)
+    return map(grid.ctx._wrap, values)
 
 
 def _zero_scan(f: MultiPoly, grid: Grid):
-    """(number of grid zeros of f, first non-vanishing point or None)."""
-    zeros = 0
-    first = None
-    for a, v in zip(grid.points(), _point_values(f, grid)):
-        if not v:
-            zeros += 1
-        elif first is None:
-            first = a
+    """(number of grid zeros of f, first non-vanishing point or None), from the
+    rows of D f (see _scaled) as they are: zeros by row.count(0), and the point
+    once, from ``grid.points()`` at the flat index of the first nonzero entry."""
+    zeros, first = 0, None
+    for r, row in enumerate(_fold(_scaled(f)[0], grid, FiniteSet._column)):
+        z = row.count(0)
+        if first is None and z < len(row):  # rows are all of one length
+            flat = r * len(row) + next(i for i, v in enumerate(row) if v)
+            first = next(itertools.islice(grid.points(), flat, None))
+        zeros += z
     return zeros, first
 
 
@@ -226,12 +240,11 @@ def grid_sum(f: MultiPoly, grid: Grid, mode: str = "plain") -> FieldElement:
     if mode not in ("plain", "weighted"):
         raise PreconditionViolated(f"mode must be 'plain' or 'weighted', got {mode!r}")
     ctx, sums, products = grid.ctx, [{} for _ in grid.factors], []  # sums: k -> S_i(k) per axis
-    axis_sum = FiniteSet.sylvester_sum if mode == "weighted" else FiniteSet.column_sum
     for m in f.terms:
         p = None
         for S, A, k in zip(sums, grid.factors, m):
             if k not in S:
-                S[k] = axis_sum(A, k).value
+                S[k] = A._sum(k, mode == "weighted")
             p = S[k] if p is None else ctx._vmul(p, S[k])
         products.append(p)
     return ctx._wrap(ctx._dot([c.value for c in f.terms.values()], products))

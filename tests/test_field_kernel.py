@@ -306,6 +306,27 @@ def test_unit_of_order_has_order_exactly_d(ctx):
         assert powers[-1] == ctx.one and ctx.one not in powers[:-1]
 
 
+@pytest.mark.parametrize("ctx", [F9, g.parse_field("F5^2"), F27], ids=str)
+def test_odd_p_table_sums_pass_through_zero(ctx):
+    """Odd-p tables add by Zech logs inline in _vsum and _dot; a sum that
+    reaches 0 (log 2n) and the zero operand take their own branches."""
+    zero, one = ctx.zero, ctx.one
+    units = ctx.elements()[1:]
+    xs, negs = [a.value for a in units], [(-a).value for a in units]
+    assert ctx._vsum(xs, negs) == [(a + -a).value for a in units] == [0] * len(units)
+    assert ctx._vsum([0, 0], [0, 0]) == [(zero + zero).value] * 2 == [0, 0]
+    assert ctx._vsum([0, *xs], [xs[0], *[0] * len(xs)]) == [xs[0], *xs]
+    for a, b, c in zip(units, units[3:], units[7:]):
+        # a*1 + (-a)*1 returns to 0 midway, then b*c and a zero product follow
+        left, right = [a, -a, b, zero, a], [one, one, c, b, zero]
+        midway = ctx._dot([x.value for x in left], [y.value for y in right])
+        assert midway == sum((x * y for x, y in zip(left, right)), zero).value == (b * c).value
+        # a*b + c*1 + (-(a*b + c))*1 ends at 0
+        left, right = [a, c, -(a * b + c)], [b, one, one]
+        ending = ctx._dot([x.value for x in left], [y.value for y in right])
+        assert ending == sum((x * y for x, y in zip(left, right)), zero).value == 0
+
+
 @pytest.mark.parametrize("ctx", [F9, g.ExtensionField(2, 4), F27], ids=str)
 def test_table_fields_keep_no_digit_kernel(ctx):
     """A table field finds its primitive element on the digit kernels, then

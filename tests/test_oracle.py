@@ -3,6 +3,7 @@
 import itertools
 import math
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +23,8 @@ from gridnull.oracle import (
     interpolate_bruteforce,
     plane_count_bruteforce,
 )
-from gridnull.theorems import _canonical_planes, _grid_values
+from gridnull import theorems
+from gridnull.theorems import _canonical_planes, _grid_values, _zero_scan
 from support import (
     F4,
     F5,
@@ -34,6 +36,7 @@ from support import (
     make_rng,
     nonzero_element,
     random_element,
+    random_multipoly,
     random_rational_set,
     random_set,
     random_structured_factor,
@@ -706,6 +709,124 @@ def test_q_engines_match_references_on_integer_and_fractional_points(pool, data)
     table = dict(zip(points, values))
     for lam in range(grid.joint_nullity + 1):
         assert g.interpolate(grid, table, lam) == interpolate_bruteforce(grid, table, lam)
+
+
+# Coefficients whose denominators have lcm 2 * 3 * 7 * 13 = 546, and Fraction
+# elements: integral ones, which the set holds as ints, and two that are not.
+_LCM_COEFFS = [Fraction(1, 2), Fraction(2, 3), Fraction(5, 7), Fraction(11, 13)]
+_Q_FRACTIONS = [Fraction(v) for v in (-2, -1, 0, 1, 2)] + [Fraction(1, 2), Fraction(-1, 3)]
+
+
+def _integral_q_grid(*factors):
+    return g.grid_make([g.FiniteSet(Q, [Fraction(v) for v in A]) for A in factors])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([_Q_FRACTIONS[:5], _Q_FRACTIONS]), st.data())
+def test_q_folds_over_one_denominator_match_pointwise_evaluation(pool, data):
+    """The engines fold D f, D the lcm of the coefficients' denominators, and
+    divide by D at the end.  A pair c x^m - c x^m' of equal coefficients
+    cancels to exactly 0 wherever the two monomials agree, e.g. x^k and
+    x^(k+2) at -1, 0 and 1."""
+    factor = st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True)
+    grid = g.grid_make([g.FiniteSet(Q, s) for s in data.draw(st.lists(factor, min_size=1, max_size=3))])
+    monomial = st.tuples(*(st.integers(0, s + 1) for s in grid.sizes))
+    coeff = st.builds(mul, st.sampled_from(_LCM_COEFFS), st.sampled_from([1, -1, 3, -4]))
+    terms = data.draw(st.lists(st.tuples(monomial, coeff), max_size=5))
+    for m, c in data.draw(st.lists(st.tuples(monomial, coeff), max_size=2)):
+        i = data.draw(st.integers(0, grid.n - 1))
+        terms += [(m, c), (m[:i] + (m[i] + 2,) + m[i + 1 :], -c)]
+    f = g.MultiPoly(Q, grid.n, terms)
+    points, values = list(grid.points()), grid_values_bruteforce(f, grid)
+    fast = list(_grid_values(f, grid))
+    assert fast == values
+    if pool is not _Q_FRACTIONS:  # integral: ints, or Fractions that are not
+        assert all(type(v.value) is int or v.value.denominator != 1 for v in fast)
+    nonzero = [a for a, v in zip(points, values) if not v.is_zero]
+    report = g.gcn_check(f, grid)
+    assert report.zero_count == grid.size - len(nonzero)
+    assert report.witness == (nonzero[0] if nonzero else None)
+    top = tuple(s - 1 for s in grid.sizes)
+    bound = sum(top) + grid.joint_nullity
+    h = g.MultiPoly(Q, grid.n, {m: c for m, c in f.terms.items() if m != top and sum(m) <= bound})
+    punctured = g.punctured_check(h, grid).details
+    assert punctured["nonzero_count"] == sum(not v.is_zero for v in grid_values_bruteforce(h, grid))
+
+
+def test_q_fold_cancels_to_exact_zeros():
+    """(1/2)(x1^3 - x1) + (2/3)(x2^2 - x2) - (5/7)(x1^2 - x1^4) vanishes on
+    {-1, 0, 1} x {0, 1}, and is 3 + 60/7 = 81/7 wherever x1 = 2."""
+    f = g.parse_poly("1/2*x1^3 - 1/2*x1 + 2/3*x2^2 - 2/3*x2 - 5/7*x1^2 + 5/7*x1^4", 2, Q)
+    grid = _integral_q_grid([-1, 0, 1], [0, 1])
+    assert list(_grid_values(f, grid)) == grid_values_bruteforce(f, grid) == [0] * 6
+    assert _zero_scan(f, grid) == (6, None)
+    wide = _integral_q_grid([-1, 0, 1, 2], [0, 1])
+    values = list(_grid_values(f, wide))
+    assert values == grid_values_bruteforce(f, wide)
+    assert values == [0] * 6 + [Fraction(81, 7)] * 2
+    assert _zero_scan(f, wide) == (6, (Q.element(2), Q.element(0)))
+
+
+def test_integral_q_grid_rows_hold_only_ints(monkeypatch):
+    """On an integral Q grid the rows _zero_scan reads are ints alone, though
+    every coefficient is a Fraction, one of them the integral 1/2 + 1/2."""
+    f = g.parse_poly("1/2*x1^2*x2 - 2/3*x2^3 + 5/7*x1 + 11/13 + 1/2*x2 + 1/2*x2", 2, Q)
+    grid = _integral_q_grid([-2, -1, 0, 1, 2], [-1, 0, 1])
+    rows, fold = [], theorems._fold
+
+    def recorded(*args):
+        for row in fold(*args):
+            rows.append(row)
+            yield row
+
+    monkeypatch.setattr(theorems, "_fold", recorded)
+    report = g.gcn_check(f, grid)
+    assert len(rows) == 5 and all(type(v) is int for row in rows for v in row)
+    values = grid_values_bruteforce(f, grid)
+    assert report.zero_count == values.count(Q.zero)
+
+
+def _zero_scan_bruteforce(f, grid):
+    """(zeros, first non-vanishing point) by a walk of grid.points()."""
+    zeros, first = 0, None
+    for a, v in zip(grid.points(), grid_values_bruteforce(f, grid)):
+        if v.is_zero:
+            zeros += 1
+        elif first is None:
+            first = a
+    return zeros, first
+
+
+def _vanishing_but_at(grid, point):
+    """prod_i prod_(b in A_i, b != point_i) (x_i - b): nonzero at the point alone."""
+    ctx, n = grid.ctx, grid.n
+    f = g.MultiPoly.constant(ctx, n, 1)
+    for i, (A, x) in enumerate(zip(grid.factors, point)):
+        for b in A:
+            if b != x:
+                f = f * (g.MultiPoly.variable(ctx, n, i + 1) - b)
+    return f
+
+
+@pytest.mark.parametrize("ctx", _KERNEL_FIELDS, ids=str)
+def test_zero_scan_by_rows_matches_a_walk_of_the_points(ctx):
+    """Zeros counted per row and one witness from the flat index of the first
+    nonzero entry give the walk's counts and its first nonzero point, in
+    row-major order."""
+    rng = make_rng(sum(map(ord, str(ctx))))
+    cases = [_kernel_instance(rng, ctx) for _ in range(12)]
+    one = g.grid_make([random_set(rng, ctx, 4)])
+    cases += [(random_multipoly(rng, ctx, 1, 6), one) for _ in range(3)]
+    grid = g.grid_make([random_set(rng, ctx, s) for s in (3, 2, 4)])
+    points = list(grid.points())
+    cases += [(g.MultiPoly.zero(ctx, 3), grid), (g.MultiPoly.zero(ctx, 1), one)]
+    for point in (points[-1], points[0]):
+        cases.append((_vanishing_but_at(grid, point), grid))
+    for f, grid in cases:
+        assert _zero_scan(f, grid) == _zero_scan_bruteforce(f, grid)
+    assert _zero_scan(cases[-2][0], grid) == (grid.size - 1, points[-1])
+    assert _zero_scan(cases[-1][0], grid) == (grid.size - 1, points[0])
+    assert _zero_scan(g.MultiPoly.zero(ctx, 3), grid) == (grid.size, None)
 
 
 @settings(max_examples=40, deadline=None)

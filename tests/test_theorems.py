@@ -295,37 +295,37 @@ def test_fold_builds_each_column_once(monkeypatch):
     f = g.parse_poly("x1*x2^2 + x1^2*x2^2 + x1^3*x2^2", 2, F7)
     A, B = _mu3(), g.FiniteSet(F7, [0, 1, 2, 5])
     grid = g.grid_make([A, B])
-    counts = {"pow": 0, "sylvester": 0}
-    pow_, sylvester = F7._vpow, g.FiniteSet.sylvester_sum
+    counts = {"pow": 0, "sum": 0}
+    pow_, sum_ = F7._vpow, g.FiniteSet._sum
 
     def counted_pow(x, k):
         counts["pow"] += 1
         return pow_(x, k)
 
-    def counted_sylvester(self, d):
-        counts["sylvester"] += 1
-        return sylvester(self, d)
+    def counted_sum(self, k, weighted):
+        counts["sum"] += 1
+        return sum_(self, k, weighted)
 
     monkeypatch.setattr(F7, "_vpow", counted_pow)
-    monkeypatch.setattr(g.FiniteSet, "sylvester_sum", counted_sylvester)
+    monkeypatch.setattr(g.FiniteSet, "_sum", counted_sum)
     values = list(_grid_values(f, grid))
     assert counts["pow"] == 3 * len(A) + len(B)
     assert values == [f.evaluate(a) for a in grid.points()]
     assert g.grid_sum(f, grid, "weighted") == grid_sum_bruteforce(f, grid, "weighted")
-    assert counts["sylvester"] == 4
+    assert counts["sum"] == 4
 
 
 def test_plain_grid_sum_asks_each_column_sum_once(monkeypatch):
     """The plain twin of the count above: four (axis, exponent) pairs, four asks."""
     f = g.parse_poly("x1*x2^2 + x1^2*x2^2 + x1^3*x2^2", 2, F7)
     grid = g.grid_make([_mu3(), g.FiniteSet(F7, [0, 1, 2, 5])])
-    asked, column_sum = [], g.FiniteSet.column_sum
+    asked, sum_ = [], g.FiniteSet._sum
 
-    def counted_column_sum(self, k, weighted=False):
+    def counted_sum(self, k, weighted):
         asked.append(k)
-        return column_sum(self, k, weighted)
+        return sum_(self, k, weighted)
 
-    monkeypatch.setattr(g.FiniteSet, "column_sum", counted_column_sum)
+    monkeypatch.setattr(g.FiniteSet, "_sum", counted_sum)
     assert g.grid_sum(f, grid) == grid_sum_bruteforce(f, grid)
     assert sorted(asked) == [1, 2, 2, 3]
 
