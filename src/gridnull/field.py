@@ -13,19 +13,20 @@ cap they are polynomial arithmetic on the digits.
 
 Besides these scalar kernels every context has kernels on raw values, which
 the inner loops run on without an element object per step: scalar _vadd,
-_vsub, _vmul, _vneg, _vinv and _vpow; the list kernels _outer (the products
-x*y for x in xs, y in ys, flattened), _vsum (elementwise sums) and _dot (the
-sum of the products x*y over zip(xs, ys)); and _mul_root and _div_root,
-which multiply a top-first coefficient list by (X - a) and divide one
-exactly by it.  Each kind supplies its own scalar value kernels: residues
-mod p, p = 2 tables (XOR sums, exp[log a + log b] products), odd-p tables
-(log and Zech), ints and Fractions over Q, and digit polynomial arithmetic
-above the cap.  The list kernels, and the element kernels that wrap a value
-kernel's result, have one generic form in FieldCtx; residues and tables keep
-faster forms of their own (see FieldCtx).  Values become elements where they
-leave the library (the weights' P' aside, see nullity).  Contexts are
-interned, one object per field, so context equality is identity.  All
-arithmetic is exact; floating point never appears.
+_vmul, _vneg, _vinv and _vpow; the list kernels _outer (the products x*y
+for x in xs, y in ys, flattened), _vsum (elementwise sums) and _dot (the sum
+of the products x*y over zip(xs, ys)); and _mul_root and _div_root, which
+multiply a top-first coefficient list by (X - a) and divide one exactly by
+it.  Each kind supplies its own scalar value kernels: residues mod p, p = 2
+tables (XOR sums, exp[log a + log b] products), odd-p tables (log and Zech),
+ints and Fractions over Q, and digit polynomial arithmetic above the cap.
+The list kernels, and the element kernels that wrap a value kernel's
+result, have one generic form in FieldCtx; residues and tables keep faster
+forms of their own (see FieldCtx).  Subtraction has no kernel: an element's
+a - b is a + (-b).  Values become elements where they leave the library
+(the weights' P' aside, see nullity).  Contexts are interned, one object per
+field, so context equality is identity.  All arithmetic is exact; floating
+point never appears.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from fractions import Fraction
 from functools import partial, reduce
 from itertools import accumulate, repeat
 from math import gcd
-from operator import add, mul, neg, pos, sub, xor
+from operator import add, mul, neg, pos, xor
 from typing import Optional, Sequence
 
 from .errors import (
@@ -252,6 +253,27 @@ def _index(c: Sequence[int], p: int) -> int:
     return v
 
 
+def _row_reduce(rows: list, p: int) -> list[int]:
+    """The pivot columns, increasing, of rows (residues mod p, one length)
+    brought in place to reduced row echelon form, the zero rows dropped:
+    row i has a 1 at pivots[i], and every other row a 0 there."""
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        i = len(pivots)
+        j = next((j for j in range(i, len(rows)) if rows[j][col]), None)
+        if j is None:
+            continue
+        rows[i], rows[j] = rows[j], rows[i]
+        inv = pow(rows[i][col], -1, p)
+        rows[i] = top = [x * inv % p for x in rows[i]]
+        for j, row in enumerate(rows):
+            if j != i and row[col]:
+                rows[j] = [(x - row[col] * y) % p for x, y in zip(row, top)]
+        pivots.append(col)
+    del rows[len(pivots):]  # the rest are zero
+    return pivots
+
+
 def _exp_log(p: int, e: int, m: Sequence[int], g: int) -> tuple[list[int], list[int]]:
     """(exp, log): exp[k] is the index of g^k for 0 <= k < p^e - 1 and log
     inverts it on the units, for g the index of a primitive element: a table
@@ -345,19 +367,19 @@ class FieldElement:
 
     __radd__ = __add__
 
+    # a - b is a + (-b), on the element kernels alone
     def __sub__(self, other):
-        if other.__class__ is FieldElement and other.ctx is self.ctx:
-            return self.ctx._sub(self.value, other.value)
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.ctx._sub(self.value, other.value)
+        if other.__class__ is not FieldElement or other.ctx is not self.ctx:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return self.ctx._add(self.value, self.ctx._neg(other.value).value)
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.ctx._sub(other.value, self.value)
+        return self.ctx._add(other.value, self.ctx._neg(self.value).value)
 
     def __mul__(self, other):
         if other.__class__ is FieldElement and other.ctx is self.ctx:
@@ -435,19 +457,19 @@ class FieldCtx:
     context has the elements ``zero`` and ``one``, _wrap, which makes the
     element of a value, and kernels on values; a value is an int, or over Q
     an int or a Fraction (see Rationals).  Each kind sets its scalar value
-    kernels _vadd(a, b), _vsub(a, b), _vmul(a, b), _vneg(a), _vinv(a) and
-    _vpow(a, k) (k >= 0).  The list kernels _outer(xs, ys), _vsum(xs, ys)
-    and _dot(xs, ys) are as in the module docstring; _mul_root(cs, a) and
+    kernels _vadd(a, b), _vmul(a, b), _vneg(a), _vinv(a) and _vpow(a, k)
+    (k >= 0).  The list kernels _outer(xs, ys), _vsum(xs, ys) and
+    _dot(xs, ys) are as in the module docstring; _mul_root(cs, a) and
     _div_root(cs, a) take lists top coefficient first and give those of
     (X - a) times cs and of cs divided exactly by (X - a).  The element
-    kernels _add, _sub, _mul, _neg, _inv and _pow return the element of the
+    kernels _add, _mul, _neg, _inv and _pow return the element of the
     matching value kernel's result.  The list and element kernels here are
     the generic form on the scalar value kernels; set-up installs the element
     ones once the value kernels are final.  A kind keeps its own form only
     where the generic one would cost a Python call more: residues keep every
     kernel, tables their products, inverses, negations, _outer, _dot and
-    _mul_root, p = 2 tables their sums and differences as well, and odd-p
-    tables their _vsum, with the Zech step inline there and in _dot.
+    _mul_root, p = 2 tables their sums as well, and odd-p tables their
+    _vsum, with the Zech step inline there and in _dot.
     """
 
     kind: str
@@ -485,8 +507,8 @@ class FieldCtx:
         else:  # up to the cap, indexing the elements costs less than calling _wrap
             binary = lambda f: lambda a, b: elems[f(a, b)]
             unary = lambda f: lambda a: elems[f(a)]
-        names = ("_add", "_sub", "_mul", "_pow", "_neg", "_inv")
-        for name, form in zip(names, [binary] * 4 + [unary] * 2):
+        names = ("_add", "_mul", "_pow", "_neg", "_inv")
+        for name, form in zip(names, [binary] * 3 + [unary] * 2):
             if not hasattr(self, name):  # vars(self) would slow every attribute read
                 setattr(self, name, form(getattr(self, "_v" + name[1:])))
         return self
@@ -544,7 +566,7 @@ class Rationals(FieldCtx):
             return v if v.denominator != 1 else v.numerator
         raise TypeError(f"cannot build a rational from {v!r}")
 
-    _vadd, _vsub, _vmul, _vneg, _vpow = add, sub, mul, neg, pow
+    _vadd, _vmul, _vneg, _vpow = add, mul, neg, pow
 
     def _vinv(self, a):
         return self._canon(Fraction(1, a)) if a else _no_inverse()  # 1 / a on an int is a float
@@ -610,13 +632,11 @@ class FiniteField(FieldCtx):
     def _residue_kernels(self):
         p, new = self.p, self._wrap
         self._add = lambda a, b: new((a + b) % p)
-        self._sub = lambda a, b: new((a - b) % p)
         self._mul = lambda a, b: new(a * b % p)
         self._neg = lambda a: new(-a % p)
         self._inv = lambda a: new(pow(a, p - 2, p)) if a else _no_inverse()
         self._pow = lambda a, k: new(pow(a, k, p))
         self._vadd = lambda a, b: (a + b) % p
-        self._vsub = lambda a, b: (a - b) % p
         self._vmul = lambda a, b: a * b % p
         self._vneg = lambda a: -a % p
         self._vinv = lambda a: pow(a, p - 2, p) if a else _no_inverse()
@@ -661,8 +681,8 @@ class FiniteField(FieldCtx):
                 la = log[a]
                 return [c ^ exp_v[la + log[b]] for b, c in zip((0, *cs), (*cs, 0))]
 
-            self._add = self._sub = lambda a, b: elems[a ^ b]  # own: xor is a call more
-            self._vadd = self._vsub = xor
+            self._add = lambda a, b: elems[a ^ b]  # own: xor is a call more
+            self._vadd = xor
             self._vneg, self._neg = pos, elems.__getitem__  # -a is a
             self._dot = lambda xs, ys: reduce(xor, map(exp_v.__getitem__, products(xs, ys)), 0)
             self._mul_root = mul_root
@@ -694,13 +714,6 @@ class FiniteField(FieldCtx):
             i = log[a]
             return exp_v[i + zech[log[b] - i]]
 
-        def vsub(a, b):  # vadd(a, -b) in one frame
-            b = negv[b]
-            if not (a and b):
-                return a or b
-            i = log[a]
-            return exp_v[i + zech[log[b] - i]]
-
         def dot(xs, ys):  # plus inline
             c = 0
             for k in products(xs, ys):
@@ -708,7 +721,7 @@ class FiniteField(FieldCtx):
                     c = exp_v[(i := log[c]) + zech[k - i]] if c else exp_v[k]
             return c
 
-        self._vadd, self._vsub, self._vneg = vadd, vsub, negv.__getitem__
+        self._vadd, self._vneg = vadd, negv.__getitem__
         self._neg = lambda a: elems[negv[a]]  # own: the generic one calls __getitem__
         self._vsum = lambda xs, ys: [  # vadd inline
             exp_v[(i := log[a]) + zech[log[b] - i]] if a and b else a or b for a, b in zip(xs, ys)
@@ -722,9 +735,6 @@ class FiniteField(FieldCtx):
         def vadd(a, b):
             return _index([(x + y) % p for x, y in zip(digits(a), digits(b))], p)
 
-        def vsub(a, b):
-            return _index([(x - y) % p for x, y in zip(digits(a), digits(b))], p)
-
         def vmul(a, b):
             return _index(_px_mod(_px_mul(digits(a), digits(b), p), m, p), p)
 
@@ -737,8 +747,8 @@ class FiniteField(FieldCtx):
         def vpow(a, k):
             return _index(_px_powmod(digits(a), k, m, p), p)
 
-        self._vadd, self._vsub, self._vmul = vadd, vsub, vmul
-        self._vneg, self._vinv, self._vpow = vneg, vinv, vpow
+        self._vadd, self._vmul, self._vneg = vadd, vmul, vneg
+        self._vinv, self._vpow = vinv, vpow
 
     def _canon(self, v):
         if isinstance(v, int):

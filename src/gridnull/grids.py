@@ -24,7 +24,7 @@ from .errors import (
     SizeBoundExceeded,
     ZeroShift,
 )
-from .field import FieldCtx, FieldElement, _digits, _int_literal, _unit_of_order, trace
+from .field import FieldCtx, FieldElement, _digits, _int_literal, _row_reduce, _unit_of_order, trace
 from .nullity import FiniteSet, _split_top_level, parse_set, weight as _weight
 from .poly import _MAX_SET_SIZE, parse_element
 
@@ -137,17 +137,8 @@ def _span_values(ctx: FieldCtx, generators, shift=None) -> list:
 
 def _rank(ctx: FieldCtx, values) -> int:
     """The dimension of the span of values over the prime subfield, by
-    elimination on their base-p digits."""
-    p, rows = ctx.p, []  # a row's first nonzero digit is a 1, where later rows hold 0
-    for v in values:
-        row = _digits(v, p, ctx.e)
-        for r in rows:
-            c = row[r.index(1)]
-            row = [(x - c * y) % p for x, y in zip(row, r)]
-        lead = next((x for x in row if x), 0)
-        if lead:
-            rows.append([x * pow(lead, -1, p) % p for x in row])
-    return len(rows)
+    row reduction of their base-p digits."""
+    return len(_row_reduce([_digits(v, ctx.p, ctx.e) for v in values], ctx.p))
 
 
 def additive_coset(ctx: FieldCtx, generators, shift=None) -> FiniteSet:

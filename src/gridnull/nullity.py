@@ -24,7 +24,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .field import FieldCtx, FieldElement
-from .poly import UniPoly, parse_element
+from .poly import UniPoly, _exponent, parse_element
 
 
 def _leading_zeros(table) -> int:
@@ -38,6 +38,14 @@ def _leading_zeros(table) -> int:
 def _check_order(R: int) -> None:
     if R < 0:
         raise PreconditionViolated("moment order must be non-negative")
+
+
+def _column_exponent(k) -> int:
+    """k as a set column's exponent, an int >= 0; read no memo before it (2.0 == 2)."""
+    k = _exponent(k)
+    if k < 0:
+        raise PreconditionViolated(f"a set column needs an exponent >= 0, got {k}")
+    return k
 
 
 class MomentTable(NamedTuple):
@@ -176,9 +184,11 @@ class FiniteSet:
             raise PointNotOnGrid(f"{a} is not in the set") from None
 
     def _column(self, k: int, weighted: bool = False) -> tuple:
-        """column(k, weighted) as values, built once by the value kernels."""
+        """column(k, weighted) as values, built once by the value kernels; the
+        build refuses an exponent that is no int >= 0."""
         key = (k, weighted)
         if key not in self._cols:
+            _column_exponent(k)
             if weighted:
                 col = map(self.ctx._vmul, self._weight_table().values(), self._column(k))
             else:
@@ -189,7 +199,7 @@ class FiniteSet:
 
     def column(self, k: int, weighted: bool = False) -> tuple:
         """(a^k for a in A), or (a^k/P'(a) for a in A) when weighted."""
-        return tuple(map(self.ctx._wrap, self._column(k, weighted)))
+        return tuple(map(self.ctx._wrap, self._column(_column_exponent(k), weighted)))
 
     def _sum(self, k: int, weighted: bool):
         """The sum of column(k, weighted) as a value, kept per (k, weighted); a
@@ -205,13 +215,11 @@ class FiniteSet:
 
     def column_sum(self, k: int, weighted: bool = False) -> FieldElement:
         """The sum of column(k, weighted); the weighted one is sylvester_sum(k)."""
-        return self.sylvester_sum(k) if weighted else self.ctx._wrap(self._sum(k, False))
+        return self.ctx._wrap(self._sum(_column_exponent(k), weighted))
 
     def sylvester_sum(self, d: int) -> FieldElement:
         """Sum of a^d/P'(a) over A, by _sum."""
-        if d < 0:
-            raise PreconditionViolated("sylvester_sum needs d >= 0")
-        return self.ctx._wrap(self._sum(d, True))
+        return self.ctx._wrap(self._sum(_column_exponent(d), True))
 
     def __iter__(self):
         return iter(self.elements)

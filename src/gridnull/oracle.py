@@ -31,7 +31,7 @@ from .errors import (
     SizeBoundExceeded,
 )
 from .field import ExtensionField, FieldCtx, FieldElement, PrimeField
-from .field import _digits, _is_prime, _prime_factors
+from .field import _digits, _is_prime, _prime_factors, _row_reduce
 from .grids import Grid, _span_values
 from .nullity import FiniteSet, MomentTable, _leading_zeros
 from .poly import MultiPoly, Monomial, UniPoly, _root_values
@@ -201,9 +201,9 @@ def _power_sum_kernel(ctx: FieldCtx, r: int):
     p_k(A) = sum_a x_a a^k is F_p-linear in the 0/1 indicator x, so each
     k <= r gives e equations over F_p, one per base-p digit of a^k; k with
     p | k gives none new, as p_(pk) = p_k^p.  The system is row-reduced once
-    on residues, each pivot found by search and the zero rows dropped.  The
-    free columns are Gray-walked, each step adding or removing one column of
-    pivot values, and an assignment is kept when every pivot value is 0 or 1.
+    by field._row_reduce.  The free columns are Gray-walked, each step adding
+    or removing one column of pivot values, and an assignment is kept when
+    every pivot value is 0 or 1.
     """
     p, e, vpow = ctx.characteristic, ctx.e, ctx._vpow
     n = ctx.cardinality - 1  # column j stands for the unit of value j + 1
@@ -213,20 +213,7 @@ def _power_sum_kernel(ctx: FieldCtx, r: int):
         if k % p
         for row in zip(*(_digits(vpow(a, k), p, e) for a in range(1, n + 1)))
     ]
-    pivots = []
-    for col in range(n):
-        i = len(pivots)
-        j = next((j for j in range(i, len(rows)) if rows[j][col]), None)
-        if j is None:
-            continue
-        rows[i], rows[j] = rows[j], rows[i]
-        inv = pow(rows[i][col], -1, p)
-        rows[i] = [x * inv % p for x in rows[i]]
-        for j, row in enumerate(rows):
-            if j != i and row[col]:
-                rows[j] = [(x - row[col] * y) % p for x, y in zip(row, rows[i])]
-        pivots.append(col)
-    del rows[len(pivots):]  # the rest are zero
+    pivots = _row_reduce(rows, p)
     free = [j for j in range(n) if j not in pivots]
     # the pivot values are -F x_free: free column j leaving A adds F[:, j] to
     # them, entering A adds -F[:, j]

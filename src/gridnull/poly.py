@@ -169,7 +169,7 @@ def _merge(ctx: FieldCtx, pairs) -> dict:
     """The one term merger: (monomial, raw value) pairs to a terms map.  A
     repeated monomial is added by ctx._vadd where it was first seen, a sum
     that reaches zero is deleted at once, so a cancelled term that comes back
-    goes last, and each survivor is wrapped once."""
+    goes last, and each survivor is wrapped once, over Q an integral one as its int."""
     vadd, acc = ctx._vadd, {}
     for m, v in pairs:
         if m in acc:
@@ -180,8 +180,11 @@ def _merge(ctx: FieldCtx, pairs) -> dict:
         elif not v:
             continue
         acc[m] = v
-    wrap = ctx._wrap
-    return {m: wrap(v) for m, v in acc.items()}
+    wrap = ctx._wrap  # every finite-field value, and many over Q, pass as ints on the type test
+    return {
+        m: wrap(v if v.__class__ is int or v.denominator != 1 else v.numerator)
+        for m, v in acc.items()
+    }
 
 
 class MultiPoly:

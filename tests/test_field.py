@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gridnull as g
-from gridnull.field import FiniteField, _default_modulus, _px_is_irreducible
+from gridnull.field import FiniteField, _default_modulus, _px_is_irreducible, _row_reduce
 from gridnull.oracle import plane_count_bruteforce
 from support import F4, F7, F8, F9, F27, Q
 
@@ -256,3 +256,27 @@ def test_extension_field_axioms(i, j, k):
     assert a - b == -(b - a)
     if not b.is_zero:
         assert (a / b) * b == a
+
+
+def _span(rows, p: int, n: int) -> set:
+    """Every F_p-combination of rows of length n, by brute force."""
+    span = {(0,) * n}
+    for row in rows:
+        span = {tuple((x + c * y) % p for x, y in zip(s, row)) for s in span for c in range(p)}
+    return span
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 5), st.data())
+def test_row_reduce_gives_the_reduced_echelon_form_of_the_same_row_space(p, n, data):
+    row = st.tuples(*[st.integers(0, p - 1)] * n)
+    rows = data.draw(st.lists(row | st.just((0,) * n), max_size=4))
+    reduced = list(rows)  # tuples, as the power-sum kernel hands them over
+    pivots = _row_reduce(reduced, p)
+    assert pivots == sorted(set(pivots)) and len(reduced) == len(pivots)
+    for i, col in enumerate(pivots):
+        assert [r[col] for r in reduced] == [int(j == i) for j in range(len(pivots))]
+        assert not any(reduced[i][:col])
+    span = _span(rows, p, n)
+    assert _span(reduced, p, n) == span
+    assert p ** len(pivots) == len(span)

@@ -261,3 +261,37 @@ def test_float_use_detector():
         ("int literal divided", 3),
         ("int literal divided", 5),
     ]
+
+
+# The value kernels every field kind has (the FieldCtx docstring lists them)
+_LIBRARY_KERNELS = (
+    "_vadd", "_vmul", "_vneg", "_vinv", "_vpow",
+    "_outer", "_vsum", "_dot", "_mul_root", "_div_root",
+)
+
+
+def attributes_read(source: str) -> set[str]:
+    """Names of the attributes a source reads, as in ctx._vadd or ctx._vadd(a, b)."""
+    return {
+        node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_every_value_kernel_is_read_outside_the_field_module():
+    """A kernel that no library path calls is dead weight each field kind
+    must still supply; it fails here instead of returning unnoticed."""
+    read = set().union(
+        *(
+            attributes_read(path.read_text(encoding="utf-8"))
+            for path in sorted(SRC.glob("*.py"))
+            if path.name != "field.py"
+        )
+    )
+    assert [name for name in _LIBRARY_KERNELS if name not in read] == []
+
+
+def test_attribute_read_detector():
+    source = "ctx._vadd(a, b)\nctx._vsub = f\nx = ctx._dot\ndel ctx._vneg\n"
+    assert attributes_read(source) == {"_vadd", "_dot"}

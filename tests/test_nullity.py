@@ -338,3 +338,57 @@ def test_power_sums_across_blocks_match_element_sums(ctx):
         assert g.power_sums(a, 45) == want[:46]
         assert g.power_sums(a, 100) == want
         assert g.power_sums(g.FiniteSet(ctx, a), 100) == want
+
+
+_F2_12 = g.parse_field("F2^12/1,0,0,1,0,0,0,0,0,0,0,0,1")  # above the table cap: digit kernels
+
+
+@pytest.mark.parametrize("k", [-1, 1.5])
+@pytest.mark.parametrize(
+    "ctx, elements",
+    [
+        (Q, [2, 3]),  # a^-1 was a float
+        (Q, [0, 2, 3]),
+        (F7, [0, 1, 3]),  # pow(0, -1, 7) was a bare ValueError
+        (F9, [0, 1, F9.generator]),  # 0^-1 was 0
+        (_F2_12, [0, 1, _F2_12.generator]),  # _px_powmod never returned
+    ],
+    ids=str,
+)
+def test_set_columns_refuse_negative_and_non_integer_exponents(ctx, elements, k):
+    """Every column read refuses k < 0 and a non-integer k with a GridNullError,
+    and leaves nothing in the column memo."""
+    A = g.FiniteSet(ctx, elements)
+    reads = [
+        lambda: A.column(k),
+        lambda: A.column(k, weighted=True),
+        lambda: A.column_sum(k),
+        lambda: A.column_sum(k, weighted=True),
+    ]
+    for read in reads:
+        with pytest.raises(g.GridNullError):
+            read()
+    assert list(A._cols) == [(0, False)] and A._sums == {}
+    assert A.column(1) == A.elements
+    assert A.column_sum(1) == sum(A.elements, ctx.zero)
+
+
+@pytest.mark.parametrize("k", [0.0, 2.0])
+@pytest.mark.parametrize("ctx, elements", [(Q, [2, 3]), (F7, [0, 1, 3])], ids=str)
+def test_integral_float_exponents_are_refused_after_the_column_is_built(ctx, elements, k):
+    """2.0 and 2 are one memo key, so a column or sum already built at the int
+    must not let the float through: the refusal does not depend on earlier reads."""
+    A = g.FiniteSet(ctx, elements)
+    for built in range(3):
+        A.column(built), A.column(built, weighted=True)
+        A.column_sum(built), A.column_sum(built, weighted=True)
+    reads = [
+        lambda: A.column(k),
+        lambda: A.column(k, weighted=True),
+        lambda: A.column_sum(k),
+        lambda: A.column_sum(k, weighted=True),
+        lambda: A.sylvester_sum(k),
+    ]
+    for read in reads:
+        with pytest.raises(g.ExponentOutOfRange):
+            read()

@@ -523,3 +523,48 @@ def test_char_polys_of_one_set_hash_alike():
     assert hash(a.char_poly) == hash(b.char_poly)
     assert {a.char_poly: "mul(3)"}[b.char_poly] == "mul(3)"
     assert len({a.char_poly, b.char_poly, g.FiniteSet(F7, [1, 2]).char_poly}) == 2
+
+
+def _canonical_q(f) -> bool:
+    """Every coefficient value is an int or a Fraction that is no integer."""
+    return all(
+        type(v) is int or (type(v) is Fraction and v.denominator != 1)
+        for v in (c.value for c in f.terms.values())
+    )
+
+
+_Q_COEFFS = st.sampled_from(
+    [Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(2, 3), Fraction(1, 3), 2, -1]
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(st.tuples(st.integers(0, 2), st.integers(0, 2)), _Q_COEFFS), max_size=6),
+    st.lists(st.tuples(st.tuples(st.integers(0, 2), st.integers(0, 2)), _Q_COEFFS), max_size=6),
+)
+def test_q_coefficients_leave_the_merge_canonical(terms_f, terms_h):
+    """Halves and thirds that add or multiply to integers leave _merge as
+    ints: after parsing, +, *, **, raise_degree and interpolate alike."""
+    f, h = g.MultiPoly(Q, 2, terms_f), g.MultiPoly(Q, 2, terms_h)
+    half = Fraction(1, 2)
+    grid = g.grid_make([g.FiniteSet(Q, [0, 1, -1]), g.FiniteSet(Q, [half, 0, -half])])
+    text = " + ".join(f"({c})*x1^{a}*x2^{b}" for (a, b), c in terms_f + terms_h) or "0"
+    built = [
+        poly.parse_poly(text, 2, Q), f + h, f - h, f * h, h * f, f**2, h**3, (f + h) ** 2,
+        g.raise_degree(f, grid, (0, 1)),
+        g.interpolate(grid, {a: f.evaluate(a) for a in grid.points()}, 1),
+    ]
+    assert all(map(_canonical_q, built))
+    assert built[0] == f + h
+
+
+def test_q_sums_and_products_of_fractions_hold_ints():
+    for text, want in [
+        ("1/2*x1 + 1/2*x1 + 3", {(1,): 1, (0,): 3}),
+        ("2/3*3/2*x1", {(1,): 1}),
+        ("(1/2*x1)^2*4 + 1/3 + 2/3", {(2,): 1, (0,): 1}),
+    ]:
+        f = poly.parse_poly(text, 1, Q)
+        assert {m: c.value for m, c in f.terms.items()} == want
+        assert all(type(c.value) is int for c in f.terms.values())
