@@ -48,6 +48,15 @@ def main() -> int:
     )
     args = ap.parse_args()
 
+    try:
+        return 0 if run(args) else 1
+    except g.GridNullError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def run(args) -> bool:
+    """Every scan args asks for, one verdict line each; True when all hold."""
     all_ok = True
     for p in args.scd_primes:
         t0 = time.perf_counter()
@@ -83,7 +92,7 @@ def main() -> int:
     )
     all_ok &= line("plane-scan F9 additive grid", rep.verdict, rep.instances,
                    time.perf_counter() - t0)
-    return 0 if all_ok else 1
+    return all_ok
 
 
 if __name__ == "__main__":

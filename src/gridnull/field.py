@@ -15,11 +15,11 @@ Besides these scalar kernels every context has kernels on raw values, which
 the inner loops run on without an element object per step: scalar _vadd,
 _vmul, _vneg, _vinv and _vpow; the list kernels _outer (the products x*y
 for x in xs, y in ys, flattened), _vsum (elementwise sums) and _dot (the sum
-of the products x*y over zip(xs, ys)); and _mul_root and _div_root, which
-multiply a top-first coefficient list by (X - a) and divide one exactly by
-it.  Each kind supplies its own scalar value kernels: residues mod p, p = 2
-tables (XOR sums, exp[log a + log b] products), odd-p tables (log and Zech),
-ints and Fractions over Q, and digit polynomial arithmetic above the cap.
+of the products x*y over zip(xs, ys)); and _mul_root, which multiplies a
+top-first coefficient list by (X - a).  Each kind supplies its own scalar
+value kernels: residues mod p, p = 2 tables (XOR sums, exp[log a + log b]
+products), odd-p tables (log and Zech), ints and Fractions over Q, and
+digit polynomial arithmetic above the cap.
 The list kernels, and the element kernels that wrap a value kernel's
 result, have one generic form in FieldCtx; residues and tables keep faster
 forms of their own (see FieldCtx).  Subtraction has no kernel: an element's
@@ -459,11 +459,10 @@ class FieldCtx:
     an int or a Fraction (see Rationals).  Each kind sets its scalar value
     kernels _vadd(a, b), _vmul(a, b), _vneg(a), _vinv(a) and _vpow(a, k)
     (k >= 0).  The list kernels _outer(xs, ys), _vsum(xs, ys) and
-    _dot(xs, ys) are as in the module docstring; _mul_root(cs, a) and
-    _div_root(cs, a) take lists top coefficient first and give those of
-    (X - a) times cs and of cs divided exactly by (X - a).  The element
-    kernels _add, _mul, _neg, _inv and _pow return the element of the
-    matching value kernel's result.  The list and element kernels here are
+    _dot(xs, ys) are as in the module docstring; _mul_root(cs, a) takes a
+    list top coefficient first and gives that of (X - a) times cs.  The
+    element kernels _add, _mul, _neg, _inv and _pow return the element of
+    the matching value kernel's result.  The list and element kernels here are
     the generic form on the scalar value kernels; set-up installs the element
     ones once the value kernels are final.  A kind keeps its own form only
     where the generic one would cost a Python call more: residues keep every
@@ -492,11 +491,6 @@ class FieldCtx:
         # each coefficient is c - a * b, the sum of c and (-a) * b
         mul, add, na = self._vmul, self._vadd, self._vneg(a)
         return [add(c, mul(na, b)) for b, c in zip((0, *cs), (*cs, 0))]
-
-    def _div_root(self, cs: list, a) -> list:
-        # the quotient's top coefficient is cs[0], each next one c + a * the last
-        mul, add = self._vmul, self._vadd
-        return list(accumulate(cs[:-1], lambda b, c: add(c, mul(a, b))))
 
     def _wrap_value_kernels(self):
         """Install the generic element kernels the kind left unset; returns the context."""
@@ -645,7 +639,6 @@ class FiniteField(FieldCtx):
         self._vsum = lambda xs, ys: [(x + y) % p for x, y in zip(xs, ys)]
         self._dot = lambda xs, ys: sum(map(mul, xs, ys)) % p
         self._mul_root = lambda cs, a: [(c - a * b) % p for b, c in zip((0, *cs), (*cs, 0))]
-        self._div_root = lambda cs, a: list(accumulate(cs[:-1], lambda b, c: (c + a * b) % p))
 
     def _table_kernels(self):
         p, q, elems = self.p, self.cardinality, self._elems

@@ -26,7 +26,7 @@ from .errors import (
 )
 from .field import FieldCtx, FieldElement, _digits, _int_literal, _row_reduce, _unit_of_order, trace
 from .nullity import FiniteSet, _split_top_level, parse_set, weight as _weight
-from .poly import _MAX_SET_SIZE, parse_element
+from .poly import _MAX_SET_SIZE, _exponent, parse_element
 
 
 class Grid:
@@ -109,6 +109,7 @@ def multiplicative_coset(ctx: FieldCtx, d: int, shift=None) -> FiniteSet:
     field._unit_of_order, listed in field enumeration order, then multiplied
     by the shift.
     """
+    d = _exponent(d)
     if ctx.kind == "rationals":
         raise InfiniteField("multiplicative cosets need a finite field")
     q = ctx.cardinality

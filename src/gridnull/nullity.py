@@ -35,16 +35,12 @@ def _leading_zeros(table) -> int:
     return r - 1
 
 
-def _check_order(R: int) -> None:
-    if R < 0:
-        raise PreconditionViolated("moment order must be non-negative")
-
-
 def _column_exponent(k) -> int:
-    """k as a set column's exponent, an int >= 0; read no memo before it (2.0 == 2)."""
+    """k as a set column's exponent or moment order, an int >= 0; read no memo
+    before it (2.0 == 2)."""
     k = _exponent(k)
     if k < 0:
-        raise PreconditionViolated(f"a set column needs an exponent >= 0, got {k}")
+        raise PreconditionViolated(f"a set column or moment order needs an int >= 0, got {k}")
     return k
 
 
@@ -107,7 +103,7 @@ class FiniteSet:
         """(h_0, ..., h_R) as values, growing the cached table by
         h_r = -(c_1 h_(r-1) + ... + c_n h_(r-n)), where X^n + c_1 X^(n-1) +
         ... + c_n is the char poly, so that h_r = sum (-1)^(i+1) e_i h_(r-i)."""
-        _check_order(R)
+        R = _column_exponent(R)
         if len(self._h) <= R:
             c = [self.ctx._vneg(x.value) for x in reversed(self.char_poly.coeffs[:-1])]
             h, dot = list(self._h), self.ctx._dot
@@ -124,7 +120,7 @@ class FiniteSet:
         t c^i = r mod (q - 1).  Any other p_r, r = 32j + s, is the dot product
         of the columns a^(32j) and a^s: only the 32 columns a^s and one column
         a^(32j) per block of 32 are built."""
-        _check_order(R)
+        R = _column_exponent(R)
         if len(self._p) <= R:
             ctx, p, q = self.ctx, list(self._p), self.ctx.cardinality
             steps = [] if q is None else [ctx.characteristic**i for i in range(ctx.e)]
@@ -145,7 +141,7 @@ class FiniteSet:
         return self._p[: R + 1]
 
     def _elementary_to(self, R: int) -> tuple:
-        _check_order(R)
+        R = _column_exponent(R)
         e = self._elementary()[: R + 1]
         return e + (self.ctx.zero.value,) * (R + 1 - len(e))
 

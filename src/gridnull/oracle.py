@@ -1,8 +1,8 @@
 """Naive reference implementations and exhaustive scans.
 
 The references are deliberately slow and literal: subset enumeration for
-elementary moments, weak compositions for complete ones, a Gray-code walk
-over the whole power set.  The fast paths are tested against these, never
+elementary moments, weak compositions for complete ones, a depth-first walk
+over the power set.  The fast paths are tested against these, never
 the other way around.  The classification scans account for every subset,
 or every pair, but visit only what can decide them: redei the 0/1
 solutions of the power-sum equations over F_p, each confirmed from its
@@ -34,7 +34,7 @@ from .field import ExtensionField, FieldCtx, FieldElement, PrimeField
 from .field import _digits, _is_prime, _prime_factors, _row_reduce
 from .grids import Grid, _span_values
 from .nullity import FiniteSet, MomentTable, _leading_zeros
-from .poly import MultiPoly, Monomial, UniPoly, _root_values
+from .poly import MultiPoly, Monomial, UniPoly, _exponent, _root_values
 from .reports import ScanReport
 
 
@@ -46,14 +46,14 @@ class _Caps(NamedTuple):
 
 
 class OracleConfig(_Caps):
-    """The oracles' size caps; every cap must be positive."""
+    """The oracles' size caps; every cap must be a positive int."""
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if min(self) <= 0:
-            raise PreconditionViolated("oracle bounds must be positive")
+        if not all(isinstance(cap, int) and cap > 0 for cap in self):
+            raise PreconditionViolated("oracle bounds must be positive ints")
         return self
 
     @classmethod
@@ -166,27 +166,31 @@ def char_poly_bruteforce(ctx: FieldCtx, roots) -> UniPoly:
     return UniPoly(ctx, reversed(coeffs))
 
 
-def _subset_nullities(ctx: FieldCtx, elements):
-    """(mask, nullity) for each nonempty subset of elements, in Gray-code order.
+def _subset_nullities(ctx: FieldCtx, elements, most=None):
+    """(mask, nullity) for each nonempty subset of at most ``most`` of the
+    elements (all by default), in lexicographic order of the index sequences.
 
-    Bit i of mask stands for elements[i].  prod (X - a) over the subset is kept
-    as raw values, top coefficient first; each step multiplies it by one root
-    factor or divides it exactly by one, one list kernel call of O(|A|).  The
-    nullity counts the vanishing coefficients just below the top, capped at
-    |A|, as in FiniteSet.
+    Bit i of mask stands for elements[i].  The walk is depth first: its stack
+    holds, for each subset on the current path, the mask, prod (X - a) over
+    the subset as raw values, top coefficient first, and the next index to
+    add.  Each subset costs one root-factor multiplication, a list kernel call
+    of O(|A|), and nothing is divided.  The nullity counts the vanishing
+    coefficients just below the top, capped at |A|, as in FiniteSet.
     """
-    mul_root, div_root = ctx._mul_root, ctx._div_root
+    mul_root = ctx._mul_root
     values = [x.value for x in elements]
-    coeffs = [ctx.one.value]
-    mask = 0
-    for step in range(1, 1 << len(values)):
-        bit = (step & -step).bit_length() - 1
-        mask ^= 1 << bit
-        if mask >> bit & 1:
-            coeffs = mul_root(coeffs, values[bit])
-        else:
-            coeffs = div_root(coeffs, values[bit])
-        yield mask, _leading_zeros(coeffs)
+    n = len(values)
+    most = n if most is None else min(most, n)
+    path = [(0, [ctx.one.value], 0)] if most > 0 else []
+    while path:
+        mask, coeffs, i = path.pop()
+        child, grown = mask | 1 << i, mul_root(coeffs, values[i])
+        yield child, _leading_zeros(grown)
+        i += 1
+        if i < n:
+            path.append((mask, coeffs, i))
+            if len(path) < most:
+                path.append((child, grown, i))
 
 
 def _mask_set(ctx: FieldCtx, mask: int) -> FiniteSet:
@@ -258,7 +262,7 @@ def redei_scan(q: int, config: OracleConfig = None) -> ScanReport:
     nonempty subsets, and sets are built only for qualifying masks, in mask
     order.  ``_subset_nullities`` is the walk over every subset.
     """
-    cfg = config or _DEFAULT
+    q, cfg = _exponent(q), config or _DEFAULT
     if q % 2 == 0:
         raise EvenQ(f"half of {q} - 1 is not an integer")
     if q <= 3:
@@ -317,7 +321,7 @@ def scd_scan(p: int, config: OracleConfig = None) -> ScanReport:
     ``_rotation_sumset``; counterexamples come in (a_mask, b_mask) order.  The
     (2^p - 1)^2 pairs are refused above 2^(max_subset_scan_q + 1).
     """
-    cfg = config or _DEFAULT
+    p, cfg = _exponent(p), config or _DEFAULT
     if not _is_prime(p):
         raise NotPrimeField(f"{p} is not prime")
     bound = cfg.max_subset_scan_q + 1

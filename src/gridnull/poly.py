@@ -114,6 +114,7 @@ class UniPoly:
         return len(self.coeffs) - 1 if self.coeffs else MINUS_INFINITY
 
     def coefficient(self, k: int) -> FieldElement:
+        k = _exponent(k)
         if k < 0:
             raise ExponentOutOfRange("negative exponent")
         return self.coeffs[k] if k < len(self.coeffs) else self.ctx.zero

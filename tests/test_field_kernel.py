@@ -120,18 +120,6 @@ def test_root_factor_kernels_match_element_operators(ctx, data):
         coeffs = ctx._mul_root(coeffs, a)
         assert coeffs == _top_first(char_poly_bruteforce(ctx, roots[: k + 1]))
     assert g.UniPoly.from_roots(ctx, roots) == char_poly_bruteforce(ctx, roots)
-    # exact division takes the roots out again, in any order
-    order = data.draw(st.permutations(range(len(roots))))
-    left = list(range(len(roots)))
-    for i in order:
-        coeffs = ctx._div_root(coeffs, values[i])
-        left.remove(i)
-        assert coeffs == _top_first(char_poly_bruteforce(ctx, [roots[j] for j in left]))
-    assert coeffs == [ctx.one.value]
-    # divide after multiply gives the list back for any root, in it or not
-    full = _top_first(char_poly_bruteforce(ctx, roots))
-    extra = ctx.element(data.draw(_root(ctx))).value
-    assert ctx._div_root(ctx._mul_root(full, extra), extra) == full
 
 
 @settings(max_examples=300, deadline=None)
@@ -212,8 +200,6 @@ def test_q_kernels_return_ints_or_fractions(raw, k, data):
     ref_coeffs = [c - ra * d for d, c in zip((0, *refs), (*refs, 0))]
     for v, r in zip(coeffs, ref_coeffs, strict=True):
         _exact(v, r)
-    for v, r in zip(Q._div_root(coeffs, a), refs, strict=True):
-        _exact(v, r)
 
 
 def test_list_kernels_of_empty_lists():
@@ -251,12 +237,11 @@ def test_root_factor_kernels_of_the_empty_product():
     for ctx in _ROOT_FIELDS:
         assert g.UniPoly.from_roots(ctx, []).coeffs == char_poly_bruteforce(ctx, []).coeffs
         assert g.UniPoly.from_roots(ctx, []).coeffs == (ctx.one,)
-        assert ctx._div_root([ctx.one.value], ctx.one.value) == []
 
 
 _KERNELS = (
     "_add", "_mul", "_neg", "_inv", "_pow", "_vadd", "_vmul", "_vneg", "_vinv", "_vpow",
-    "_outer", "_vsum", "_dot", "_mul_root", "_div_root", "_wrap",
+    "_outer", "_vsum", "_dot", "_mul_root", "_wrap",
 )
 
 
@@ -277,7 +262,7 @@ def test_every_named_kernel_is_callable_on_every_kind(ctx):
     assert ctx._wrap(ctx._vpow(x, 3)) == ctx._pow(x, 3)
     assert ctx._outer([x], [x]) == ctx._vsum([0], [ctx._vmul(x, x)])
     assert ctx._wrap(ctx._dot([x], [x])) == ctx._mul(x, x)
-    assert ctx._div_root(ctx._mul_root([ctx.one.value], x), x) == [ctx.one.value]
+    assert ctx._mul_root([ctx.one.value], x) == [ctx.one.value, ctx._vneg(x)]
 
 
 def _primitive_reference(ctx):
@@ -328,10 +313,9 @@ def test_odd_p_table_sums_pass_through_zero(ctx):
 @pytest.mark.parametrize("ctx", [F9, g.ExtensionField(2, 4), F27], ids=str)
 def test_table_fields_keep_no_digit_kernel(ctx):
     """A table field finds its primitive element on the digit kernels, then
-    replaces every one of them; its _div_root is the generic form.  The
-    generic element kernels wrap a value kernel in a closure, so the closures
-    are searched too: an element kernel installed before the tables would
-    still wrap a digit kernel."""
+    replaces every one of them.  The generic element kernels wrap a value
+    kernel in a closure, so the closures are searched too: an element kernel
+    installed before the tables would still wrap a digit kernel."""
 
     def digit_closures(c):
         found = []
@@ -345,7 +329,6 @@ def test_table_fields_keep_no_digit_kernel(ctx):
 
     assert digit_closures(ctx) == []
     assert digit_closures(_ABOVE_CAP[1]) != []
-    assert ctx._div_root.__func__ is g.FieldCtx._div_root
 
 
 def test_contexts_are_interned():

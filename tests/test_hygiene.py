@@ -266,7 +266,7 @@ def test_float_use_detector():
 # The value kernels every field kind has (the FieldCtx docstring lists them)
 _LIBRARY_KERNELS = (
     "_vadd", "_vmul", "_vneg", "_vinv", "_vpow",
-    "_outer", "_vsum", "_dot", "_mul_root", "_div_root",
+    "_outer", "_vsum", "_dot", "_mul_root",
 )
 
 

@@ -68,6 +68,40 @@ def test_moments_reject_negative_order():
         a.moments(-1)
 
 
+_Q12 = g.FiniteSet(Q, [1, 2])
+_MU3_GRID = g.parse_grid("mul(3) x mul(3)", F7)
+
+
+@pytest.mark.parametrize(
+    "call, n, answer",
+    [
+        (lambda k: _Q12.moments(k).p, 2, (2, 3, 5)),
+        (lambda k: g.elementary_moments(_Q12, k), 2, [1, 3, 2]),
+        (lambda k: g.power_sums(_Q12, k), 2, [2, 3, 5]),
+        (lambda k: g.complete_moments(_Q12, k), 2, [1, 3, 7]),
+        (lambda k: _Q12.char_poly.coefficient(k), 1, -3),
+        (lambda k: g.interpolate(_MU3_GRID, dict.fromkeys(_MU3_GRID.points(), 1), k).terms,
+         1, {(0, 0): 1}),
+        (lambda k: g.multiplicative_coset(F7, k).elements, 2, (F7.one, -F7.one)),
+        (lambda k: (g.scd_scan(k).verdict, g.scd_scan(k).instances), 5, (True, 961)),
+        (lambda k: (g.redei_scan(k).verdict, g.redei_scan(k).instances), 7, (True, 127)),
+        (lambda k: g.OracleConfig(max_degree=k).max_degree, 2, 2),
+        (lambda k: g.OracleConfig(max_subset_scan_q=k).max_subset_scan_q, 2, 2),
+    ],
+    ids=[
+        "moments", "elementary", "power_sums", "complete", "coefficient", "interpolate",
+        "coset", "scd", "redei", "max_degree", "max_subset_scan_q",
+    ],
+)
+def test_integer_parameters_refuse_floats(call, n, answer):
+    """An order, degree, exponent, field size or cap given as a float, even an
+    integral one, is refused with a GridNullError before any other test."""
+    for bad in (1.5, 2.0, float(n)):
+        with pytest.raises(g.GridNullError):
+            call(bad)
+    assert call(n) == answer
+
+
 def test_nullity_ground_cases():
     assert g.FiniteSet(F5, [0, 1, 2, 3, 4]).nullity == 3
     assert g.FiniteSet(F5, [0]).nullity == 1

@@ -69,20 +69,33 @@ def test_nullity_census_output(args, expected):
     assert _census(args) == expected
 
 
-def _census(args):
+def _run(args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "nullity_census.py"), *args],
         capture_output=True,
         text=True,
         env=env,
         timeout=60,
     )
+
+
+def _census(args):
+    proc = _run(args)
     assert (proc.returncode, proc.stderr) == (0, "")
     return proc.stdout
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [("Q", "the rationals cannot be enumerated"), ("F9", "9 is not prime")],
+)
+def test_library_errors_exit_2(spec, message):
+    proc = _run(["--field", spec])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
 
 
 def _size_of(row):
@@ -92,12 +105,11 @@ def _size_of(row):
 
 
 def test_small_max_size_visits_only_small_subsets():
-    # 28 of the 127 subsets of F7 have at most 2 elements, so --max-size 2
-    # builds each of them instead of walking all 127; the rows must be those
-    # of the full walk
+    # 28 of the 127 subsets of F7 have at most 2 elements, and --max-size 2
+    # bounds the walk to them; the rows must be those of the full walk
     full = _census(["--field", "F7"]).splitlines()
     small = _census(["--field", "F7", "--max-size", "2"]).splitlines()
     assert small == [row for row in full if _size_of(row) <= 2]
-    # a pool of 31 would take 2^31 walk steps; its 496 small subsets take none
+    # a pool of 31 has 2^31 subsets; the bounded walk visits its 496 small ones
     rows = _census(["--field", "F31", "--max-size", "2"]).splitlines()[2:-3]
     assert sum(int(row.split()[2]) for row in rows) == 31 + 465

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 from operator import mul
 
@@ -433,16 +434,22 @@ def _bruteforce_nullity(ctx, subset):
 
 
 def _check_walk(ctx, elements):
-    # the walk and FiniteSet share the root-factor kernel, so the expected
-    # nullity comes from the element-operator reference
-    seen, prev = set(), 0
-    for mask, null in _subset_nullities(ctx, elements):
-        assert (mask ^ prev).bit_count() == 1
-        subset = [x for i, x in enumerate(elements) if mask >> i & 1]
-        assert null == _bruteforce_nullity(ctx, subset)
-        seen.add(mask)
-        prev = mask
-    assert len(seen) == 2 ** len(elements) - 1 and 0 not in seen
+    # for each bound, the walk gives every subset of at most that many
+    # elements once, in lexicographic order of the index sequences; the walk
+    # and FiniteSet share the root-factor kernel, so the expected nullity
+    # comes from the element-operator reference
+    n, null_of = len(elements), {}
+    for most in range(n + 2):
+        walk = list(_subset_nullities(ctx, elements, most))
+        sequences = [tuple(i for i in range(n) if mask >> i & 1) for mask, _ in walk]
+        sizes = range(1, most + 1)
+        assert sequences == sorted(c for k in sizes for c in itertools.combinations(range(n), k))
+        for mask, null in walk:
+            if mask not in null_of:
+                subset = [x for i, x in enumerate(elements) if mask >> i & 1]
+                null_of[mask] = _bruteforce_nullity(ctx, subset)
+            assert null == null_of[mask]
+    assert list(_subset_nullities(ctx, elements)) == walk
 
 
 @pytest.mark.parametrize("ctx", [F4, F5, F7, F8, F9])
@@ -457,6 +464,21 @@ def test_subset_walk_matches_set_nullity(ctx):
 def test_subset_walk_in_any_element_order(case):
     ctx, order, size = case
     _check_walk(ctx, order[:size])
+
+
+def test_bounded_walk_holds_only_its_path():
+    # a level-by-level walk would hold all 41,664 3-subsets of the 64
+    # elements at once, about 8 MB; the depth-first walk holds one path
+    ctx = g.parse_field("F2^6/1,1,0,0,0,0,1")
+    elements = ctx.elements()
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in _subset_nullities(ctx, elements, 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 64 + 2016 + 41664
+    assert peak < 1 << 20
 
 
 def test_ore_form_holds_for_every_subgroup_of_f9():
