@@ -6,15 +6,20 @@ nullity for each size.  Useful for eyeballing which structures (cosets of
 root-of-unity groups, additive cosets, full field) sit at the extremes.
 Nullities come from the oracle's depth-first subset walk, one root factor
 per subset; --max-size bounds the walk, which then visits only the subsets
-of at most that many elements.
+of at most that many elements.  A walk over more than _MAX_WALK subsets is
+refused before it starts.
 """
 
 import argparse
 import sys
 from collections import defaultdict
+from math import comb
 
 import gridnull as g
 from gridnull.oracle import _subset_nullities
+
+# The most subsets one run walks: a pool of 31 has 2^31 - 1, hours of work
+_MAX_WALK = 2**20
 
 
 def main() -> int:
@@ -27,6 +32,16 @@ def main() -> int:
 
     try:
         ctx = g.parse_field(args.field)
+        # the walk's length, C(n, 1) + ... + C(n, most), counted up to 2^64 and
+        # before the pool of n is built (Q has none: ctx.elements() refuses it)
+        n, walk = (ctx.cardinality or 0) - args.units_only, 0
+        for k in range(1, min(n, n if args.max_size is None else args.max_size) + 1):
+            walk += comb(n, k)
+            if walk >> 64:
+                break
+        if walk > _MAX_WALK:
+            count = walk if walk < 1 << 64 else "more than 2^64"
+            raise g.ScanTooLarge(f"a walk over {count} subsets is above the bound of {_MAX_WALK}")
         pool = [x for x in ctx.elements() if not (args.units_only and x.is_zero)]
     except g.GridNullError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,12 +23,15 @@ SCAN_CONFIG = g.OracleConfig(max_subset_scan_q=27)
 REDEI_CONFIG = g.OracleConfig(max_subset_scan_q=37)
 
 
-def line(name, verdict, instances, elapsed):
-    """One verdict line; the count is padded to 12 digits, the widest the
+def line(name, scan, *args):
+    """Run scan(*args), which gives a ScanReport, and print its verdict line
+    with the time it took; the count is padded to 12 digits, the widest the
     defaults print (redei q=37 checks 137,438,953,471 subsets)."""
-    tag = "ok" if verdict else "COUNTEREXAMPLE"
-    print(f"{name:<32} {tag:<16} instances={instances:<12} {elapsed:.2f}s")
-    return verdict
+    t0 = time.perf_counter()
+    rep = scan(*args)
+    tag = "ok" if rep.verdict else "COUNTEREXAMPLE"
+    print(f"{name:<32} {tag:<16} instances={rep.instances:<12} {time.perf_counter() - t0:.2f}s")
+    return rep.verdict
 
 
 def main() -> int:
@@ -59,40 +62,28 @@ def run(args) -> bool:
     """Every scan args asks for, one verdict line each; True when all hold."""
     all_ok = True
     for p in args.scd_primes:
-        t0 = time.perf_counter()
-        rep = g.scd_scan(p, SCAN_CONFIG)
-        all_ok &= line(f"sumset-dichotomy p={p}", rep.verdict, rep.instances,
-                       time.perf_counter() - t0)
+        all_ok &= line(f"sumset-dichotomy p={p}", g.scd_scan, p, SCAN_CONFIG)
     for q in args.redei_orders:
-        t0 = time.perf_counter()
-        rep = g.redei_scan(q, REDEI_CONFIG)
-        all_ok &= line(f"extremal-nullity q={q}", rep.verdict, rep.instances,
-                       time.perf_counter() - t0)
+        all_ok &= line(f"extremal-nullity q={q}", g.redei_scan, q, REDEI_CONFIG)
     for spec in args.ore_fields:
-        ctx = g.parse_field(spec)
-        t0 = time.perf_counter()
-        groups = g.enumerate_additive_subgroups(ctx, SCAN_CONFIG)
-        ok = all(
-            g.ore_form_check(ctx, list(gens))
-            and g.ore_form_check(ctx, list(gens), shift=ctx.generator)
-            for gens in groups
-        )
-        all_ok &= line(f"additive-form {spec}", ok, 2 * len(groups),
-                       time.perf_counter() - t0)
-
-    t0 = time.perf_counter()
-    rep = g.plane_scan(g.parse_grid("mul(3) x mul(3) x mul(2)", g.parse_field("F7")),
-                       mode="pp")
-    all_ok &= line("plane-scan F7 mul grid", rep.verdict, rep.instances,
-                   time.perf_counter() - t0)
-    t0 = time.perf_counter()
-    rep = g.plane_scan(
-        g.parse_grid("all x tracezero x tracezero", g.parse_field("F3^2")),
-        mode="ppp",
-    )
-    all_ok &= line("plane-scan F9 additive grid", rep.verdict, rep.instances,
-                   time.perf_counter() - t0)
+        all_ok &= line(f"additive-form {spec}", ore_scan, g.parse_field(spec))
+    grid = g.parse_grid("mul(3) x mul(3) x mul(2)", g.parse_field("F7"))
+    all_ok &= line("plane-scan F7 mul grid", g.plane_scan, grid, "pp")
+    grid = g.parse_grid("all x tracezero x tracezero", g.parse_field("F3^2"))
+    all_ok &= line("plane-scan F9 additive grid", g.plane_scan, grid, "ppp")
     return all_ok
+
+
+def ore_scan(ctx) -> g.ScanReport:
+    """The vanishing-form check on every additive subgroup, unshifted and
+    shifted by the generator: two instances per subgroup."""
+    groups = g.enumerate_additive_subgroups(ctx, SCAN_CONFIG)
+    ok = all(
+        g.ore_form_check(ctx, list(gens))
+        and g.ore_form_check(ctx, list(gens), shift=ctx.generator)
+        for gens in groups
+    )
+    return g.ScanReport("ore", 2 * len(groups), ok, {})
 
 
 if __name__ == "__main__":

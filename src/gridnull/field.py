@@ -11,22 +11,21 @@ lookups in exp/log tables built once from the first primitive element, which
 _unit_of_order finds; sums are XOR (p = 2) or a Zech-log lookup.  Above the
 cap they are polynomial arithmetic on the digits.
 
-Besides these scalar kernels every context has kernels on raw values, which
-the inner loops run on without an element object per step: scalar _vadd,
-_vmul, _vneg, _vinv and _vpow; the list kernels _outer (the products x*y
-for x in xs, y in ys, flattened), _vsum (elementwise sums) and _dot (the sum
-of the products x*y over zip(xs, ys)); and _mul_root, which multiplies a
-top-first coefficient list by (X - a).  Each kind supplies its own scalar
-value kernels: residues mod p, p = 2 tables (XOR sums, exp[log a + log b]
-products), odd-p tables (log and Zech), ints and Fractions over Q, and
-digit polynomial arithmetic above the cap.
-The list kernels, and the element kernels that wrap a value kernel's
-result, have one generic form in FieldCtx; residues and tables keep faster
-forms of their own (see FieldCtx).  Subtraction has no kernel: an element's
-a - b is a + (-b).  Values become elements where they leave the library
-(the weights' P' aside, see nullity).  Contexts are interned, one object per
-field, so context equality is identity.  All arithmetic is exact; floating
-point never appears.
+Every context computes on raw values, with no element object per step, by
+its kernels: the scalar value kernels _vadd, _vmul, _vneg, _vinv and _vpow;
+the list kernels _outer (the products x*y for x in xs, y in ys, flattened),
+_vsum (elementwise sums) and _dot (the sum of the products x*y over
+zip(xs, ys)); and _mul_root, which multiplies a top-first coefficient list
+by (X - a).  Each kind supplies its own scalar value kernels: residues mod
+p, p = 2 tables (XOR sums, exp[log a + log b] products), odd-p tables (log
+and Zech), ints and Fractions over Q, and digit polynomial arithmetic above
+the cap.  The list kernels have one generic form in FieldCtx; residues and
+tables keep faster forms of their own (see FieldCtx).  An element operator
+wraps one scalar value kernel's result; subtraction has no kernel, as an
+element's a - b is a + (-b).  Values become elements where they leave the
+library (the weights' P' aside, see nullity).  Contexts are interned, one
+object per field, so context equality is identity.  All arithmetic is
+exact; floating point never appears.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import accumulate, repeat
+from itertools import accumulate, repeat, zip_longest
 from math import gcd
 from operator import add, mul, neg, pos, xor
 from typing import Optional, Sequence
@@ -130,13 +129,7 @@ def _px_trim(c: list[int]) -> list[int]:
 
 
 def _px_sub(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        ai = a[i] if i < len(a) else 0
-        bi = b[i] if i < len(b) else 0
-        out[i] = (ai - bi) % p
-    return _px_trim(out)
+    return _px_trim([(x - y) % p for x, y in zip_longest(a, b, fillvalue=0)])
 
 
 def _px_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
@@ -358,41 +351,43 @@ class FieldElement:
     # interned, so one identity test stands for _coerce.
 
     def __add__(self, other):
-        if other.__class__ is FieldElement and other.ctx is self.ctx:
-            return self.ctx._add(self.value, other.value)
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.ctx._add(self.value, other.value)
-
-    __radd__ = __add__
-
-    # a - b is a + (-b), on the element kernels alone
-    def __sub__(self, other):
-        if other.__class__ is not FieldElement or other.ctx is not self.ctx:
+        ctx = self.ctx
+        if other.__class__ is not FieldElement or other.ctx is not ctx:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        return self.ctx._add(self.value, self.ctx._neg(other.value).value)
+        return ctx._wrap(ctx._vadd(self.value, other.value))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        ctx = self.ctx
+        if other.__class__ is not FieldElement or other.ctx is not ctx:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return ctx._wrap(ctx._vadd(self.value, ctx._vneg(other.value)))
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.ctx._add(other.value, self.ctx._neg(self.value).value)
+        ctx = self.ctx
+        return ctx._wrap(ctx._vadd(other.value, ctx._vneg(self.value)))
 
     def __mul__(self, other):
-        if other.__class__ is FieldElement and other.ctx is self.ctx:
-            return self.ctx._mul(self.value, other.value)
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.ctx._mul(self.value, other.value)
+        ctx = self.ctx
+        if other.__class__ is not FieldElement or other.ctx is not ctx:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return ctx._wrap(ctx._vmul(self.value, other.value))
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return self.ctx._neg(self.value)
+        ctx = self.ctx
+        return ctx._wrap(ctx._vneg(self.value))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -412,10 +407,12 @@ class FieldElement:
         if k < 0:
             return self.inv() ** (-k)
         # k == 0 yields one even for the zero element
-        return self.ctx._pow(self.value, k)
+        ctx = self.ctx
+        return ctx._wrap(ctx._vpow(self.value, k))
 
     def inv(self) -> "FieldElement":
-        return self.ctx._inv(self.value)
+        ctx = self.ctx
+        return ctx._wrap(ctx._vinv(self.value))
 
     @property
     def is_zero(self) -> bool:
@@ -460,15 +457,12 @@ class FieldCtx:
     kernels _vadd(a, b), _vmul(a, b), _vneg(a), _vinv(a) and _vpow(a, k)
     (k >= 0).  The list kernels _outer(xs, ys), _vsum(xs, ys) and
     _dot(xs, ys) are as in the module docstring; _mul_root(cs, a) takes a
-    list top coefficient first and gives that of (X - a) times cs.  The
-    element kernels _add, _mul, _neg, _inv and _pow return the element of
-    the matching value kernel's result.  The list and element kernels here are
-    the generic form on the scalar value kernels; set-up installs the element
-    ones once the value kernels are final.  A kind keeps its own form only
-    where the generic one would cost a Python call more: residues keep every
-    kernel, tables their products, inverses, negations, _outer, _dot and
-    _mul_root, p = 2 tables their sums as well, and odd-p tables their
-    _vsum, with the Zech step inline there and in _dot.
+    list top coefficient first and gives that of (X - a) times cs.  The list
+    kernels here are the generic form on the scalar value kernels.  A kind
+    keeps its own form only where the generic one would cost a Python call
+    more: residues keep every list kernel, tables _outer, _dot and
+    _mul_root, and odd-p tables _vsum too, with the Zech step inline there
+    and in _dot.  The element operators call the scalar value kernels.
     """
 
     kind: str
@@ -491,21 +485,6 @@ class FieldCtx:
         # each coefficient is c - a * b, the sum of c and (-a) * b
         mul, add, na = self._vmul, self._vadd, self._vneg(a)
         return [add(c, mul(na, b)) for b, c in zip((0, *cs), (*cs, 0))]
-
-    def _wrap_value_kernels(self):
-        """Install the generic element kernels the kind left unset; returns the context."""
-        wrap, elems = self._wrap, getattr(self, "_elems", None)
-        if elems is None:
-            binary = lambda f: lambda a, b: wrap(f(a, b))
-            unary = lambda f: lambda a: wrap(f(a))
-        else:  # up to the cap, indexing the elements costs less than calling _wrap
-            binary = lambda f: lambda a, b: elems[f(a, b)]
-            unary = lambda f: lambda a: elems[f(a)]
-        names = ("_add", "_mul", "_pow", "_neg", "_inv")
-        for name, form in zip(names, [binary] * 3 + [unary] * 2):
-            if not hasattr(self, name):  # vars(self) would slow every attribute read
-                setattr(self, name, form(getattr(self, "_v" + name[1:])))
-        return self
 
     def element(self, v) -> FieldElement:
         if isinstance(v, FieldElement):
@@ -551,7 +530,7 @@ class Rationals(FieldCtx):
         self._hash = hash("Q")
         self._wrap = partial(FieldElement, self)
         self.zero, self.one = self.element(0), self.element(1)
-        return self._wrap_value_kernels()
+        return self
 
     def _canon(self, v):
         if isinstance(v, int):
@@ -597,8 +576,8 @@ class FiniteField(FieldCtx):
     chosen once, from e and the cardinality q: residues mod p when e = 1,
     else digit arithmetic, which exp/log/Zech tables replace wholesale when
     q <= _TABLE_CAP (their primitive element is found on the digits).  Up to
-    the cap each element object exists once and the kernels return it from
-    a table.
+    the cap each element object exists once and _wrap returns it from a
+    table.
     """
 
     def _setup(self, p: int, e: int, modulus, spec: str):
@@ -609,7 +588,8 @@ class FiniteField(FieldCtx):
         self._hash = hash((p, e, modulus))
         if q <= _TABLE_CAP:
             self._elems = tuple(map(partial(FieldElement, self), range(q)))
-            self._wrap = self._elems.__getitem__
+            # a list's __getitem__ is a builtin method, called in half the time of a tuple's
+            self._wrap = list(self._elems).__getitem__
         else:
             self._elems = None
             self._wrap = partial(FieldElement, self)
@@ -621,15 +601,10 @@ class FiniteField(FieldCtx):
             self._digit_kernels()
             if q <= _TABLE_CAP:
                 self._table_kernels()
-        return self._wrap_value_kernels()
+        return self
 
     def _residue_kernels(self):
-        p, new = self.p, self._wrap
-        self._add = lambda a, b: new((a + b) % p)
-        self._mul = lambda a, b: new(a * b % p)
-        self._neg = lambda a: new(-a % p)
-        self._inv = lambda a: new(pow(a, p - 2, p)) if a else _no_inverse()
-        self._pow = lambda a, k: new(pow(a, k, p))
+        p = self.p
         self._vadd = lambda a, b: (a + b) % p
         self._vmul = lambda a, b: a * b % p
         self._vneg = lambda a: -a % p
@@ -641,7 +616,7 @@ class FiniteField(FieldCtx):
         self._mul_root = lambda cs, a: [(c - a * b) % p for b, c in zip((0, *cs), (*cs, 0))]
 
     def _table_kernels(self):
-        p, q, elems = self.p, self.cardinality, self._elems
+        p, q = self.p, self.cardinality
         n = q - 1
         exp, log = _exp_log(p, self.e, self.modulus, _unit_of_order(self, n))
         # log 0 is 2n, so any sum of logs with it lands in the zero half of
@@ -662,9 +637,6 @@ class FiniteField(FieldCtx):
             """The logs of the products x*y over zip(xs, ys)."""
             return map(add, logs(xs), logs(ys))
 
-        # own product and inverse: the generic ones would cost a Python call more
-        self._mul = lambda a, b: elems[exp_v[log[a] + log[b]]]
-        self._inv = lambda a: elems[exp_v[n - log[a]]] if a else _no_inverse()
         self._vmul = lambda a, b: exp_v[log[a] + log[b]]
         self._vinv = lambda a: exp_v[n - log[a]] if a else _no_inverse()
         self._vpow, self._outer = vpow, outer
@@ -674,9 +646,7 @@ class FiniteField(FieldCtx):
                 la = log[a]
                 return [c ^ exp_v[la + log[b]] for b, c in zip((0, *cs), (*cs, 0))]
 
-            self._add = lambda a, b: elems[a ^ b]  # own: xor is a call more
-            self._vadd = xor
-            self._vneg, self._neg = pos, elems.__getitem__  # -a is a
+            self._vadd, self._vneg = xor, pos  # -a is a
             self._dot = lambda xs, ys: reduce(xor, map(exp_v.__getitem__, products(xs, ys)), 0)
             self._mul_root = mul_root
             return
@@ -715,7 +685,6 @@ class FiniteField(FieldCtx):
             return c
 
         self._vadd, self._vneg = vadd, negv.__getitem__
-        self._neg = lambda a: elems[negv[a]]  # own: the generic one calls __getitem__
         self._vsum = lambda xs, ys: [  # vadd inline
             exp_v[(i := log[a]) + zech[log[b] - i]] if a and b else a or b for a, b in zip(xs, ys)
         ]

@@ -109,7 +109,7 @@ def multiplicative_coset(ctx: FieldCtx, d: int, shift=None) -> FiniteSet:
     field._unit_of_order, listed in field enumeration order, then multiplied
     by the shift.
     """
-    d = _exponent(d)
+    d = _exponent(d, "subgroup order")
     if ctx.kind == "rationals":
         raise InfiniteField("multiplicative cosets need a finite field")
     q = ctx.cardinality

@@ -38,7 +38,7 @@ def _leading_zeros(table) -> int:
 def _column_exponent(k) -> int:
     """k as a set column's exponent or moment order, an int >= 0; read no memo
     before it (2.0 == 2)."""
-    k = _exponent(k)
+    k = _exponent(k, "order")
     if k < 0:
         raise PreconditionViolated(f"a set column or moment order needs an int >= 0, got {k}")
     return k

@@ -262,7 +262,7 @@ def redei_scan(q: int, config: OracleConfig = None) -> ScanReport:
     nonempty subsets, and sets are built only for qualifying masks, in mask
     order.  ``_subset_nullities`` is the walk over every subset.
     """
-    q, cfg = _exponent(q), config or _DEFAULT
+    q, cfg = _exponent(q, "field order"), config or _DEFAULT
     if q % 2 == 0:
         raise EvenQ(f"half of {q} - 1 is not an integer")
     if q <= 3:
@@ -321,7 +321,7 @@ def scd_scan(p: int, config: OracleConfig = None) -> ScanReport:
     ``_rotation_sumset``; counterexamples come in (a_mask, b_mask) order.  The
     (2^p - 1)^2 pairs are refused above 2^(max_subset_scan_q + 1).
     """
-    p, cfg = _exponent(p), config or _DEFAULT
+    p, cfg = _exponent(p, "prime"), config or _DEFAULT
     if not _is_prime(p):
         raise NotPrimeField(f"{p} is not prime")
     bound = cfg.max_subset_scan_q + 1

@@ -74,12 +74,12 @@ _MAX_TERM_PAIRS = 250_000
 _MAX_SET_SIZE = 2**20
 
 
-def _exponent(k) -> int:
-    """k as an int exponent; a value that is no integer (2.0, 1.9) is refused."""
+def _exponent(k, noun="exponent") -> int:
+    """k as an int; a value that is no integer (2.0, 1.9) is refused, named by noun."""
     try:
         return index(k)
     except TypeError:
-        raise ExponentOutOfRange(f"exponent {k!r} is not an integer") from None
+        raise ExponentOutOfRange(f"{noun} {k!r} is not an integer") from None
 
 
 def _root_values(ctx: FieldCtx, roots) -> list:

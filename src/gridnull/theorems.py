@@ -198,7 +198,7 @@ def interpolate(grid: Grid, values, lam: int) -> MultiPoly:
     dropping every prefix k_1..k_i whose degree passes lam.  Values and
     matrix rows are raw values, contracted by the context's _dot kernel.
     """
-    lam = _exponent(lam)
+    lam = _exponent(lam, "lambda")
     if grid.has_singleton:
         raise SingletonFactor("interpolation needs every factor of size > 1")
     if lam < 0:

@@ -181,13 +181,14 @@ def test_q_kernels_return_ints_or_fractions(raw, k, data):
     # arithmetic may also hand a kernel an integral Fraction
     xs = [data.draw(st.sampled_from([v, Fraction(v)])) for v in values]
     a, b, ra, rb = xs[0], xs[-1], refs[0], refs[-1]
-    _exact(Q._add(a, b).value, ra + rb)
-    _exact((Q.element(a) - Q.element(b)).value, ra - rb)
-    _exact(Q._mul(a, b).value, ra * rb)
-    _exact(Q._neg(a).value, -ra)
-    _exact(Q._pow(a, k).value, ra**k)
+    x, y = Q.element(a), Q.element(b)
+    _exact((x + y).value, ra + rb)
+    _exact((x - y).value, ra - rb)
+    _exact((x * y).value, ra * rb)
+    _exact((-x).value, -ra)
+    _exact((x**k).value, ra**k)
     if ra:
-        _exact(Q._inv(a).value, 1 / ra, canonical=True)
+        _exact(x.inv().value, 1 / ra, canonical=True)
     _exact(Q._vadd(a, b), ra + rb)
     _exact(Q._vmul(a, b), ra * rb)
     _exact(Q._vpow(a, k), ra**k)
@@ -240,29 +241,30 @@ def test_root_factor_kernels_of_the_empty_product():
 
 
 _KERNELS = (
-    "_add", "_mul", "_neg", "_inv", "_pow", "_vadd", "_vmul", "_vneg", "_vinv", "_vpow",
-    "_outer", "_vsum", "_dot", "_mul_root", "_wrap",
+    "_vadd", "_vmul", "_vneg", "_vinv", "_vpow", "_outer", "_vsum", "_dot", "_mul_root", "_wrap",
 )
 
 
 @pytest.mark.parametrize("ctx", [*_ROOT_FIELDS, F4], ids=str)
 def test_every_named_kernel_is_callable_on_every_kind(ctx):
-    """FieldCtx supplies only the generic list and element kernels, so each
-    kind must set the scalar value kernels; without this a missing one fails
-    only when an engine needs it."""
+    """FieldCtx supplies only the generic list kernels, so each kind must set
+    the scalar value kernels; without this a missing one fails only when an
+    engine needs it.  The element operators call the value kernels, and no
+    element kernel stands beside them."""
     assert set(re.findall(r"\b_[a-z_]+", g.FieldCtx.__doc__)) == set(_KERNELS)
-    x = (ctx.generator if ctx.kind == "extension" else ctx.element(2)).value  # neither 0 nor 1
-    for name in ("_add", "_mul"):
-        assert getattr(ctx, name)(x, x).ctx is ctx
-    assert ctx._neg(x).ctx is ctx._inv(x).ctx is ctx._pow(x, 3).ctx is ctx
-    assert ctx._wrap(ctx._vadd(x, x)) == ctx._add(x, x)
-    assert ctx._wrap(ctx._vmul(x, x)) == ctx._mul(x, x)
-    assert ctx._wrap(ctx._vneg(x)) == ctx._neg(x)
-    assert ctx._wrap(ctx._vinv(x)) == ctx._inv(x)
-    assert ctx._wrap(ctx._vpow(x, 3)) == ctx._pow(x, 3)
+    elem = ctx.generator if ctx.kind == "extension" else ctx.element(2)  # neither 0 nor 1
+    x = elem.value
+    for y in (elem + elem, elem * elem, -elem, elem.inv(), elem**3):
+        assert y.ctx is ctx
+    assert ctx._wrap(ctx._vadd(x, x)) == elem + elem
+    assert ctx._wrap(ctx._vmul(x, x)) == elem * elem
+    assert ctx._wrap(ctx._vneg(x)) == -elem
+    assert ctx._wrap(ctx._vinv(x)) == elem.inv()
+    assert ctx._wrap(ctx._vpow(x, 3)) == elem**3
     assert ctx._outer([x], [x]) == ctx._vsum([0], [ctx._vmul(x, x)])
-    assert ctx._wrap(ctx._dot([x], [x])) == ctx._mul(x, x)
+    assert ctx._wrap(ctx._dot([x], [x])) == elem * elem
     assert ctx._mul_root([ctx.one.value], x) == [ctx.one.value, ctx._vneg(x)]
+    assert [k for k in ("_add", "_mul", "_neg", "_inv", "_pow") if hasattr(ctx, k)] == []
 
 
 def _primitive_reference(ctx):
@@ -313,9 +315,8 @@ def test_odd_p_table_sums_pass_through_zero(ctx):
 @pytest.mark.parametrize("ctx", [F9, g.ExtensionField(2, 4), F27], ids=str)
 def test_table_fields_keep_no_digit_kernel(ctx):
     """A table field finds its primitive element on the digit kernels, then
-    replaces every one of them.  The generic element kernels wrap a value
-    kernel in a closure, so the closures are searched too: an element kernel
-    installed before the tables would still wrap a digit kernel."""
+    replaces every one of them.  A kernel's closure is searched too, so a
+    kernel that wraps a digit kernel is found."""
 
     def digit_closures(c):
         found = []

@@ -73,31 +73,34 @@ _MU3_GRID = g.parse_grid("mul(3) x mul(3)", F7)
 
 
 @pytest.mark.parametrize(
-    "call, n, answer",
+    "call, n, answer, noun",
     [
-        (lambda k: _Q12.moments(k).p, 2, (2, 3, 5)),
-        (lambda k: g.elementary_moments(_Q12, k), 2, [1, 3, 2]),
-        (lambda k: g.power_sums(_Q12, k), 2, [2, 3, 5]),
-        (lambda k: g.complete_moments(_Q12, k), 2, [1, 3, 7]),
-        (lambda k: _Q12.char_poly.coefficient(k), 1, -3),
+        (lambda k: _Q12.moments(k).p, 2, (2, 3, 5), "order"),
+        (lambda k: g.elementary_moments(_Q12, k), 2, [1, 3, 2], "order"),
+        (lambda k: g.power_sums(_Q12, k), 2, [2, 3, 5], "order"),
+        (lambda k: g.complete_moments(_Q12, k), 2, [1, 3, 7], "order"),
+        (lambda k: _Q12.char_poly.coefficient(k), 1, -3, "exponent"),
         (lambda k: g.interpolate(_MU3_GRID, dict.fromkeys(_MU3_GRID.points(), 1), k).terms,
-         1, {(0, 0): 1}),
-        (lambda k: g.multiplicative_coset(F7, k).elements, 2, (F7.one, -F7.one)),
-        (lambda k: (g.scd_scan(k).verdict, g.scd_scan(k).instances), 5, (True, 961)),
-        (lambda k: (g.redei_scan(k).verdict, g.redei_scan(k).instances), 7, (True, 127)),
-        (lambda k: g.OracleConfig(max_degree=k).max_degree, 2, 2),
-        (lambda k: g.OracleConfig(max_subset_scan_q=k).max_subset_scan_q, 2, 2),
+         1, {(0, 0): 1}, "lambda"),
+        (lambda k: g.multiplicative_coset(F7, k).elements, 2, (F7.one, -F7.one), "subgroup order"),
+        (lambda k: (g.scd_scan(k).verdict, g.scd_scan(k).instances), 5, (True, 961), "prime"),
+        (lambda k: (g.redei_scan(k).verdict, g.redei_scan(k).instances), 7, (True, 127),
+         "field order"),
+        (lambda k: g.OracleConfig(max_degree=k).max_degree, 2, 2, None),
+        (lambda k: g.OracleConfig(max_subset_scan_q=k).max_subset_scan_q, 2, 2, None),
     ],
     ids=[
         "moments", "elementary", "power_sums", "complete", "coefficient", "interpolate",
         "coset", "scd", "redei", "max_degree", "max_subset_scan_q",
     ],
 )
-def test_integer_parameters_refuse_floats(call, n, answer):
+def test_integer_parameters_refuse_floats(call, n, answer, noun):
     """An order, degree, exponent, field size or cap given as a float, even an
-    integral one, is refused with a GridNullError before any other test."""
+    integral one, is refused with a GridNullError before any other test; the
+    refusal names the parameter (an oracle cap by the config's own message)."""
     for bad in (1.5, 2.0, float(n)):
-        with pytest.raises(g.GridNullError):
+        message = "oracle bounds" if noun is None else f"^{noun} {bad!r} is not an integer$"
+        with pytest.raises(g.GridNullError, match=message):
             call(bad)
     assert call(n) == answer
 

@@ -91,7 +91,13 @@ def _census(args):
 
 @pytest.mark.parametrize(
     "spec, message",
-    [("Q", "the rationals cannot be enumerated"), ("F9", "9 is not prime")],
+    [
+        ("Q", "the rationals cannot be enumerated"),
+        ("F9", "9 is not prime"),
+        # refused before the walk, which would run for hours past the timeout
+        ("F31", "a walk over 2147483647 subsets is above the bound of 1048576"),
+        ("F65537", "a walk over more than 2^64 subsets is above the bound of 1048576"),
+    ],
 )
 def test_library_errors_exit_2(spec, message):
     proc = _run(["--field", spec])

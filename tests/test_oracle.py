@@ -583,10 +583,11 @@ def test_ore_form_check_matches_element_rebuild(ctx, data):
     assert g.ore_form_check(ctx, gens, shift) == verdict
 
 
-_ELEMENT_OPERATORS = (
+_ARITHMETIC_OPERATORS = (
     "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__neg__",
-    "__truediv__", "__rtruediv__", "__pow__", "inv", "__hash__",
+    "__truediv__", "__rtruediv__", "__pow__", "inv",
 )
+_ELEMENT_OPERATORS = (*_ARITHMETIC_OPERATORS, "__hash__")
 
 
 @pytest.mark.parametrize("spec", ["F2^4", "F3^3"])
@@ -952,13 +953,16 @@ def test_interpolate_matches_pointwise_sums(ctx, seed, as_ints):
     assert str(fast_error.value) == str(slow_error.value) == expected
 
 
-_VALUE_KERNELS = ("_vadd", "_vmul", "_vpow", "_outer", "_vsum", "_dot")
+# The list kernels only: the references compute with element operators, which
+# call the scalar value kernels, checked on their own against
+# field_op_bruteforce in tests/test_field_kernel.py.
+_VALUE_KERNELS = ("_outer", "_vsum", "_dot", "_mul_root")
 
 
 @pytest.mark.parametrize("ctx", _KERNEL_FIELDS, ids=str)
 def test_engine_references_reach_no_value_kernel(monkeypatch, ctx):
-    """The engines, MultiPoly.evaluate and the set weights run on the value
-    kernels; the references they are checked against must not, or each
+    """The engines, MultiPoly.evaluate and the set weights run on the list
+    value kernels; the references they are checked against must not, or each
     comparison would test a kernel against itself."""
     rng = make_rng(sum(map(ord, str(ctx))))
     f, grid = _kernel_instance(rng, ctx)
@@ -1052,26 +1056,27 @@ def _every_engine(ctx, jobs):
 def test_library_reaches_no_element_kernel(monkeypatch, spec):
     """Grids, polynomials, engines and moments compute on the value kernels.
     Elements are made only where values leave the library, by _wrap, so with
-    every element kernel refused each job still gives the same answer."""
+    every element arithmetic operator refused each job still gives the same
+    answer."""
     ctx = g.parse_field(spec)
     expected = _every_engine(ctx, _parse_jobs(ctx, *_ELEMENT_KERNEL_JOBS[spec]))
-    kernels = {name: getattr(ctx, name) for name in ("_add", "_mul", "_neg", "_inv", "_pow")}
+    kernels = {name: g.FieldElement.__dict__[name] for name in _ARITHMETIC_OPERATORS}
 
     def refuse(*args):
-        raise AssertionError("an element kernel was reached")
+        raise AssertionError("an element operator was reached")
 
     def refusing(on):
         for name, kernel in kernels.items():
-            monkeypatch.setattr(ctx, name, refuse if on else kernel)
+            monkeypatch.setattr(g.FieldElement, name, refuse if on else kernel)
 
     refusing(True)
-    with pytest.raises(AssertionError, match="element kernel"):
+    with pytest.raises(AssertionError, match="element operator"):
         ctx.one + ctx.one
     jobs = _parse_jobs(ctx, *_ELEMENT_KERNEL_JOBS[spec])
     # The one exception: the weights take P' from UniPoly.derivative, which
     # multiplies elements.  It stays there while the benchmark's tracer counts
     # field work by FieldElement operators only (ROADMAP item 1b), so the
-    # factors' weights are built with the kernels in place.
+    # factors' weights are built with the operators in place.
     refusing(False)
     for grid, _ in jobs:
         for A in grid.factors:
