@@ -4,9 +4,9 @@
 Prints a size-by-nullity census and lists the subsets attaining the largest
 nullity for each size.  Useful for eyeballing which structures (cosets of
 root-of-unity groups, additive cosets, full field) sit at the extremes.
-Nullities come from the oracle's depth-first subset walk, one root factor
-per subset; --max-size bounds the walk, which then visits only the subsets
-of at most that many elements.  A walk over more than _MAX_WALK subsets is
+Nullities come from the depth-first subset walk of gridnull.scans, one
+root factor per subset; --max-size bounds the walk, which then visits only
+the subsets of at most that many elements.  A walk over more than _MAX_WALK subsets is
 refused before it starts.
 """
 
@@ -16,7 +16,7 @@ from collections import defaultdict
 from math import comb
 
 import gridnull as g
-from gridnull.oracle import _subset_nullities
+from gridnull.scans import _subset_nullities
 
 # The most subsets one run walks: a pool of 31 has 2^31 - 1, hours of work
 _MAX_WALK = 2**20

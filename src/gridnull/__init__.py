@@ -90,17 +90,27 @@ from .theorems import (
     plane_scan,
     punctured_check,
 )
-from .oracle import (
+from .scans import (
     OracleConfig,
-    coefficient_oracle,
     enumerate_additive_subgroups,
-    exp_series_check,
-    moments_bruteforce,
     ore_form_check,
     redei_scan,
     scd_scan,
-    sylvester_rhs_bruteforce,
-    sylvester_sum_bruteforce,
 )
 
 __version__ = "0.1.0"
+
+# The brute-force references only the tests call; no import path loads them
+_REFERENCES = {
+    "coefficient_oracle", "exp_series_check", "moments_bruteforce",
+    "sylvester_rhs_bruteforce", "sylvester_sum_bruteforce",
+}
+
+
+def __getattr__(name):
+    """A reference exported from .oracle, imported on its first use (PEP 562)."""
+    if name not in _REFERENCES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import oracle
+
+    return getattr(oracle, name)

@@ -17,7 +17,7 @@ import time
 from .errors import GridNullError, ParseError
 from .field import parse_field
 from .grids import parse_factor, parse_grid
-from .oracle import enumerate_additive_subgroups, ore_form_check, redei_scan, scd_scan
+from .scans import enumerate_additive_subgroups, ore_form_check, redei_scan, scd_scan
 from .poly import parse_poly
 from .reports import ScanReport, to_dict
 from .theorems import (

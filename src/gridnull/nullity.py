@@ -35,10 +35,10 @@ def _leading_zeros(table) -> int:
     return r - 1
 
 
-def _column_exponent(k) -> int:
-    """k as a set column's exponent or moment order, an int >= 0; read no memo
-    before it (2.0 == 2)."""
-    k = _exponent(k, "order")
+def _column_exponent(k, noun: str) -> int:
+    """k as a set column's exponent or moment order, an int >= 0, a float
+    refused as the noun; read no memo before it (2.0 == 2)."""
+    k = _exponent(k, noun)
     if k < 0:
         raise PreconditionViolated(f"a set column or moment order needs an int >= 0, got {k}")
     return k
@@ -103,7 +103,7 @@ class FiniteSet:
         """(h_0, ..., h_R) as values, growing the cached table by
         h_r = -(c_1 h_(r-1) + ... + c_n h_(r-n)), where X^n + c_1 X^(n-1) +
         ... + c_n is the char poly, so that h_r = sum (-1)^(i+1) e_i h_(r-i)."""
-        R = _column_exponent(R)
+        R = _column_exponent(R, "order")
         if len(self._h) <= R:
             c = [self.ctx._vneg(x.value) for x in reversed(self.char_poly.coeffs[:-1])]
             h, dot = list(self._h), self.ctx._dot
@@ -120,7 +120,7 @@ class FiniteSet:
         t c^i = r mod (q - 1).  Any other p_r, r = 32j + s, is the dot product
         of the columns a^(32j) and a^s: only the 32 columns a^s and one column
         a^(32j) per block of 32 are built."""
-        R = _column_exponent(R)
+        R = _column_exponent(R, "order")
         if len(self._p) <= R:
             ctx, p, q = self.ctx, list(self._p), self.ctx.cardinality
             steps = [] if q is None else [ctx.characteristic**i for i in range(ctx.e)]
@@ -141,7 +141,7 @@ class FiniteSet:
         return self._p[: R + 1]
 
     def _elementary_to(self, R: int) -> tuple:
-        R = _column_exponent(R)
+        R = _column_exponent(R, "order")
         e = self._elementary()[: R + 1]
         return e + (self.ctx.zero.value,) * (R + 1 - len(e))
 
@@ -184,7 +184,7 @@ class FiniteSet:
         build refuses an exponent that is no int >= 0."""
         key = (k, weighted)
         if key not in self._cols:
-            _column_exponent(k)
+            _column_exponent(k, "column exponent")
             if weighted:
                 col = map(self.ctx._vmul, self._weight_table().values(), self._column(k))
             else:
@@ -195,7 +195,8 @@ class FiniteSet:
 
     def column(self, k: int, weighted: bool = False) -> tuple:
         """(a^k for a in A), or (a^k/P'(a) for a in A) when weighted."""
-        return tuple(map(self.ctx._wrap, self._column(_column_exponent(k), weighted)))
+        k = _column_exponent(k, "column exponent")
+        return tuple(map(self.ctx._wrap, self._column(k, weighted)))
 
     def _sum(self, k: int, weighted: bool):
         """The sum of column(k, weighted) as a value, kept per (k, weighted); a
@@ -211,11 +212,11 @@ class FiniteSet:
 
     def column_sum(self, k: int, weighted: bool = False) -> FieldElement:
         """The sum of column(k, weighted); the weighted one is sylvester_sum(k)."""
-        return self.ctx._wrap(self._sum(_column_exponent(k), weighted))
+        return self.ctx._wrap(self._sum(_column_exponent(k, "column exponent"), weighted))
 
     def sylvester_sum(self, d: int) -> FieldElement:
         """Sum of a^d/P'(a) over A, by _sum."""
-        return self.ctx._wrap(self._sum(_column_exponent(d), True))
+        return self.ctx._wrap(self._sum(_column_exponent(d, "degree"), True))
 
     def __iter__(self):
         return iter(self.elements)

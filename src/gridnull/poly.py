@@ -10,6 +10,7 @@ addition, so degree arithmetic needs no special cases.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import islice, zip_longest
@@ -389,6 +390,21 @@ def _check_lexemes(text: str) -> None:
             _int_literal(run.group(), pos if run.start() == 1 else pos + run.start())
 
 
+def _check_power_digits(w, k: int) -> None:
+    """Refuse w^k over Q when it has more digits than the int/str conversion
+    limit (a limit of 0 sets none).  For b the bit length of w's numerator or
+    denominator, whichever is longer, |w^k| >= 2^(k (b - 1)), and 1233/4096 <
+    log10(2): the estimate never exceeds the digits of w^k.  parse_poly names
+    a stray character in the text before this error."""
+    limit = sys.get_int_max_str_digits()
+    digits = (k * (max(abs(w.numerator), w.denominator).bit_length() - 1) * 1233 >> 12) + 1
+    if limit and digits > limit:
+        raise SizeBoundExceeded(
+            f"a literal power of at least {digits} digits exceeds the int/str conversion"
+            f" limit of {limit}"
+        )
+
+
 class _Parser:
     """Recursive descent on lists of raw (exponent tuple, value) pairs.  A sum
     joins its terms' pairs, merged once by MultiPoly._of_values at the top and
@@ -400,7 +416,6 @@ class _Parser:
         self.text, self.n, self.ctx, self.i = text, n, ctx, 0
         self.tokens = _TOKEN_RE.findall(text) + [""]
         self.poly = partial(MultiPoly._of_values, ctx, n)
-        self.lexed = ctx.kind != "rationals"  # only a power over Q costs its size
 
     def at(self, i: int) -> int:
         """Where token i starts, or the end of the text for the end token."""
@@ -460,9 +475,8 @@ class _Parser:
                 elif c == "x":
                     exps[j - 1] += 1 if k is None else k
                 if w is not None:
-                    if k is not None and not self.lexed:  # name a stray character first
-                        _check_lexemes(self.text)
-                        self.lexed = True
+                    if k is not None and ctx.kind == "rationals":  # a power costs its size
+                        _check_power_digits(w, k)
                     w = w if k is None else vpow(w, k)  # _vpow makes 0^0 one
                     v = w if v is None else vmul(v, w)
                 if g is not None or f is not None:  # through MultiPoly's *, left to right

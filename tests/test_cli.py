@@ -318,7 +318,7 @@ def test_oracle_suite_ore_over_budget_exits_2(capsys, monkeypatch):
     def scan_started(*args):
         raise AssertionError("the subgroup scan ran past its bound")
 
-    monkeypatch.setattr(g.oracle, "_span_values", scan_started)
+    monkeypatch.setattr(g.scans, "_span_values", scan_started)
     code, _, err = _run(
         capsys, ["oracle-suite", "--scan", "ore", "--field", "F2^6/1,1,0,0,0,0,1"]
     )
@@ -882,6 +882,27 @@ def test_a_stray_character_is_named_before_a_literal_power_over_q(capsys):
     argv = ["grid-sum", "--field", "Q", "--grid", "{0,1}", "--poly", "3^29999999 $"]
     assert _run(capsys, argv) == (2, "", "error: unexpected character '$' (at position 11)\n")
     assert time.perf_counter() - start < 1
+
+
+def test_a_literal_power_over_q_is_refused_by_its_digits_before_it_is_computed(capsys):
+    """3^29999999 has over 14 million digits: over Q the estimate, a lower
+    bound, passes the int/str conversion limit, so nothing is computed; a
+    finite field reduces the power at once, and 2^14280 fits the limit."""
+    grid_sum = ["grid-sum", "--grid", "{0,1} x {0,1}", "--poly"]
+    for power in ("3^29999999*x1", "(2/3)^29999999"):
+        start = time.perf_counter()
+        code, out, err = _run(capsys, grid_sum + [power, "--field", "Q"])
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: a literal power of at least 9030762 digits exceeds the int/str conversion"
+            f" limit of {sys.get_int_max_str_digits()}\n"
+        )
+    assert _run(capsys, grid_sum + ["3^29999999*x1", "--field", "F7"]) == (
+        0, "mode: plain\nsum: 3\n", ""
+    )
+    code, out, _ = _run(capsys, grid_sum + ["2^14280*x1", "--field", "Q"])
+    assert (code, out) == (0, f"mode: plain\nsum: {2**14281}\n")
 
 
 def test_an_additive_coset_is_refused_by_its_rank_before_spanning(capsys):

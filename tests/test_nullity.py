@@ -429,3 +429,18 @@ def test_integral_float_exponents_are_refused_after_the_column_is_built(ctx, ele
     for read in reads:
         with pytest.raises(g.ExponentOutOfRange):
             read()
+
+
+def test_float_refusals_name_the_parameter_they_read():
+    """A column read names its column exponent, sylvester_sum its degree, and
+    the moment reads their order."""
+    A = g.FiniteSet(F7, [1, 2])
+    reads = [
+        (lambda: A.column(1.5), "column exponent 1.5"),
+        (lambda: A.column_sum(2.0, weighted=True), "column exponent 2.0"),
+        (lambda: A.sylvester_sum(1.5), "degree 1.5"),
+        (lambda: A.moments(2.0), "order 2.0"),
+    ]
+    for read, named in reads:
+        with pytest.raises(g.ExponentOutOfRange, match=f"^{named} is not an integer$"):
+            read()

@@ -10,13 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gridnull as g
-from gridnull import oracle
+from gridnull import scans
 from gridnull.field import _TABLE_CAP, FiniteField, _unit_of_order
 from gridnull.oracle import (
-    _field_for_order,
-    _mask_set,
-    _rotation_sumset,
-    _subset_nullities,
     additive_subgroups_bruteforce,
     char_poly_bruteforce,
     grid_sum_bruteforce,
@@ -25,6 +21,7 @@ from gridnull.oracle import (
     plane_count_bruteforce,
 )
 from gridnull import theorems
+from gridnull.scans import _field_for_order, _mask_set, _rotation_sumset, _subset_nullities
 from gridnull.theorems import _canonical_planes, _grid_values, _zero_scan
 from support import (
     F4,
@@ -194,7 +191,7 @@ def test_necklace_walk_matches_subset_walk(q):
 @pytest.mark.parametrize("q", [5, 7, 11, 13, 17, 19])
 def test_kernel_route_matches_necklace_walk(q):
     ctx, lam = _field_for_order(q), (q - 1) // 2
-    masks = oracle._kernel_masks(ctx, lam)
+    masks = scans._kernel_masks(ctx, lam)
     walk = _necklace_walk(ctx)
     assert sorted(masks) == sorted(mask for mask, null in walk.items() if null >= lam)
 
@@ -202,7 +199,7 @@ def test_kernel_route_matches_necklace_walk(q):
 @pytest.mark.parametrize("q", [5, 7, 9, 11, 13, 17])
 def test_kernel_route_matches_subset_walk(q):
     ctx, lam = _field_for_order(q), (q - 1) // 2
-    masks = oracle._kernel_masks(ctx, lam)
+    masks = scans._kernel_masks(ctx, lam)
     assert len(set(masks)) == len(masks)
     walk = _subset_nullities(ctx, ctx.elements())
     assert sorted(masks) == sorted(mask for mask, null in walk if null >= lam)
@@ -228,7 +225,7 @@ def test_power_sum_kernel_is_every_subset_with_vanishing_power_sums(q):
             lead[sum(1 << x.value for x in subset)] = _leading_zero_power_sums(F, subset, q - 1)
     assert len(lead) == 2 ** (q - 1)
     for r in range(1, q):
-        kernel = list(oracle._power_sum_kernel(F, r))
+        kernel = list(scans._power_sum_kernel(F, r))
         assert len(set(kernel)) == len(kernel)
         assert sorted(kernel) == sorted(mask for mask, k in lead.items() if k >= r)
 
@@ -237,9 +234,9 @@ def test_power_sum_kernel_is_every_subset_with_vanishing_power_sums(q):
 def test_redei_scan_confirms_kernel_sets_from_roots(monkeypatch, q):
     # {1, 2} has nullity 0, or 1 over F9: a kernel that also yields it must
     # not be trusted
-    kernel = oracle._power_sum_kernel
+    kernel = scans._power_sum_kernel
     expected = g.redei_scan(q)
-    monkeypatch.setattr(oracle, "_power_sum_kernel", lambda ctx, r: [*kernel(ctx, r), 0b110])
+    monkeypatch.setattr(scans, "_power_sum_kernel", lambda ctx, r: [*kernel(ctx, r), 0b110])
     assert g.redei_scan(q) == expected
     ctx = _field_for_order(q)
     units = [x for x in ctx.elements() if not x.is_zero]
@@ -252,7 +249,7 @@ def test_redei_scan_confirms_kernel_sets_from_roots(monkeypatch, q):
 @pytest.mark.parametrize("q", [7, 9])
 def test_redei_scan_reports_what_a_wrong_kernel_loses(monkeypatch, q):
     # a kernel of the empty set alone loses F_q^* and F_q, and adds nothing
-    monkeypatch.setattr(oracle, "_power_sum_kernel", lambda ctx, r: [0])
+    monkeypatch.setattr(scans, "_power_sum_kernel", lambda ctx, r: [0])
     report = g.redei_scan(q)
     assert not report.verdict
     assert report.details["qualifying"] == []
@@ -283,7 +280,7 @@ def _trivial_or_odd_sumset(null_of, a_mask, b_mask, c_mask):
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
-@pytest.mark.parametrize("holds", [oracle._dichotomy_holds, _only_trivial, _trivial_or_odd_sumset])
+@pytest.mark.parametrize("holds", [scans._dichotomy_holds, _only_trivial, _trivial_or_odd_sumset])
 def test_scd_prune_matches_the_full_loop(monkeypatch, p, holds):
     # each predicate holds when min(N(A), N(B)) = 0, as the dichotomy does, so
     # the scan over masks of positive nullity must list what the loop over all
@@ -295,10 +292,10 @@ def test_scd_prune_matches_the_full_loop(monkeypatch, p, holds):
         for b_mask in range(1, full + 1):
             c_mask = _rotation_sumset(p, a_mask, b_mask)
             if _only_trivial(null_of, a_mask, b_mask, c_mask):
-                assert oracle._dichotomy_holds(null_of, a_mask, b_mask, c_mask)
+                assert scans._dichotomy_holds(null_of, a_mask, b_mask, c_mask)
             if not holds(null_of, a_mask, b_mask, c_mask):
                 loop.append({"a_mask": a_mask, "b_mask": b_mask, "sum_mask": c_mask})
-    monkeypatch.setattr(oracle, "_dichotomy_holds", holds)
+    monkeypatch.setattr(scans, "_dichotomy_holds", holds)
     report = g.scd_scan(p)
     assert report.instances == full * full
     assert list(report.counterexamples) == loop
@@ -513,13 +510,13 @@ def test_ore_form_check_against_every_translate(spec):
 
 def test_ore_form_check_builds_one_translate_outside_v(monkeypatch):
     calls = []
-    root_values = oracle._root_values
+    root_values = scans._root_values
 
     def counted(ctx, roots):
         calls.append(list(roots))
         return root_values(ctx, roots)
 
-    monkeypatch.setattr(oracle, "_root_values", counted)
+    monkeypatch.setattr(scans, "_root_values", counted)
     subgroups = g.enumerate_additive_subgroups(F27)
     for gens, size in ((subgroups[-1], 27), (subgroups[-2], 9)):  # F27 and a plane
         V = g.additive_coset(F27, gens)
@@ -579,7 +576,7 @@ def test_ore_form_check_matches_element_rebuild(ctx, data):
     else:
         shift = None if where == "none" else data.draw(st.sampled_from(outside))
     A, verdict = _ore_by_elements(ctx, gens, shift)
-    assert [x.value for x in A] == oracle._span_values(ctx, gens, shift)
+    assert [x.value for x in A] == scans._span_values(ctx, gens, shift)
     assert g.ore_form_check(ctx, gens, shift) == verdict
 
 
