@@ -4,22 +4,17 @@
 Prints a size-by-nullity census and lists the subsets attaining the largest
 nullity for each size.  Useful for eyeballing which structures (cosets of
 root-of-unity groups, additive cosets, full field) sit at the extremes.
-Nullities come from the depth-first subset walk of gridnull.scans, one
-root factor per subset; --max-size bounds the walk, which then visits only
-the subsets of at most that many elements.  A walk over more than _MAX_WALK subsets is
-refused before it starts.
+The census is gridnull.scans.nullity_census under CONFIG: --max-size bounds
+its walk, and a walk over more than 2^20 subsets is refused before it starts.
 """
 
 import argparse
 import sys
-from collections import defaultdict
-from math import comb
 
 import gridnull as g
-from gridnull.scans import _subset_nullities
+from gridnull.scans import nullity_census
 
-# The most subsets one run walks: a pool of 31 has 2^31 - 1, hours of work
-_MAX_WALK = 2**20
+CONFIG = g.OracleConfig(max_subset_scan_q=20)
 
 
 def main() -> int:
@@ -32,39 +27,17 @@ def main() -> int:
 
     try:
         ctx = g.parse_field(args.field)
-        # the walk's length, C(n, 1) + ... + C(n, most), counted up to 2^64 and
-        # before the pool of n is built (Q has none: ctx.elements() refuses it)
-        n, walk = (ctx.cardinality or 0) - args.units_only, 0
-        for k in range(1, min(n, n if args.max_size is None else args.max_size) + 1):
-            walk += comb(n, k)
-            if walk >> 64:
-                break
-        if walk > _MAX_WALK:
-            count = walk if walk < 1 << 64 else "more than 2^64"
-            raise g.ScanTooLarge(f"a walk over {count} subsets is above the bound of {_MAX_WALK}")
-        pool = [x for x in ctx.elements() if not (args.units_only and x.is_zero)]
+        census = nullity_census(ctx, args.units_only, args.max_size, CONFIG).details
     except g.GridNullError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    census = defaultdict(int)
-    # size -> (nullity, mask) of the first maximiser in walk order, which is
-    # lex order of the pool indices
-    best = {}
-    for mask, lam in _subset_nullities(ctx, pool, args.max_size):
-        size = mask.bit_count()
-        census[(size, lam)] += 1
-        if lam > best.get(size, (-1,))[0]:
-            best[size] = (lam, mask)
-
-    print(f"field {ctx.spec_string()}, pool size {len(pool)}")
+    print(f"field {census['field']}, pool size {census['pool_size']}")
     print(f"{'size':>4} {'nullity':>8} {'count':>8}")
-    for (size, lam), count in sorted(census.items()):
+    for size, lam, count in census["rows"]:
         print(f"{size:>4} {lam:>8} {count:>8}")
     print()
-    for size in sorted(best):
-        lam, mask = best[size]
-        frozen = g.FiniteSet(ctx, [x for i, x in enumerate(pool) if mask >> i & 1])
+    for size, lam, frozen in census["maximisers"]:
         print(f"size {size}: max nullity {lam} at {frozen}")
     return 0
 

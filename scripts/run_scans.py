@@ -2,15 +2,15 @@
 """Run every exhaustive scan in one pass and print compact verdict lines.
 
 Covers the sumset size dichotomy, the extremal-nullity classification, the
-additive-coset vanishing-form check, and both plane-count scans.  scd and ore
-run under SCAN_CONFIG, whose bound admits scd p=11 and 13 and ore on F2^6
+additive-coset vanishing-form check (gridnull.scans.ore_scan, one instance
+per subgroup V, checked as V and 1 + V) and both plane-count scans.  scd and
+ore run under SCAN_CONFIG, whose bound admits scd p=11 and 13 and ore on F2^6
 above the default caps: scd p=13 checks 67,092,481 subset pairs, under 2^28;
 the subgroup enumerator budgets F2^6 at 26,387 elements over all its
 subgroups, over 2^13.  redei runs under its own REDEI_CONFIG, which admits
 q=17 to 37, the prime powers 25 and 27 among them (over every field it solves
 the power-sum equations over F_p instead of walking every subset), and leaves
-scd p=17 refused.  Exit code is nonzero when any scan reports a
-counterexample.
+scd p=17 refused.  Exit code is nonzero when any scan has a counterexample.
 """
 
 import argparse
@@ -18,6 +18,7 @@ import sys
 import time
 
 import gridnull as g
+from gridnull.scans import ore_scan
 
 SCAN_CONFIG = g.OracleConfig(max_subset_scan_q=27)
 REDEI_CONFIG = g.OracleConfig(max_subset_scan_q=37)
@@ -66,24 +67,12 @@ def run(args) -> bool:
     for q in args.redei_orders:
         all_ok &= line(f"extremal-nullity q={q}", g.redei_scan, q, REDEI_CONFIG)
     for spec in args.ore_fields:
-        all_ok &= line(f"additive-form {spec}", ore_scan, g.parse_field(spec))
+        all_ok &= line(f"additive-form {spec}", ore_scan, g.parse_field(spec), SCAN_CONFIG)
     grid = g.parse_grid("mul(3) x mul(3) x mul(2)", g.parse_field("F7"))
     all_ok &= line("plane-scan F7 mul grid", g.plane_scan, grid, "pp")
     grid = g.parse_grid("all x tracezero x tracezero", g.parse_field("F3^2"))
     all_ok &= line("plane-scan F9 additive grid", g.plane_scan, grid, "ppp")
     return all_ok
-
-
-def ore_scan(ctx) -> g.ScanReport:
-    """The vanishing-form check on every additive subgroup, unshifted and
-    shifted by the generator: two instances per subgroup."""
-    groups = g.enumerate_additive_subgroups(ctx, SCAN_CONFIG)
-    ok = all(
-        g.ore_form_check(ctx, list(gens))
-        and g.ore_form_check(ctx, list(gens), shift=ctx.generator)
-        for gens in groups
-    )
-    return g.ScanReport("ore", 2 * len(groups), ok, {})
 
 
 if __name__ == "__main__":

@@ -17,9 +17,9 @@ import time
 from .errors import GridNullError, ParseError
 from .field import parse_field
 from .grids import parse_factor, parse_grid
-from .scans import enumerate_additive_subgroups, ore_form_check, redei_scan, scd_scan
+from .scans import ore_scan, redei_scan, scd_scan
 from .poly import parse_poly
-from .reports import ScanReport, to_dict
+from .reports import to_dict
 from .theorems import (
     _grid_values,
     cauchy_davenport,
@@ -203,18 +203,7 @@ def _cmd_oracle_suite(args):
     else:
         if args.field is None:
             raise ParseError("--scan ore needs --field")
-        ctx = parse_field(args.field)
-        gens_list = enumerate_additive_subgroups(ctx)
-        bad = [g for g in gens_list if not ore_form_check(ctx, list(g))]
-        report = ScanReport(
-            name="ore",
-            instances=len(gens_list),
-            verdict=not bad,
-            details={"field": ctx.spec_string()},
-            counterexamples=tuple(
-                {"generators": [str(x) for x in g]} for g in bad
-            ),
-        )
+        report = ore_scan(parse_field(args.field))
     return {
         **report._asdict(),
         "elapsed_seconds": round(time.monotonic() - start, 3),

@@ -24,7 +24,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .field import FieldCtx, FieldElement
-from .poly import UniPoly, _exponent, parse_element
+from .poly import UniPoly, _check_power_digits, _exponent, parse_element
 
 
 def _leading_zeros(table) -> int:
@@ -181,15 +181,19 @@ class FiniteSet:
 
     def _column(self, k: int, weighted: bool = False) -> tuple:
         """column(k, weighted) as values, built once by the value kernels; the
-        build refuses an exponent that is no int >= 0."""
+        build refuses an exponent that is no int >= 0 and, over Q, one whose
+        power of the longest element passes the int/str conversion limit."""
         key = (k, weighted)
         if key not in self._cols:
             _column_exponent(k, "column exponent")
             if weighted:
                 col = map(self.ctx._vmul, self._weight_table().values(), self._column(k))
             else:
-                vpow = self.ctx._vpow
-                col = (vpow(a.value, k) for a in self.elements)
+                vpow, values = self.ctx._vpow, [a.value for a in self.elements]
+                if self.ctx.kind == "rationals":  # a power costs its size
+                    w = max(values, key=lambda v: max(abs(v.numerator), v.denominator))
+                    _check_power_digits(w, k, "set column power")
+                col = (vpow(a, k) for a in values)
             self._cols[key] = tuple(col)
         return self._cols[key]
 

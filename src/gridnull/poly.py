@@ -390,17 +390,17 @@ def _check_lexemes(text: str) -> None:
             _int_literal(run.group(), pos if run.start() == 1 else pos + run.start())
 
 
-def _check_power_digits(w, k: int) -> None:
-    """Refuse w^k over Q when it has more digits than the int/str conversion
-    limit (a limit of 0 sets none).  For b the bit length of w's numerator or
-    denominator, whichever is longer, |w^k| >= 2^(k (b - 1)), and 1233/4096 <
-    log10(2): the estimate never exceeds the digits of w^k.  parse_poly names
-    a stray character in the text before this error."""
+def _check_power_digits(w, k: int, noun: str = "literal power") -> None:
+    """Refuse w^k over Q, named by noun, when it has more digits than the
+    int/str conversion limit (a limit of 0 sets none).  For b the bit length
+    of w's numerator or denominator, whichever is longer, |w^k| >= 2^(k (b -
+    1)), and 1233/4096 < log10(2): the estimate never exceeds the digits of
+    w^k.  parse_poly names a stray character in the text before this error."""
     limit = sys.get_int_max_str_digits()
     digits = (k * (max(abs(w.numerator), w.denominator).bit_length() - 1) * 1233 >> 12) + 1
     if limit and digits > limit:
         raise SizeBoundExceeded(
-            f"a literal power of at least {digits} digits exceeds the int/str conversion"
+            f"a {noun} of at least {digits} digits exceeds the int/str conversion"
             f" limit of {limit}"
         )
 

@@ -4,17 +4,19 @@ The classification scans account for every subset, or every pair, but
 visit only what can decide them: redei the 0/1 solutions of the power-sum
 equations over F_p, each confirmed from its roots, scd the pairs of
 positive nullity; each shortcut has a differential test against the full
-walk.  The ore check and the additive subgroup enumeration run on raw
-values.  Every scan enforces its size bounds with an error instead of
-silently delegating.  The brute-force references the fast paths are tested
-against live in ``gridnull.oracle``, which no import path of the library
-or the CLI loads.
+walk.  ``ore_scan`` and ``nullity_census`` drive the ore check and the
+subset walk; all run on raw values.  Every scan enforces its size bounds
+with an error instead of silently delegating.  The brute-force references
+the fast paths are tested against live in ``gridnull.oracle``, which no
+import path of the library or the CLI loads.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from functools import reduce
+from math import comb
 from typing import NamedTuple
 
 from .errors import CharacteristicZero, EvenQ, NotPrimeField, PreconditionViolated, ScanTooLarge
@@ -247,6 +249,41 @@ def scd_scan(p: int, config: OracleConfig = None) -> ScanReport:
     )
 
 
+def nullity_census(ctx: FieldCtx, units_only=False, most=None, config=None) -> ScanReport:
+    """Nullity of every nonempty subset of at most ``most`` elements of the
+    field, or of its units: sorted (size, nullity, count) rows and the first
+    maximiser of each size in walk order, lex order of the pool.  The walk's
+    length, ``instances``, is counted up to 2^64 before the pool is built and
+    refused above 2^max_subset_scan_q; Q has no pool: ctx.elements() refuses it."""
+    bound = 2 ** (config or _DEFAULT).max_subset_scan_q
+    n = (ctx.cardinality or 0) - units_only
+    most, walk = n if most is None else _exponent(most, "subset size"), 0
+    for k in range(1, min(n, most) + 1):
+        walk += comb(n, k)
+        if walk >> 64:
+            break
+    if walk > bound or walk >> 64:
+        count = walk if walk < 1 << 64 else "more than 2^64"
+        raise ScanTooLarge(f"a walk over {count} subsets is above the bound of {bound}")
+    pool = [x for x in ctx.elements() if not (units_only and x.is_zero)]
+    census, best = Counter(), {}
+    for mask, lam in _subset_nullities(ctx, pool, most):
+        size = mask.bit_count()
+        census[size, lam] += 1
+        if lam > best.get(size, (-1,))[0]:
+            best[size] = (lam, mask)
+    details = {
+        "field": ctx.spec_string(),
+        "pool_size": len(pool),
+        "rows": [(size, lam, count) for (size, lam), count in sorted(census.items())],
+        "maximisers": [
+            (size, lam, repr(FiniteSet(ctx, [x for i, x in enumerate(pool) if mask >> i & 1])))
+            for size, (lam, mask) in sorted(best.items())
+        ],
+    }
+    return ScanReport("census", walk, True, details)
+
+
 def ore_form_check(ctx: FieldCtx, generators, shift=None) -> bool:
     """Structural checks for a coset A = shift + V of an additive subgroup V.
 
@@ -331,3 +368,15 @@ def enumerate_additive_subgroups(ctx: FieldCtx, config: OracleConfig = None) -> 
     bases.sort(key=lambda rows: (len(rows), rows))
     elems = ctx.elements()
     return [tuple(elems[v] for v in rows) for rows in bases]
+
+
+def ore_scan(ctx: FieldCtx, config: OracleConfig = None) -> ScanReport:
+    """ore_form_check on each additive subgroup V, as V and as the coset 1 + V:
+    one instance per subgroup, and a failing one is named by its generators."""
+    groups = enumerate_additive_subgroups(ctx, config)
+    bad = tuple(
+        {"generators": [str(x) for x in gens]}
+        for gens in groups
+        if not all(ore_form_check(ctx, list(gens), shift) for shift in (None, ctx.one))
+    )
+    return ScanReport("ore", len(groups), not bad, {"field": ctx.spec_string()}, bad)

@@ -314,6 +314,33 @@ def test_oracle_suite_ore(capsys):
     assert "verdict: true\n" in out
 
 
+def test_oracle_suite_ore_over_a_prime_field(capsys):
+    # F7 has the subgroups {0} and F7; the coset 1 + V needs no generator
+    code, out, _ = _run(capsys, ["oracle-suite", "--scan", "ore", "--field", "F7"])
+    assert code == 0
+    assert "instances: 2\n" in out
+    assert "verdict: true\n" in out
+
+
+def test_oracle_suite_ore_checks_each_subgroup_shifted_by_one(capsys, monkeypatch):
+    """A check that fails only on the coset 1 + V fails every subgroup, and
+    the report names each by its generators."""
+    check = g.scans.ore_form_check
+
+    def fails_when_shifted(ctx, generators, shift=None):
+        assert shift is None or shift == ctx.one
+        return shift is None and check(ctx, generators)
+
+    monkeypatch.setattr(g.scans, "ore_form_check", fails_when_shifted)
+    argv = ["oracle-suite", "--scan", "ore", "--field", "F3^2", "--json"]
+    code, out, _ = _run(capsys, argv)
+    data = json.loads(out)
+    F9 = g.parse_field("F3^2")
+    named = [{"generators": [str(x) for x in gens]} for gens in g.enumerate_additive_subgroups(F9)]
+    assert (code, data["instances"], data["verdict"]) == (1, 6, False)
+    assert data["counterexamples"] == named
+
+
 def test_oracle_suite_ore_over_budget_exits_2(capsys, monkeypatch):
     def scan_started(*args):
         raise AssertionError("the subgroup scan ran past its bound")
@@ -903,6 +930,30 @@ def test_a_literal_power_over_q_is_refused_by_its_digits_before_it_is_computed(c
     )
     code, out, _ = _run(capsys, grid_sum + ["2^14280*x1", "--field", "Q"])
     assert (code, out) == (0, f"mode: plain\nsum: {2**14281}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["grid-sum"],
+        ["grid-sum", "--mode", "weighted"],
+        ["cn-check"],
+    ],
+    ids=["plain", "weighted", "cn-check"],
+)
+def test_a_variable_power_over_q_is_refused_by_its_digits_before_the_column(capsys, argv):
+    """x1^29999999 on {2, 3} asks for the set column 3^29999999, whose digits
+    pass the int/str conversion limit: refused before any power is built."""
+    start = time.perf_counter()
+    code, out, err = _run(
+        capsys, argv + ["--field", "Q", "--grid", "{2,3}", "--poly", "x1^29999999"]
+    )
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: a set column power of at least 9030762 digits exceeds the int/str conversion"
+        f" limit of {sys.get_int_max_str_digits()}\n"
+    )
 
 
 def test_an_additive_coset_is_refused_by_its_rank_before_spanning(capsys):

@@ -340,3 +340,54 @@ def test_every_value_kernel_is_read_outside_the_field_module():
 def test_attribute_read_detector():
     source = "ctx._vadd(a, b)\nctx._vsub = f\nx = ctx._dot\ndel ctx._vneg\n"
     assert attributes_read(source) == {"_vadd", "_dot"}
+
+
+def private_gridnull_names(source: str) -> list[str]:
+    """``_``-prefixed names a source imports from gridnull, or reads as an
+    attribute of a name bound to a gridnull module; dunders are left out."""
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    bound, found = set(), []
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(
+                alias.asname or alias.name.split(".")[0]
+                for alias in node.names
+                if alias.name.split(".")[0] == "gridnull"
+            )
+            found += [alias.name for alias in node.names if any(map(private, alias.name.split(".")))]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "gridnull":
+            parts = node.module.split(".") + [alias.name for alias in node.names]
+            found += [name for name in parts if private(name)]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and private(node.attr):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in bound:
+                found.append(node.attr)
+    return sorted(found)
+
+
+def test_scripts_use_only_public_gridnull_names():
+    """The scripts are callers of the library: a private name they reach
+    for belongs behind a public driver."""
+    assert {
+        path.name: names
+        for path in sorted((ROOT / "scripts").glob("*.py"))
+        if (names := private_gridnull_names(path.read_text(encoding="utf-8")))
+    } == {}
+
+
+def test_private_gridnull_name_detector():
+    source = (
+        "import gridnull as g, os\n"
+        "import gridnull.scans\n"
+        "from gridnull.scans import _subset_nullities, ore_scan\n"
+        "from gridnull._x import y\n"
+        "from other import _z\n"
+        "g._DEFAULT, g.scans._mask_set, gridnull.scans.ore_scan, g.__doc__, os._exit\n"
+    )
+    assert private_gridnull_names(source) == ["_DEFAULT", "_mask_set", "_subset_nullities", "_x"]

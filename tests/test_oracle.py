@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from operator import mul
 
@@ -29,6 +30,7 @@ from support import (
     F7,
     F8,
     F9,
+    F11,
     F27,
     Q,
     make_rng,
@@ -476,6 +478,44 @@ def test_bounded_walk_holds_only_its_path():
         tracemalloc.stop()
     assert count == 64 + 2016 + 41664
     assert peak < 1 << 20
+
+
+def _census_bruteforce(ctx, units_only, most):
+    """Census rows and first maximisers from every subset by combinations,
+    each nullity read off the element-operator char poly."""
+    pool = [x for x in ctx.elements() if not (units_only and x.is_zero)]
+    rows, best = Counter(), {}
+    for size in range(1, min(len(pool), most) + 1):
+        for subset in itertools.combinations(pool, size):
+            null = _bruteforce_nullity(ctx, subset)
+            rows[size, null] += 1
+            if null > best.get(size, (-1,))[0]:
+                best[size] = (null, repr(g.FiniteSet(ctx, subset)))
+    maximisers = [(size, null, text) for size, (null, text) in sorted(best.items())]
+    return sum(rows.values()), len(pool), sorted((*key, n) for key, n in rows.items()), maximisers
+
+
+@pytest.mark.parametrize(
+    "ctx, units_only, most",
+    [(F5, False, None), (F7, True, None), (F8, False, 4), (F9, False, 4), (F11, False, 3)],
+)
+def test_nullity_census_matches_every_subset(ctx, units_only, most):
+    report = scans.nullity_census(ctx, units_only, most)
+    details = report.details
+    found = report.instances, details["pool_size"], details["rows"], details["maximisers"]
+    assert found == _census_bruteforce(ctx, units_only, ctx.cardinality if most is None else most)
+    assert (report.name, report.verdict, details["field"]) == ("census", True, ctx.spec_string())
+
+
+def test_nullity_census_is_bounded_before_it_walks(monkeypatch):
+    def walk_started(*args):
+        raise AssertionError("the census walked past its bound")
+
+    monkeypatch.setattr(scans, "_subset_nullities", walk_started)
+    with pytest.raises(g.ScanTooLarge, match="^a walk over 31 subsets is above the bound of 16$"):
+        scans.nullity_census(F5, config=g.OracleConfig(max_subset_scan_q=4))
+    with pytest.raises(g.ExponentOutOfRange, match="^subset size 2.0 is not an integer$"):
+        scans.nullity_census(F5, most=2.0)
 
 
 def test_ore_form_holds_for_every_subgroup_of_f9():

@@ -25,12 +25,13 @@ def _run(args):
 def test_run_scans_small_pass_above_the_default_caps():
     # q = 17, 25 and 29 and p = 11 are over the default redei and scd caps:
     # they run only through the script's REDEI_CONFIG and SCAN_CONFIG; 25 is
-    # a prime power
+    # a prime power; F7, a prime field, has no generator, and ore shifts each
+    # of its 2 subgroups by 1
     proc = _run(
         [
             "--scd-primes", "3", "11",
             "--redei-orders", "5", "17", "25", "29",
-            "--ore-fields", "F2^2", "F5^2",
+            "--ore-fields", "F2^2", "F5^2", "F7",
         ]
     )
     assert proc.returncode == 0, proc.stderr
@@ -44,6 +45,7 @@ def test_run_scans_small_pass_above_the_default_caps():
         "extremal-nullity q=29",
         "additive-form F2^2",
         "additive-form F5^2",
+        "additive-form F7",
         "plane-scan F7 mul grid",
         "plane-scan F9 additive grid",
     ]
@@ -53,6 +55,7 @@ def test_run_scans_small_pass_above_the_default_caps():
     assert "instances=131071" in lines[3]
     assert "instances=33554431" in lines[4]
     assert "instances=536870911" in lines[5]
+    assert "instances=2 " in lines[8]
     # the time column starts at one place, also after a 9-digit count
     assert len({line.rindex(" ") for line in lines}) == 1
 
