@@ -461,8 +461,9 @@ class FieldCtx:
     kernels here are the generic form on the scalar value kernels.  A kind
     keeps its own form only where the generic one would cost a Python call
     more: residues keep every list kernel, tables _outer, _dot and
-    _mul_root, and odd-p tables _vsum too, with the Zech step inline there
-    and in _dot.  The element operators call the scalar value kernels.
+    _mul_root, and odd-p tables _vsum too, with the Zech step inline there,
+    in _dot and in _mul_root.  The element operators call the scalar value
+    kernels.
     """
 
     kind: str
@@ -658,18 +659,13 @@ class FiniteField(FieldCtx):
         for k, v in enumerate(exp):
             negv[v] = exp[(k + n // 2) % n]
 
-        def plus(c, k):
-            """The value c + g^k, where g^k is 0 for k >= 2n (a sum of logs with log 0)."""
-            if k >= n2:
-                return c
-            if not c:
-                return exp_v[k]
-            i = log[c]
-            return exp_v[i + zech[k - i]]
-
         def mul_root(cs, a):
-            la = log[negv[a]]  # log of -a, so la + log[b] is the log of -ab
-            return [plus(c, la + log[b]) for b, c in zip((0, *cs), (*cs, 0))]
+            la = log[negv[a]]  # log of -a, so la + log[b] is the log of -ab (2n or more if 0)
+            return [  # the Zech step inline
+                c if (k := la + log[b]) >= n2
+                else exp_v[(i := log[c]) + zech[k - i]] if c else exp_v[k]
+                for b, c in zip((0, *cs), (*cs, 0))
+            ]
 
         def vadd(a, b):
             if not (a and b):
@@ -677,7 +673,7 @@ class FiniteField(FieldCtx):
             i = log[a]
             return exp_v[i + zech[log[b] - i]]
 
-        def dot(xs, ys):  # plus inline
+        def dot(xs, ys):  # the Zech step inline
             c = 0
             for k in products(xs, ys):
                 if k < n2:

@@ -191,8 +191,10 @@ def parse_factor(text: str, ctx: FieldCtx) -> FiniteSet:
 
 
 def parse_grid(text: str, ctx: FieldCtx) -> Grid:
-    """Parse factors separated by x, e.g. 'mul(3) x {0,1} x tracezero'."""
-    parts = _split_top_level(text, "x", "({", ")}", "brackets in grid")
-    if not any(p.strip() for p in parts):
+    """Parse factors separated by x, e.g. 'mul(3) x {0,1} x tracezero'; a
+    factor text repeated in the grid is parsed once, into one shared FiniteSet."""
+    parts = [p.strip() for p in _split_top_level(text, "x", "({", ")}", "brackets in grid")]
+    if not any(parts):
         raise EmptyFactorList("empty grid expression")
-    return grid_make([parse_factor(p, ctx) for p in parts])
+    factors = {p: parse_factor(p, ctx) for p in dict.fromkeys(parts)}
+    return grid_make([factors[p] for p in parts])

@@ -339,27 +339,25 @@ def _plane_conditions(grid: Grid) -> dict:
 
 
 def _plane_counter(head, grid: Grid):
-    """Grid points on the plane c.x = 0 as a function of c_n, c = head + (c_n,).
+    """The histogram H of the planes c.x = 0 with c = head + (c_n,), head raw values.
 
-    A histogram H over (F_q, +), keyed by raw values, counts the values of
+    H over (F_q, +), keyed by raw values, counts the values of
     c_1 x_1 + ... + c_(n-1) x_(n-1) on the first n-1 factors; it is built one
-    axis at a time by convolving with c_i A_i, and an axis with c_i = 0 scales
-    every count by |A_i|.  Given the value of c_n, the count is sum_(a in A_n) H[-c_n a].
+    axis at a time by convolving with c_i A_i, and an axis with c_i = 0
+    multiplies every count by |A_i|.  So c.x = 0 meets sum_(a in A_n) H[-c_n a] points.
     """
-    ctx = grid.ctx
-    hist, scale = {ctx.zero.value: 1}, 1
+    ctx, hist = grid.ctx, {0: 1}
     for c, A in zip(head, grid.factors):
-        if c.is_zero:
-            scale *= len(A)
+        if not c:
+            hist = {t: k * len(A) for t, k in hist.items()}
             continue
-        shifts = ctx._outer((c.value,), A._column(1))
+        shifts = ctx._outer((c,), A._column(1))
         nxt = {}
         for h, k in hist.items():
             for t in ctx._vsum((h,) * len(shifts), shifts):
                 nxt[t] = nxt.get(t, 0) + k
         hist = nxt
-    last = grid.factors[-1]._column(1)
-    return lambda c: scale * sum(hist.get(x, 0) for x in ctx._outer((ctx._vneg(c),), last))
+    return hist
 
 
 def plane_grid_count(c, grid: Grid) -> ScanReport:
@@ -372,7 +370,9 @@ def plane_grid_count(c, grid: Grid) -> ScanReport:
         raise DimensionMismatch("coefficient vector has wrong arity")
     if all(x.is_zero for x in cv):
         raise ZeroVector("plane needs a nonzero coefficient vector")
-    count = _plane_counter(cv[:-1], grid)(cv[-1].value)
+    hist = _plane_counter([x.value for x in cv[:-1]], grid)
+    keys = ctx._outer((ctx._vneg(cv[-1].value),), grid.factors[-1]._column(1))  # -c_n a
+    count = sum(hist.get(t, 0) for t in keys)
     details = _plane_conditions(grid)
     details["plane"] = [str(x) for x in cv]
     details["count"] = count
@@ -387,44 +387,44 @@ def plane_grid_count(c, grid: Grid) -> ScanReport:
     )
 
 
-def _canonical_planes(ctx, n: int):
-    """Nonzero vectors modulo scaling: first nonzero coordinate is one."""
-    elements = ctx.elements()
-    for lead in range(n):
-        head = (ctx.zero,) * lead + (ctx.one,)
-        for tail in itertools.product(elements, repeat=n - lead - 1):
-            yield head + tail
-
-
 def plane_scan(grid: Grid, mode: str = "pp") -> ScanReport:
     """Check every plane through the origin against the grid.
 
     mode 'pp' requires each intersection count to differ from 1; mode 'ppp'
-    requires each count to be divisible by the characteristic.
+    requires each count to be divisible by the characteristic.  The planes c
+    (first nonzero coordinate one, in enumeration order, last coordinate
+    fastest) that share a head c_1, ..., c_(n-1) are counted in one pass over
+    its histogram H (see _plane_counter): a key t adds H[t] to the count at
+    c_n = -t/a for each unit a of A_n, and a = 0 adds H[0] to every count.
     """
     if grid.ctx.kind == "rationals":
         raise InfiniteField("plane scans need a finite field")
     if mode not in ("pp", "ppp"):
         raise PreconditionViolated(f"mode must be 'pp' or 'ppp', got {mode!r}")
-    ctx = grid.ctx
-    p = ctx.characteristic
-    instances = 0
+    ctx, n, pp = grid.ctx, grid.n, mode == "pp"
+    q, p, fmt = ctx.cardinality, ctx.characteristic, ctx._fmt
+    last = grid.factors[-1]._column(1)
+    ratios = [ctx._vneg(ctx._vinv(a)) for a in last if a]  # -1/a over the units a of A_n
+    tails = [itertools.product(range(q), repeat=n - 2 - i) for i in range(n - 1)]
+    heads = ((0,) * i + (1,) + t for i, ts in enumerate(tails) for t in ts)
     bad = []
-    # planes sharing all but the last coordinate come together and share H
-    planes = itertools.groupby(_canonical_planes(ctx, grid.n), lambda cv: cv[:-1])
-    for head, group in planes:
-        count_at = _plane_counter(head, grid)
-        for cv in group:
-            instances += 1
-            count = count_at(cv[-1].value)
-            ok = count != 1 if mode == "pp" else count % p == 0
-            if not ok:
-                bad.append({"plane": [str(x) for x in cv], "count": count})
+    for head in itertools.chain(heads, [(0,) * (n - 1)]):
+        if any(head):
+            hist = _plane_counter(head, grid)
+            counts = [hist.get(0, 0) if 0 in last else 0] * q
+            for v, k in zip(ctx._outer(ratios, list(hist)), [*hist.values()] * len(ratios)):
+                counts[v] += k
+            planes = enumerate(counts)
+        else:  # x_n = 0 meets |A_1| ... |A_(n-1)| points if 0 is in A_n, else none
+            planes = [(1, grid.size // len(last) * (0 in last))]
+        for v, k in planes:
+            if k == 1 if pp else k % p:
+                bad.append({"plane": [*map(fmt, head), fmt(v)], "count": k})
     details = _plane_conditions(grid)
     details["mode"] = mode
     return ScanReport(
         name="plane-scan",
-        instances=instances,
+        instances=(q**n - 1) // (q - 1),
         verdict=not bad,
         details=details,
         counterexamples=tuple(bad),

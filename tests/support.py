@@ -9,6 +9,7 @@ from __future__ import annotations
 import random
 import re
 from fractions import Fraction
+from itertools import product
 from operator import add
 
 import gridnull as g
@@ -195,6 +196,17 @@ def random_add_grid(rng, ctx, n=None, min_size=3, shifts=True) -> g.Grid:
         if len(A) >= min_size:
             factors.append(A)
     return g.grid_make(factors)
+
+
+def canonical_planes(ctx, n: int):
+    """Every plane through the origin in F_q^n once, as its coefficient
+    vector of elements whose first nonzero coordinate is one: by the position
+    of that one, then the later coordinates in enumeration order, the last
+    fastest."""
+    for lead in range(n):
+        head = (ctx.zero,) * lead + (ctx.one,)
+        for tail in product(ctx.elements(), repeat=n - lead - 1):
+            yield head + tail
 
 
 # The tokenizer and parser that parse_poly replaced, kept as its reference: a

@@ -312,6 +312,25 @@ def test_odd_p_table_sums_pass_through_zero(ctx):
         assert ending == sum((x * y for x, y in zip(left, right)), zero).value == 0
 
 
+@pytest.mark.parametrize("ctx", [F9, g.parse_field("F5^2"), F27], ids=str)
+def test_odd_p_table_root_factors_pass_through_zero(ctx):
+    """Odd-p tables take the Zech step inline in _mul_root too: a root 0 (log
+    2n), a coefficient c = 0 and a coefficient that sums to 0 take their own
+    branches.  (X - a)(X + a) = X^2 - a^2 sums its X coefficient to 0, which
+    the next factor meets as c = 0; a root 0 shifts every coefficient."""
+    zero = ctx.zero
+    units = ctx.elements()[1:]
+    for a, b in zip(units, units[5:]):
+        for roots in ([a, -a], [a, -a, b], [zero, a, -a], [a, zero, b, -b, zero], [zero]):
+            coeffs = [ctx.one.value]
+            for k, r in enumerate(roots):
+                coeffs = ctx._mul_root(coeffs, r.value)
+                assert coeffs == _top_first(char_poly_bruteforce(ctx, roots[: k + 1]))
+            assert g.UniPoly.from_roots(ctx, roots) == char_poly_bruteforce(ctx, roots)
+        assert ctx._mul_root([1, a.value], a.value) == [1, 0, (-a * a).value]
+        assert ctx._mul_root([1, 0, b.value], 0) == [1, 0, b.value, 0]
+
+
 @pytest.mark.parametrize("ctx", [F9, g.ExtensionField(2, 4), F27], ids=str)
 def test_table_fields_keep_no_digit_kernel(ctx):
     """A table field finds its primitive element on the digit kernels, then

@@ -312,6 +312,23 @@ def test_parse_grid():
         g.parse_grid("mul(3) x {1,2))", F7)
 
 
+def test_parse_grid_shares_a_repeated_factor():
+    """A factor text repeated in one grid, up to surrounding space, is one
+    FiniteSet, so its char poly and weights are built once; sums on it match
+    a grid of separately built factors."""
+    F13 = g.PrimeField(13)
+    grid = g.parse_grid("units x units", F13)
+    assert grid.factors[0] is grid.factors[1]
+    grid3 = g.parse_grid(" mul(4) x {0, 1} x mul(4)  ", F13)
+    assert grid3.factors[0] is grid3.factors[2] is not grid3.factors[1]
+    assert g.parse_grid("units x units", F13).factors[0] is not grid.factors[0]  # per call
+    unshared = g.grid_make([g.parse_factor("units", F13), g.parse_factor("units", F13)])
+    assert unshared.factors[0] is not unshared.factors[1]
+    f = g.parse_poly("x1^11*x2^11 + 3*x1^5*x2^7 - x1^12*x2 + 2", 2, F13)
+    assert g.grid_sum(f, grid, "weighted") == g.grid_sum(f, unshared, "weighted")
+    assert g.grid_sum(f, grid, "weighted") == F13.one
+
+
 def test_grid_points_matches_iterator():
     grid = g.parse_grid("mul(2) x mul(3)", F7)
     pts = list(grid.points())

@@ -23,7 +23,7 @@ from gridnull.oracle import (
 )
 from gridnull import theorems
 from gridnull.scans import _field_for_order, _mask_set, _rotation_sumset, _subset_nullities
-from gridnull.theorems import _canonical_planes, _grid_values, _zero_scan
+from gridnull.theorems import _grid_values, _zero_scan
 from support import (
     F4,
     F5,
@@ -33,6 +33,7 @@ from support import (
     F11,
     F27,
     Q,
+    canonical_planes,
     make_rng,
     nonzero_element,
     random_element,
@@ -934,13 +935,55 @@ def test_plane_counts_match_dot_products(ctx, seed, mode):
     if ctx.cardinality ** (n - 1) <= 81:
         p = ctx.characteristic
         bad = []
-        for cv in _canonical_planes(ctx, n):
+        for cv in canonical_planes(ctx, n):
             k = plane_count_bruteforce(cv, grid)
             if not (k != 1 if mode == "pp" else k % p == 0):
                 bad.append({"plane": [str(x) for x in cv], "count": k})
         report = g.plane_scan(grid, mode)
         assert report.counterexamples == tuple(bad)
         assert report.instances == (ctx.cardinality**n - 1) // (ctx.cardinality - 1)
+
+
+@pytest.mark.parametrize("ctx", _FINITE_KERNEL_FIELDS, ids=str)
+def test_plane_scan_matches_plane_grid_count_on_every_plane(ctx):
+    """plane_scan counts the q planes of a head in one pass over its
+    histogram; plane_grid_count counts one plane by a sum over the last
+    factor.  Counted plane by plane, the second route rebuilds the first's
+    counterexamples, in order, in both modes.  n is the largest up to 3 with
+    at most 4,097 planes: F2^12 has n = 2 and 4,097 planes, F65537 n = 1.
+    The last factor holds 0 in the first two grids and not in the third; in
+    the first the other factors are singletons, so the last plane, x_n = 0,
+    the one plane of the head of zeros, meets the grid in one point."""
+    rng = make_rng(sum(map(ord, str(ctx))))
+    q, p = ctx.cardinality, ctx.characteristic
+    n = max(k for k in (1, 2, 3) if (q**k - 1) // (q - 1) <= 4097)
+    zero_head = [str(ctx.zero)] * (n - 1) + [str(ctx.one)]
+
+    def last_factor(with_zero):
+        values = [random_element(rng, ctx).value for _ in range(8)]
+        values = [0, *values] if with_zero else [v for v in values if v] or [1]
+        return g.FiniteSet(ctx, map(ctx._wrap, dict.fromkeys(values[:4])))
+
+    grids = [
+        [random_set(rng, ctx, 1) for _ in range(n - 1)] + [last_factor(True)],
+        [random_set(rng, ctx, rng.randint(2, 4)) for _ in range(n - 1)] + [last_factor(True)],
+        [random_set(rng, ctx, rng.randint(1, 4)) for _ in range(n - 1)] + [last_factor(False)],
+    ]
+    planes = list(canonical_planes(ctx, n))
+    for i, grid in enumerate(map(g.grid_make, grids)):
+        counts = [g.plane_grid_count(cv, grid).details["count"] for cv in planes]
+        assert counts[-1] == (grid.size // grid.sizes[-1] if i < 2 else 0)
+        for mode in ("pp", "ppp"):
+            bad = tuple(
+                {"plane": [str(x) for x in cv], "count": k}
+                for cv, k in zip(planes, counts)
+                if not (k != 1 if mode == "pp" else k % p == 0)
+            )
+            report = g.plane_scan(grid, mode)
+            assert report.counterexamples == bad
+            assert report.instances == len(planes) == (q**n - 1) // (q - 1)
+            if i == 0:
+                assert bad[-1] == {"plane": zero_head, "count": 1}
 
 
 def _interpolation_factor(rng, ctx):
